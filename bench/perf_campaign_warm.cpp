@@ -1,13 +1,15 @@
 // Warm-start campaign propagation: wall-clock comparison of per-config
-// cold propagation versus the memoized, similarity-ordered, warm-started
-// campaign runner on a 100-configuration plan (location + prepending
-// phases, the paper's §III-A(a)/(b) shapes). Verifies outcome equivalence
-// while timing and reports machine-readable JSON.
+// cold propagation (one Engine::run per configuration) versus the
+// memoized, similarity-ordered, warm-started campaign plan
+// (core::plan_campaign walked by core::ChainStepper, as the deploy
+// executor's produce stage walks it) on a 100-configuration plan (location
+// + prepending phases, the paper's §III-A(a)/(b) shapes). Verifies outcome
+// equivalence while timing and reports machine-readable JSON.
 //
-// Outcomes are digested to checksums inside the sink rather than collected:
-// retaining every outcome would keep each chain step's baseline arena alive
-// (shared), forcing the warm path off its steal-the-arena fast path — and a
-// digest is all the equivalence check needs.
+// Outcomes are digested to checksums as they are produced rather than
+// collected: retaining every outcome would keep each chain step's baseline
+// alive (shared), forcing the warm path off its steal-the-arena fast path —
+// and a digest is all the equivalence check needs.
 //
 // Usage: perf_campaign_warm [--stubs=N] [--transit=N] [--seed=N]
 //                           [--obs-report=PATH]
@@ -23,7 +25,6 @@
 #include "core/config_gen.hpp"
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -31,25 +32,69 @@ namespace {
 
 using namespace spooftrack;
 
-double run_timed(const core::PeeringTestbed& testbed,
-                 const std::vector<bgp::Configuration>& plan,
-                 const core::CampaignRunnerOptions& options,
-                 core::CampaignRunStats* stats,
-                 std::vector<std::uint64_t>* checksums) {
-  std::vector<std::uint64_t> digests(plan.size(), 0);
+struct Pass {
+  double ms = 0.0;
+  core::CampaignRunStats stats;
+  std::vector<std::uint64_t> checksums;  // per configuration index
+};
+
+/// Cold baseline: one Engine::run per configuration, fanned out over the
+/// default worker count.
+Pass run_cold(const core::PeeringTestbed& testbed,
+              const std::vector<bgp::Configuration>& plan) {
+  Pass pass;
+  pass.checksums.assign(plan.size(), 0);
+  std::vector<std::uint32_t> rounds(plan.size(), 0);
   const obs::Stopwatch watch;
-  const core::CampaignRunStats run_stats = core::propagate_campaign(
-      testbed.engine(), testbed.origin(), plan,
-      [&digests](std::size_t, std::size_t i,
-                 const bgp::RoutingOutcome& outcome) {
-        digests[i] =
-            bgp::outcome_checksum(outcome, bgp::ChecksumScope::kRoutes);
+  util::parallel_for(plan.size(), [&](std::size_t i) {
+    const bgp::RoutingOutcome outcome =
+        testbed.engine().run(testbed.origin(), plan[i]);
+    rounds[i] = outcome.rounds;
+    pass.checksums[i] =
+        bgp::outcome_checksum(outcome, bgp::ChecksumScope::kRoutes);
+  });
+  pass.ms = watch.elapsed_ms();
+  pass.stats.cold_runs = plan.size();
+  for (const std::uint32_t r : rounds) pass.stats.total_rounds += r;
+  return pass;
+}
+
+/// Warm campaign: every chain of the plan stepped to completion on its own
+/// worker. Nothing holds an outcome past its checksum, so every warm step
+/// consumes its baseline.
+Pass run_warm(const core::PeeringTestbed& testbed,
+              const std::vector<bgp::Configuration>& plan,
+              std::size_t* memo_hits) {
+  Pass pass;
+  pass.checksums.assign(plan.size(), 0);
+  const obs::Stopwatch watch;
+  const core::CampaignPlan campaign = core::plan_campaign(plan);
+  std::vector<core::CampaignRunStats> chain_stats(campaign.chains());
+  util::parallel_for(
+      campaign.chains(),
+      [&](std::size_t c) {
+        core::ChainStepper stepper(testbed.engine(), testbed.origin(), plan,
+                                   campaign, c);
+        while (!stepper.done()) {
+          const std::size_t u = stepper.next_slot();
+          const auto outcome = stepper.step(/*consume_baseline=*/true);
+          const std::uint64_t checksum =
+              bgp::outcome_checksum(*outcome, bgp::ChecksumScope::kRoutes);
+          for (const std::size_t i : campaign.fanout[u]) {
+            pass.checksums[i] = checksum;
+          }
+        }
+        chain_stats[c] = stepper.stats();
       },
-      options);
-  const double elapsed_ms = watch.elapsed_ms();
-  if (stats != nullptr) *stats = run_stats;
-  if (checksums != nullptr) *checksums = std::move(digests);
-  return elapsed_ms;
+      campaign.chains());
+  pass.ms = watch.elapsed_ms();
+  for (const core::CampaignRunStats& cs : chain_stats) {
+    pass.stats.cold_runs += cs.cold_runs;
+    pass.stats.warm_runs += cs.warm_runs;
+    pass.stats.total_rounds += cs.total_rounds;
+  }
+  if (memo_hits != nullptr) *memo_hits = plan.size() - campaign.unique.size();
+  return pass;
 }
 
 }  // namespace
@@ -67,40 +112,27 @@ int main(int argc, char** argv) {
   constexpr std::size_t kCampaignSize = 100;
   if (plan.size() > kCampaignSize) plan.resize(kCampaignSize);
 
-  core::CampaignRunnerOptions cold_options;
-  cold_options.warm_start = false;
-  cold_options.memoize = false;
-  cold_options.order_chains = false;
-
-  core::CampaignRunnerOptions warm_options;  // defaults: everything on
-
   // Warm-up pass (page in the topology, steady up the allocator), then one
   // timed pass per mode; best of two timed passes guards against scheduler
   // noise.
-  run_timed(testbed, plan, cold_options, nullptr, nullptr);
+  run_cold(testbed, plan);
   // Drop the warm-up pass from the telemetry so the RunReport describes
   // only the timed passes (all campaign workers have joined; the registry
   // is quiescent here).
   obs::Registry::global().reset();
 
-  core::CampaignRunStats cold_stats;
-  std::vector<std::uint64_t> cold_checksums;
-  double cold_ms = run_timed(testbed, plan, cold_options, &cold_stats,
-                             &cold_checksums);
-  cold_ms = std::min(cold_ms, run_timed(testbed, plan, cold_options,
-                                        nullptr, nullptr));
+  const Pass cold = run_cold(testbed, plan);
+  const double cold_ms = std::min(cold.ms, run_cold(testbed, plan).ms);
 
-  core::CampaignRunStats warm_stats;
-  std::vector<std::uint64_t> warm_checksums;
-  double warm_ms = run_timed(testbed, plan, warm_options, &warm_stats,
-                             &warm_checksums);
-  warm_ms = std::min(warm_ms, run_timed(testbed, plan, warm_options,
-                                        nullptr, nullptr));
+  std::size_t memo_hits = 0;
+  const Pass warm = run_warm(testbed, plan, &memo_hits);
+  const double warm_ms =
+      std::min(warm.ms, run_warm(testbed, plan, nullptr).ms);
 
   // The speedup claim is only meaningful if warm outcomes are identical.
   std::size_t mismatched_configs = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (cold_checksums[i] != warm_checksums[i]) ++mismatched_configs;
+    if (cold.checksums[i] != warm.checksums[i]) ++mismatched_configs;
   }
 
   const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
@@ -112,31 +144,28 @@ int main(int argc, char** argv) {
             << "  \"cold_ms\": " << util::fmt_double(cold_ms, 2) << ",\n"
             << "  \"warm_ms\": " << util::fmt_double(warm_ms, 2) << ",\n"
             << "  \"speedup\": " << util::fmt_double(speedup, 2) << ",\n"
-            << "  \"cold_rounds\": " << cold_stats.total_rounds << ",\n"
-            << "  \"warm_rounds\": " << warm_stats.total_rounds << ",\n"
-            << "  \"warm_chain_heads\": " << warm_stats.cold_runs << ",\n"
-            << "  \"warm_runs\": " << warm_stats.warm_runs << ",\n"
-            << "  \"memo_hits\": " << warm_stats.memo_hits << ",\n"
+            << "  \"cold_rounds\": " << cold.stats.total_rounds << ",\n"
+            << "  \"warm_rounds\": " << warm.stats.total_rounds << ",\n"
+            << "  \"warm_chain_heads\": " << warm.stats.cold_runs << ",\n"
+            << "  \"warm_runs\": " << warm.stats.warm_runs << ",\n"
+            << "  \"memo_hits\": " << memo_hits << ",\n"
             << "  \"equivalent\": "
             << (mismatched_configs == 0 ? "true" : "false") << "\n"
             << "}\n";
 
-  if (!options.obs_report.empty()) {
-    obs::RunReport report = obs::RunReport::capture("perf_campaign_warm");
+  const int rc = bench::finish(options, "perf_campaign_warm", [&](auto& report) {
     report.value("configs", static_cast<double>(plan.size()))
         .value("as_count", static_cast<double>(testbed.graph().size()))
         .value("cold_ms", cold_ms)
         .value("warm_ms", warm_ms)
         .value("speedup", speedup)
         .label("equivalent", mismatched_configs == 0 ? "true" : "false");
-    report.save_json_file(options.obs_report);
-    std::cerr << "[bench] wrote obs report to " << options.obs_report << "\n";
-  }
+  });
 
   if (mismatched_configs != 0) {
     std::cerr << "FAIL: " << mismatched_configs
               << " configs differ between cold and warm propagation\n";
     return 1;
   }
-  return 0;
+  return rc;
 }

@@ -58,15 +58,10 @@ std::string announcement_key(const bgp::Configuration& config) {
   return key;
 }
 
-}  // namespace
+/// Similarity ordering is O(n^2); larger plans keep their input order.
+constexpr std::size_t kMaxOrderingConfigs = 4096;
 
-std::size_t campaign_chain_count(std::size_t config_count,
-                                 const CampaignRunnerOptions& options) {
-  std::size_t workers =
-      options.workers == 0 ? util::default_worker_count() : options.workers;
-  workers = std::max<std::size_t>(workers, 1);
-  return std::max<std::size_t>(1, std::min(workers, config_count));
-}
+}  // namespace
 
 CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
                            const CampaignRunnerOptions& options) {
@@ -76,25 +71,16 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
 
   // 1. Memoization: one propagation per distinct announcement list, fanned
   //    out to every configuration index that shares it.
-  if (options.memoize) {
-    std::unordered_map<std::string, std::size_t> by_key;
-    by_key.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto [it, inserted] =
-          by_key.emplace(announcement_key(configs[i]), plan.unique.size());
-      if (inserted) {
-        plan.unique.push_back(i);
-        plan.fanout.emplace_back();
-      }
-      plan.fanout[it->second].push_back(i);
+  std::unordered_map<std::string, std::size_t> by_key;
+  by_key.reserve(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto [it, inserted] =
+        by_key.emplace(announcement_key(configs[i]), plan.unique.size());
+    if (inserted) {
+      plan.unique.push_back(i);
+      plan.fanout.emplace_back();
     }
-  } else {
-    plan.unique.resize(configs.size());
-    plan.fanout.resize(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      plan.unique[i] = i;
-      plan.fanout[i] = {i};
-    }
+    plan.fanout[it->second].push_back(i);
   }
   OBS_COUNT("campaign.unique_configs", plan.unique.size());
   OBS_COUNT("campaign.memo_hits", configs.size() - plan.unique.size());
@@ -103,8 +89,7 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
   //    chain steps differ in as few seeds as possible.
   std::vector<std::size_t> order(plan.unique.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (options.order_chains && plan.unique.size() > 2 &&
-      plan.unique.size() <= options.max_ordering_configs) {
+  if (plan.unique.size() > 2 && plan.unique.size() <= kMaxOrderingConfigs) {
     OBS_TIMER("campaign.order_ns");
     std::vector<bgp::Configuration> view;
     view.reserve(plan.unique.size());
@@ -113,13 +98,12 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
     plan.ordered = true;
   }
 
-  // 3. Chain partitioning. The chain count depends only on the worker
-  //    option and the unique-config count — never on who executes the plan
-  //    — so the barrier and pipelined drivers produce identical chains
-  //    (and therefore identical warm-start schedules and round counts).
+  // 3. Chain partitioning. The chain count depends only on the resolved
+  //    worker default and the unique-config count — never on who executes
+  //    the plan or with how many executor workers — so warm-start
+  //    schedules and round counts are fixed by the plan alone.
   const std::size_t chains =
-      std::min(campaign_chain_count(configs.size(), options),
-               plan.unique.size());
+      std::min(util::default_worker_count(), plan.unique.size());
   plan.chain_steps.resize(chains);
   if (options.warm_start) {
     // Contiguous runs of the ordered plan; only chain heads pay a cold
@@ -135,6 +119,10 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
     for (std::size_t u = 0; u < plan.unique.size(); ++u) {
       plan.chain_steps[u % chains].push_back(u);
     }
+  }
+  OBS_COUNT("campaign.chains", chains);
+  for (const std::vector<std::size_t>& steps : plan.chain_steps) {
+    OBS_HIST("campaign.chain_length", "configs", steps.size());
   }
   return plan;
 }
@@ -176,72 +164,6 @@ std::shared_ptr<bgp::RoutingOutcome> ChainStepper::step(
     prev_prep_ = std::move(prep);
   }
   return outcome;
-}
-
-CampaignRunStats propagate_campaign(const bgp::Engine& engine,
-                                    const bgp::OriginSpec& origin,
-                                    const std::vector<bgp::Configuration>& configs,
-                                    const CampaignOutcomeSink& sink,
-                                    const CampaignRunnerOptions& options) {
-  OBS_TIMER("campaign.total_ns");
-  OBS_COUNT("campaign.runs", 1);
-  OBS_COUNT("campaign.configs", configs.size());
-  CampaignRunStats stats;
-  stats.configs = configs.size();
-  if (configs.empty()) return stats;
-
-  const CampaignPlan plan = plan_campaign(configs, options);
-  stats.unique_configs = plan.unique.size();
-  stats.memo_hits = configs.size() - plan.unique.size();
-  stats.ordered = plan.ordered;
-
-  std::size_t workers =
-      options.workers == 0 ? util::default_worker_count() : options.workers;
-  workers = std::max<std::size_t>(workers, 1);
-  OBS_GAUGE("campaign.workers", workers);
-  const std::size_t chains = plan.chains();
-  OBS_COUNT("campaign.chains", chains);
-
-  // Each chain runs to completion behind this call (the barrier driver);
-  // nothing leases an outcome past its sink call, so every warm step
-  // consumes its baseline.
-  std::vector<CampaignRunStats> chain_stats(chains);
-  util::parallel_for(
-      chains,
-      [&](std::size_t c) {
-        OBS_HIST("campaign.chain_length", "configs",
-                 plan.chain_steps[c].size());
-        ChainStepper stepper(engine, origin, configs, plan, c);
-        while (!stepper.done()) {
-          const std::size_t u = stepper.next_slot();
-          const auto outcome = stepper.step(/*consume_baseline=*/true);
-          for (std::size_t idx : plan.fanout[u]) sink(c, idx, *outcome);
-        }
-        chain_stats[c] = stepper.stats();
-      },
-      chains);
-  for (const CampaignRunStats& cs : chain_stats) {
-    stats.cold_runs += cs.cold_runs;
-    stats.warm_runs += cs.warm_runs;
-    stats.total_rounds += cs.total_rounds;
-  }
-  return stats;
-}
-
-std::vector<bgp::RoutingOutcome> propagate_campaign_collect(
-    const bgp::Engine& engine, const bgp::OriginSpec& origin,
-    const std::vector<bgp::Configuration>& configs,
-    const CampaignRunnerOptions& options, CampaignRunStats* stats) {
-  std::vector<bgp::RoutingOutcome> outcomes(configs.size());
-  const CampaignRunStats run_stats = propagate_campaign(
-      engine, origin, configs,
-      [&outcomes](std::size_t, std::size_t i,
-                  const bgp::RoutingOutcome& outcome) {
-        outcomes[i] = outcome;
-      },
-      options);
-  if (stats != nullptr) *stats = run_stats;
-  return outcomes;
 }
 
 std::string CampaignModel::describe(std::size_t configs) const {

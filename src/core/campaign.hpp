@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,11 +52,11 @@ struct CampaignModel {
 };
 
 // ---------------------------------------------------------------------------
-// Campaign propagation runner
+// Campaign propagation: static plan + resumable chain stepper
 //
 // Configurations within a campaign differ only in their seed routes (link
 // subsets, prepends, poisons, no-export targets), so re-propagating every AS
-// from scratch per configuration wastes almost all of the work. The runner
+// from scratch per configuration wastes almost all of the work. The plan
 // amortizes it three ways:
 //
 //   1. memoization — configurations with identical announcement lists have
@@ -66,74 +65,32 @@ struct CampaignModel {
 //   2. similarity ordering — greedy nearest-neighbor over announcement
 //      specs (config_gen's seed_distance) so consecutive configurations
 //      differ in as few seeds as possible;
-//   3. warm-start chains — each worker propagates a contiguous run of the
+//   3. warm-start chains — each chain propagates a contiguous run of the
 //      ordered plan with Engine::run_warm, re-routing only the delta ripple
 //      of each step; only chain heads pay a cold propagation.
 //
+// The plan is data and ChainStepper walks one chain of it, so the caller
+// drives the chains: PeeringTestbed::deploy (core/experiment) interleaves
+// chain steps with measurement and analysis through the pipeline executor.
 // Outcomes are bit-identical to per-config cold propagation (best routes,
 // next hops, announcement ids — Engine::run_warm's equivalence guarantee),
-// so the runner is a drop-in replacement on any campaign hot path.
+// whichever chain partition the plan uses.
 // ---------------------------------------------------------------------------
 
 struct CampaignRunnerOptions {
-  /// Worker threads (0 = util::default_worker_count()).
-  std::size_t workers = 0;
   /// Warm-start each configuration from its chain predecessor; false
   /// cold-propagates every configuration (ablation / comparison baseline).
   bool warm_start = true;
-  /// Propagate each distinct announcement list once and share the outcome.
-  bool memoize = true;
-  /// Reorder (unique) configurations by seed similarity before chaining.
-  bool order_chains = true;
-  /// Similarity ordering is O(n^2); plans larger than this keep their input
-  /// order (the cap is reported through CampaignRunStats::ordered).
-  std::size_t max_ordering_configs = 4096;
 };
 
+/// Cold/warm propagation and round accounting of one chain.
 struct CampaignRunStats {
-  std::size_t configs = 0;         // configurations submitted
-  std::size_t unique_configs = 0;  // distinct announcement lists propagated
-  std::size_t memo_hits = 0;       // configs served from a shared outcome
-  std::size_t cold_runs = 0;       // chain heads (full propagation)
-  std::size_t warm_runs = 0;       // warm-started propagations
-  bool ordered = false;            // similarity ordering was applied
+  std::size_t cold_runs = 0;  // chain heads (full propagation)
+  std::size_t warm_runs = 0;  // warm-started propagations
   /// Sum of Jacobi rounds across all propagations (cold + warm); the
   /// headline measure of how much iteration work warm-starting saved.
   std::uint64_t total_rounds = 0;
 };
-
-/// Called once per submitted configuration index with its routing outcome.
-/// Invoked concurrently from worker threads, each index exactly once;
-/// memoized configurations receive a reference to the shared outcome. The
-/// sink must not retain the reference beyond the call unless it copies.
-///
-/// `chain` identifies the propagation chain delivering the outcome:
-/// calls sharing a chain id never run concurrently, and chain ids are
-/// always < campaign_chain_count(configs.size(), options). Sinks can
-/// therefore keep mutex-free per-chain accumulators (e.g. streaming
-/// min/sum reductions) and merge them after propagate_campaign returns.
-using CampaignOutcomeSink =
-    std::function<void(std::size_t chain, std::size_t config_index,
-                       const bgp::RoutingOutcome& outcome)>;
-
-/// Upper bound on the chain ids a campaign over `config_count`
-/// configurations can deliver under `options` (memoization may shrink the
-/// actual count). Size per-chain sink accumulators with this.
-std::size_t campaign_chain_count(std::size_t config_count,
-                                 const CampaignRunnerOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// Static campaign plan + resumable chain stepper
-//
-// propagate_campaign's memoize → order → chain logic, exposed as data so a
-// caller can drive the chains itself — the pipelined deploy path
-// (core/experiment) interleaves chain steps with measurement and analysis
-// through the pipeline executor instead of running chains to completion
-// behind a barrier. propagate_campaign itself is implemented on the same
-// plan + stepper, so both paths share one propagation schedule: chain
-// partitioning (and therefore every outcome, warm-start round count and
-// memo fan-out) is identical whichever driver runs it.
-// ---------------------------------------------------------------------------
 
 struct CampaignPlan {
   /// Representative configuration index per distinct announcement list.
@@ -142,7 +99,7 @@ struct CampaignPlan {
   std::vector<std::vector<std::size_t>> fanout;
   /// Per chain: the unique slots it propagates, in step order. Warm plans
   /// take contiguous slices of the similarity order; cold plans stride over
-  /// the unique slots (matching the historical cold baseline).
+  /// the unique slots.
   std::vector<std::vector<std::size_t>> chain_steps;
   bool warm_start = true;
   bool ordered = false;  // similarity ordering was applied
@@ -150,10 +107,11 @@ struct CampaignPlan {
   std::size_t chains() const noexcept { return chain_steps.size(); }
 };
 
-/// Builds the campaign plan for `configs` under `options`: memoization,
-/// similarity ordering, chain partitioning. Pure planning — no propagation
-/// runs. chain_steps.size() == campaign_chain_count(configs.size(), options)
-/// clamped by the number of unique configurations.
+/// Builds the campaign plan for `configs`: memoization, similarity ordering
+/// (skipped above 4096 unique configurations, where its O(n^2) cost would
+/// dominate), chain partitioning. Pure planning — no propagation runs. The
+/// chain count is util::default_worker_count() clamped to the number of
+/// unique configurations; it never depends on who executes the plan.
 CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
                            const CampaignRunnerOptions& options = {});
 
@@ -162,7 +120,8 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
 /// says so) and returns the outcome as a shared_ptr the caller may lease
 /// to concurrent consumers. The plan and configs must outlive the stepper;
 /// a stepper is driven from one thread at a time (the executor's per-chain
-/// produce serialization provides exactly that).
+/// produce serialization provides exactly that). Throws whatever the engine
+/// throws.
 class ChainStepper {
  public:
   ChainStepper(const bgp::Engine& engine, const bgp::OriginSpec& origin,
@@ -197,23 +156,5 @@ class ChainStepper {
   std::optional<bgp::Engine::Prepared> prev_prep_;
   CampaignRunStats stats_;
 };
-
-/// Propagates every configuration of a campaign through the engine using
-/// memoization + similarity-ordered warm-start chains (see above) and
-/// streams the outcomes to `sink`. Outcomes are delivered in chain order,
-/// not input order; use the index argument to place results. Throws
-/// whatever the engine throws (first error wins, propagation stops).
-CampaignRunStats propagate_campaign(const bgp::Engine& engine,
-                                    const bgp::OriginSpec& origin,
-                                    const std::vector<bgp::Configuration>& configs,
-                                    const CampaignOutcomeSink& sink,
-                                    const CampaignRunnerOptions& options = {});
-
-/// Convenience wrapper collecting the outcomes in input order.
-std::vector<bgp::RoutingOutcome> propagate_campaign_collect(
-    const bgp::Engine& engine, const bgp::OriginSpec& origin,
-    const std::vector<bgp::Configuration>& configs,
-    const CampaignRunnerOptions& options = {},
-    CampaignRunStats* stats = nullptr);
 
 }  // namespace spooftrack::core

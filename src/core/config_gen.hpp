@@ -105,7 +105,7 @@ std::uint32_t seed_distance(const bgp::Configuration& a,
 /// from index `start`: repeatedly appends the unvisited configuration
 /// closest to the last appended one (ties resolved toward the lower
 /// index, so the order is deterministic). Returns a permutation of
-/// [0, configs.size()). Campaign runners use this to chain warm-started
+/// [0, configs.size()). plan_campaign uses this to chain warm-started
 /// propagations over minimal seed deltas; O(n^2) in the number of
 /// configurations.
 std::vector<std::size_t> order_by_similarity(

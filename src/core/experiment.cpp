@@ -180,7 +180,7 @@ std::uint64_t hash_double(std::uint64_t h, double value) noexcept {
 /// everything that determines deployment *results* — testbed seed, topology
 /// shape, measurement plan, fault probabilities/budget/thresholds, and the
 /// full configuration plan — and deliberately excludes execution shape
-/// (measure_workers, pipeline mode/depth, kill-point settings, the journal
+/// (measure_workers, pipeline depth, kill-point settings, the journal
 /// options themselves): resuming with different parallelism is supported
 /// and byte-identical, while resuming into a different campaign is a
 /// deterministic JournalError.
@@ -247,9 +247,9 @@ struct DeployJournal {
 
   /// Commits configuration i: saves its partial measurement atomically,
   /// then appends the journal record. No-op for configurations recovered
-  /// from the journal (idempotent resume). Called in ascending config
-  /// order from both deploy schedules, so kill-point barrier ordinals are
-  /// invariant to workers, depth and pipeline mode.
+  /// from the journal (idempotent resume). Called from the serialized
+  /// commit stage in ascending config order, so kill-point barrier
+  /// ordinals are invariant to workers and pipeline depth.
   void append_config(std::size_t i, const DeploymentResult& result,
                      const std::vector<char>& abandoned, bool faulty) {
     if (completed[i]) return;
@@ -370,6 +370,13 @@ DeploymentResult PeeringTestbed::deploy(
     }
   }
 
+  // The campaign plan (memoization, similarity order, chain partition) is
+  // built once per deploy: the journal records its chain coordinates and
+  // the schedule propagates along its chains.
+  CampaignRunnerOptions runner;
+  runner.warm_start = config_.warm_campaign;
+  const CampaignPlan plan = plan_campaign(result.configs, runner);
+
   // Journal setup. A fresh journal just starts segment 0; a resume replays
   // the directory, cross-checks every recovered record against the
   // re-derived plan (config hashes, abandonment, attempt counts — all
@@ -425,11 +432,7 @@ DeploymentResult PeeringTestbed::deploy(
     }
 
     // Warm-chain coordinates for the records (recovery-runbook metadata:
-    // which chain, and how deep, each configuration committed from). The
-    // plan is pure — same partitioning both deploy schedules use.
-    CampaignRunnerOptions runner;
-    runner.warm_start = config_.warm_campaign;
-    const CampaignPlan plan = plan_campaign(result.configs, runner);
+    // which chain, and how deep, each configuration committed from).
     journal->chain_of.assign(n, 0);
     journal->chain_pos.assign(n, 0);
     for (std::size_t c = 0; c < plan.chains(); ++c) {
@@ -442,16 +445,7 @@ DeploymentResult PeeringTestbed::deploy(
     }
   }
 
-  // Streaming only pays off when there is a measurement stage to overlap
-  // and more than one configuration to stream; otherwise barrier mode is
-  // the same work without the executor.
-  const bool streaming = config_.pipeline != PipelineMode::kOff &&
-                         config_.measured_catchments && n > 1;
-  if (streaming) {
-    deploy_pipelined(result, abandoned, faulty, journal.get());
-  } else {
-    deploy_barrier(result, abandoned, faulty, journal.get());
-  }
+  run_pipeline(result, plan, abandoned, faulty, journal.get());
 
   if (faulty) {
     std::uint64_t degraded = 0;
@@ -466,272 +460,26 @@ DeploymentResult PeeringTestbed::deploy(
   return result;
 }
 
-void PeeringTestbed::deploy_barrier(DeploymentResult& result,
-                                    const std::vector<char>& abandoned,
-                                    bool faulty,
-                                    DeployJournal* journal) const {
+void PeeringTestbed::run_pipeline(DeploymentResult& result,
+                                  const CampaignPlan& plan,
+                                  const std::vector<char>& abandoned,
+                                  bool faulty, DeployJournal* journal) const {
   const std::size_t n = result.configs.size();
   const std::size_t as_count = topo_.graph.size();
+  const bool measured = config_.measured_catchments;
 
-  // Configurations that need no measurement: abandoned ones, plus — on a
-  // journal resume — configurations whose committed measurement will be
-  // spliced back in from their partial artifact. Propagation still runs
-  // for all of them (it re-seeds the warm chains bit-identically and
-  // rebuilds truth/compliance/distances, which the journal does not store).
-  const std::vector<char>* skip = &abandoned;
-  std::vector<char> skip_storage;
-  if (journal != nullptr && journal->skipped > 0) {
-    skip_storage = abandoned;
+  // Configurations whose work stage (the measurement) does nothing: every
+  // one under ground truth, abandoned ones, and — on a journal resume — the
+  // committed ones, whose recorded measurement is spliced back in at
+  // commit. Propagation and commits still cover every index, so chain
+  // state and commit order never depend on what is skipped.
+  std::vector<char> skip(n, 1);
+  if (measured) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (journal->completed[i]) skip_storage[i] = 1;
-    }
-    skip = &skip_storage;
-  }
-
-  // Propagation runs through the campaign runner: memoized, ordered by
-  // seed similarity, warm-started along per-worker chains (cold per-config
-  // when warm_campaign is off). Outcomes are bit-identical either way; the
-  // sink only extracts truth/compliance and snapshots measurement inputs,
-  // writing to disjoint slots.
-  CampaignRunnerOptions runner;
-  runner.warm_start = config_.warm_campaign;
-
-  // Per-AS route distances stream into per-chain min accumulators inside
-  // the sink (calls sharing a chain never run concurrently, so no mutex)
-  // and are min-merged afterwards — min is order-independent, so the
-  // result matches a per-config materialization without the n x as_count
-  // temporary rows.
-  const std::size_t chain_count = campaign_chain_count(n, runner);
-  std::vector<std::vector<std::uint32_t>> chain_min_distance(chain_count);
-
-  // Measurement inputs are snapshotted per configuration inside the sink;
-  // the heavy §IV pipeline itself runs in the measurement driver after
-  // propagation. Memoized fan-out delivers identical configurations
-  // consecutively per chain, so a one-deep per-chain cache lets them share
-  // one feed collection and one forwarding-path set.
-  struct OutcomeSnapshot {
-    bool valid = false;
-    std::vector<bgp::AnnouncementSpec> announcements;
-    std::shared_ptr<const std::vector<measure::FeedEntry>> feeds;
-    std::shared_ptr<const measure::ProbePathSet> probe_paths;
-  };
-  std::vector<measure::MeasurementTask> tasks;
-  std::vector<OutcomeSnapshot> chain_snapshot;
-  if (config_.measured_catchments) {
-    tasks.resize(n);
-    chain_snapshot.resize(chain_count);
-  }
-
-  propagate_campaign(engine_, origin_, result.configs,
-                     [&](std::size_t chain, std::size_t i,
-                         const bgp::RoutingOutcome& outcome) {
-    OBS_TIMER("deploy.config_pipeline_ns");
-    const bgp::Configuration& config = result.configs[i];
-    if (!outcome.converged) {
-      throw std::runtime_error("routing did not converge for '" +
-                               config.label + "'");
-    }
-    result.engine_rounds[i] = outcome.rounds;
-    result.truth[i] = bgp::extract_catchments(outcome, config);
-
-    auto& distances = chain_min_distance[chain];
-    if (distances.empty()) distances.assign(as_count, topology::kUnreachable);
-    for (topology::AsId id = 0; id < as_count; ++id) {
-      const bgp::Route& route = outcome.best[id];
-      if (route.valid()) {
-        distances[id] = std::min(
-            distances[id],
-            collapsed_distance(outcome.paths->view(route.path), origin_.asn));
-      }
-    }
-
-    if (config_.audit_policies) {
-      result.compliance[i] =
-          audit_compliance(engine_, origin_, config, outcome);
-    }
-
-    if (config_.measured_catchments && !(*skip)[i]) {
-      auto& snap = chain_snapshot[chain];
-      if (!snap.valid || snap.announcements != config.announcements) {
-        snap.valid = true;
-        snap.announcements = config.announcements;
-        snap.feeds = std::make_shared<const std::vector<measure::FeedEntry>>(
-            feeds_.collect(outcome));
-        snap.probe_paths = std::make_shared<const measure::ProbePathSet>(
-            measure::ProbePathSet::extract(outcome, probes_, origin_id_));
-      }
-      tasks[i] = {i, snap.feeds, snap.probe_paths};
-      if (config_.faults.any_feed()) {
-        // Collector faults filter the (possibly shared) clean snapshot
-        // per configuration; degrade() is stateless in i, so memo fan-out
-        // sharing stays deterministic.
-        std::uint32_t faulted = 0;
-        tasks[i].feeds =
-            std::make_shared<const std::vector<measure::FeedEntry>>(
-                measure::FeedSimulator::degrade(*snap.feeds, injector_, i,
-                                                origin_.asn, &faulted));
-        tasks[i].feed_faults = faulted;
-      }
-    }
-  }, runner);
-
-  // Distance: min-merge the per-chain accumulators (chains that never ran
-  // a configuration stay empty).
-  result.min_route_distance.assign(as_count, topology::kUnreachable);
-  for (const auto& chain : chain_min_distance) {
-    if (chain.empty()) continue;
-    for (topology::AsId id = 0; id < as_count; ++id) {
-      result.min_route_distance[id] =
-          std::min(result.min_route_distance[id], chain[id]);
+      skip[i] = abandoned[i] || (journal != nullptr && journal->completed[i]);
     }
   }
 
-  // The §IV measurement pipeline: embarrassingly parallel across
-  // configurations, fanned out by the driver (scratch reuse per worker,
-  // byte-identical for any worker count).
-  if (config_.measured_catchments && n > 0) {
-    measure::MeasurementDriverOptions driver_options;
-    driver_options.workers = config_.measure_workers;
-    driver_options.traceroute_rounds = config_.traceroute_rounds;
-    const measure::MeasurementDriver driver(tracer_, repair_, inference_,
-                                            probes_, origin_id_,
-                                            driver_options);
-    std::vector<fault::ConfigQuality> measured_quality;
-    const bool any_skip =
-        std::find(skip->begin(), skip->end(), char{1}) != skip->end();
-    if (!any_skip) {
-      result.measured = driver.run(tasks, faulty ? &measured_quality : nullptr);
-      for (std::size_t i = 0; faulty && i < n; ++i) {
-        merge_quality(result.quality[i], measured_quality[i], config_.faults);
-      }
-    } else {
-      // Compact to live configurations; tasks keep their original
-      // config_index, so salts — and thus fault and traceroute schedules —
-      // are unchanged by the compaction.
-      std::vector<measure::MeasurementTask> live;
-      std::vector<std::size_t> live_idx;
-      live.reserve(n);
-      live_idx.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((*skip)[i]) continue;
-        live.push_back(std::move(tasks[i]));
-        live_idx.push_back(i);
-      }
-      auto live_results = driver.run(live, faulty ? &measured_quality : nullptr);
-      // Abandoned configurations get a sized-but-empty inference: nothing
-      // observed, every catchment missing, so build_matrix leaves their
-      // rows all-missing and imputation cannot resurrect them.
-      measure::InferenceResult missing;
-      missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
-      missing.observed.assign(as_count, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (abandoned[i]) result.measured[i] = missing;
-      }
-      // Journal-committed configurations splice their recorded measurement
-      // (and quality counts) back in instead of re-measuring.
-      if (journal != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!journal->completed[i] || abandoned[i]) continue;
-          result.measured[i] = std::move(journal->loaded[i].inference);
-          if (faulty) {
-            fault::ConfigQuality measured;
-            const journal::ConfigRecord& record = journal->records[i];
-            measured.feed_entries = record.feed_entries;
-            measured.feed_faults = record.feed_faults;
-            measured.traces = record.traces;
-            measured.trace_faults = record.trace_faults;
-            merge_quality(result.quality[i], measured, config_.faults);
-          }
-        }
-      }
-      for (std::size_t k = 0; k < live_idx.size(); ++k) {
-        result.measured[live_idx[k]] = std::move(live_results[k]);
-        if (faulty) {
-          merge_quality(result.quality[live_idx[k]], measured_quality[k],
-                        config_.faults);
-        }
-      }
-    }
-  }
-
-  // Analysis sources (§IV-d) and the catchment matrix.
-  if (config_.measured_catchments) {
-    if (!result.measured.empty()) {
-      // Quorum-aware baseline: the first configuration that actually has a
-      // measurement anchors the source set. With every config abandoned
-      // the source set is empty and the matrix has zero columns.
-      std::size_t first = 0;
-      while (first < n && abandoned[first]) ++first;
-      if (first < n) {
-        result.sources = measure::baseline_sources(result.measured[first]);
-      }
-      OBS_GAUGE("deploy.sources", result.sources.size());
-      result.matrix = measure::build_matrix(result.measured, result.sources);
-      double multi = 0.0;
-      double coverage = 0.0;
-      for (const auto& inferred : result.measured) {
-        multi += inferred.multi_catchment_fraction;
-        coverage += static_cast<double>(inferred.covered_count);
-      }
-      result.mean_multi_catchment = multi / static_cast<double>(n);
-      result.mean_coverage = coverage / static_cast<double>(n);
-    }
-  } else if (!result.truth.empty()) {
-    // Ground truth: sources are the ASes routed in the first configuration
-    // (excluding the origin itself).
-    for (topology::AsId id = 0; id < as_count; ++id) {
-      if (id != origin_id_ && result.truth[0].link_of[id] != bgp::kNoCatchment) {
-        result.sources.push_back(id);
-      }
-    }
-    OBS_GAUGE("deploy.sources", result.sources.size());
-    result.matrix.assign(n, result.sources.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = 0; s < result.sources.size(); ++s) {
-        result.matrix.set(i, s, result.truth[i].link_of[result.sources[s]]);
-      }
-    }
-    OBS_GAUGE("analysis.matrix_bytes", result.matrix.size_bytes());
-  }
-
-  // Commit every newly measured configuration to the journal, ascending —
-  // the same order the pipelined schedule's serialized commit stage uses,
-  // so kill-point barrier ordinals are mode-invariant.
-  if (journal != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      journal->append_config(i, result, abandoned, faulty);
-    }
-  }
-}
-
-void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
-                                      const std::vector<char>& abandoned,
-                                      bool faulty,
-                                      DeployJournal* journal) const {
-  OBS_COUNT("deploy.pipelined_runs", 1);
-  const std::size_t n = result.configs.size();
-  const std::size_t as_count = topo_.graph.size();
-
-  // As in barrier mode: skip the measurement (work stage) of abandoned and
-  // journal-committed configurations; propagation and commits still cover
-  // every index, so chain state and commit order are unchanged.
-  const std::vector<char>* skip = &abandoned;
-  std::vector<char> skip_storage;
-  if (journal != nullptr && journal->skipped > 0) {
-    skip_storage = abandoned;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (journal->completed[i]) skip_storage[i] = 1;
-    }
-    skip = &skip_storage;
-  }
-
-  // Same plan as the barrier path: chain partitioning depends only on the
-  // runner options and the unique-config count, never on the executor, so
-  // every propagation (and therefore every outcome and round count) is
-  // identical to deploy_barrier's.
-  CampaignRunnerOptions runner;
-  runner.warm_start = config_.warm_campaign;
-  const CampaignPlan plan = plan_campaign(result.configs, runner);
   const std::size_t chains = plan.chains();
   const std::size_t unique_count = plan.unique.size();
 
@@ -742,8 +490,8 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
 
   // Executor graph: produce = one warm-chain propagation step, work = the
   // §IV measurement of one configuration, commit = its analysis row. Every
-  // configuration index is an item (abandoned ones no-op their work stage
-  // so the commit order stays the full ascending index sequence).
+  // configuration index is an item (skipped ones no-op their work stage so
+  // the commit order stays the full ascending index sequence).
   pipeline::GraphPlan graph;
   graph.items = n;
   graph.chain_steps.resize(chains);
@@ -763,7 +511,9 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   // consume — move, not copy — its warm baseline on the next step); the
   // last of the step's live items returns the buffers to the pool. Peak
   // memory is therefore O(chains * queue_depth) outcomes/snapshots instead
-  // of O(n), even with a single worker.
+  // of O(n), even with a single worker. A step with no live item takes no
+  // lease at all, so it never pins its outcome or forces the next warm
+  // step to copy its baseline.
   struct HandoffBuffers {
     std::vector<measure::FeedEntry> feeds;
     measure::ProbePathSet paths;
@@ -804,8 +554,9 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   BufferPool pool;
 
   // Per-chain propagation state (produce calls for one chain are
-  // serialized by the executor) and per-chain distance accumulators, as in
-  // barrier mode.
+  // serialized by the executor) and per-chain distance accumulators,
+  // min-merged after the run — min is order-independent, so the result
+  // does not depend on the chain partition.
   std::vector<ChainStepper> steppers;
   steppers.reserve(chains);
   for (std::size_t c = 0; c < chains; ++c) {
@@ -815,7 +566,6 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   std::vector<std::vector<std::uint32_t>> chain_min_distance(chains);
 
   measure::MeasurementDriverOptions driver_options;
-  driver_options.workers = config_.measure_workers;
   driver_options.traceroute_rounds = config_.traceroute_rounds;
   const measure::MeasurementDriver driver(tracer_, repair_, inference_,
                                           probes_, origin_id_,
@@ -826,14 +576,16 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   if (faulty) measured_quality.assign(n, {});
 
   // Commit-stage state: commits run serialized in ascending config order,
-  // so the first live configuration anchors the source set before any later
-  // row is written — exactly build_matrix's shape.
+  // so the first configuration with a row anchors the source set before
+  // any later row is written.
   bool anchored = false;
   double multi = 0.0;
   double coverage = 0.0;
   measure::InferenceResult missing;  // shared template for abandoned rows
-  missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
-  missing.observed.assign(as_count, 0);
+  if (measured) {
+    missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
+    missing.observed.assign(as_count, 0);
+  }
 
   pipeline::Stages stages;
   stages.produce = [&](std::size_t chain, std::size_t) {
@@ -874,7 +626,7 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
         result.compliance[idx] =
             audit_compliance(engine_, origin_, config, *outcome);
       }
-      live += (*skip)[idx] ? 0u : 1u;
+      live += skip[idx] ? 0u : 1u;
     }
 
     if (live > 0) {
@@ -890,7 +642,7 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   };
 
   stages.work = [&](std::size_t i, std::size_t worker) {
-    if ((*skip)[i]) return;
+    if (skip[i]) return;
     Handoff& handoff = handoffs[slot_of[i]];
     std::call_once(handoff.once, [&] {
       handoff.buffers = pool.acquire();
@@ -923,6 +675,25 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   };
 
   stages.commit = [&](std::size_t i) {
+    if (!measured) {
+      // Ground truth: faults never touch routing, so configuration 0
+      // anchors the sources (every routed AS but the origin) and no row is
+      // abandoned or imputed.
+      const bgp::CatchmentMap& truth = result.truth[i];
+      if (!anchored) {
+        anchored = true;
+        for (topology::AsId id = 0; id < as_count; ++id) {
+          if (id != origin_id_ && truth.link_of[id] != bgp::kNoCatchment) {
+            result.sources.push_back(id);
+          }
+        }
+        result.matrix.assign(n, result.sources.size());
+      }
+      for (std::size_t s = 0; s < result.sources.size(); ++s) {
+        result.matrix.set(i, s, truth.link_of[result.sources[s]]);
+      }
+      return;
+    }
     const bool from_journal =
         journal != nullptr && journal->completed[i] && !abandoned[i];
     if (abandoned[i]) {
@@ -934,19 +705,21 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
         // counts); the work stage never ran for this index.
         result.measured[i] = std::move(journal->loaded[i].inference);
         if (faulty) {
-          fault::ConfigQuality measured;
+          fault::ConfigQuality recorded;
           const journal::ConfigRecord& record = journal->records[i];
-          measured.feed_entries = record.feed_entries;
-          measured.feed_faults = record.feed_faults;
-          measured.traces = record.traces;
-          measured.trace_faults = record.trace_faults;
-          merge_quality(result.quality[i], measured, config_.faults);
+          recorded.feed_entries = record.feed_entries;
+          recorded.feed_faults = record.feed_faults;
+          recorded.traces = record.traces;
+          recorded.trace_faults = record.trace_faults;
+          merge_quality(result.quality[i], recorded, config_.faults);
         }
       } else if (faulty) {
         merge_quality(result.quality[i], measured_quality[i], config_.faults);
       }
       const measure::InferenceResult& inferred = result.measured[i];
       if (!anchored) {
+        // Quorum-aware baseline: the first configuration that actually has
+        // a measurement anchors the source set.
         anchored = true;
         result.sources = measure::baseline_sources(inferred);
         result.matrix.assign(n, result.sources.size());
@@ -968,7 +741,6 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
   pipeline::run_graph(graph, stages, exec);
   OBS_GAUGE("pipeline.buffer_peak", pool.peak());
 
-  // Post-run reductions, identical to barrier mode's epilogue.
   result.min_route_distance.assign(as_count, topology::kUnreachable);
   for (const auto& chain : chain_min_distance) {
     if (chain.empty()) continue;
@@ -978,14 +750,18 @@ void PeeringTestbed::deploy_pipelined(DeploymentResult& result,
     }
   }
 
-  // With every configuration abandoned no row ever anchored the sources:
-  // the matrix has n rows and zero columns, as in barrier mode.
-  if (!anchored) result.matrix.assign(n, 0);
+  if (measured) {
+    // With every configuration abandoned no row ever anchored the sources:
+    // the matrix has n rows and zero columns.
+    if (!anchored) result.matrix.assign(n, 0);
+    measure::impute_missing(result.matrix);
+    if (n > 0) {
+      result.mean_multi_catchment = multi / static_cast<double>(n);
+      result.mean_coverage = coverage / static_cast<double>(n);
+    }
+  }
   OBS_GAUGE("deploy.sources", result.sources.size());
-  measure::impute_missing(result.matrix);
   OBS_GAUGE("analysis.matrix_bytes", result.matrix.size_bytes());
-  result.mean_multi_catchment = multi / static_cast<double>(n);
-  result.mean_coverage = coverage / static_cast<double>(n);
 }
 
 }  // namespace spooftrack::core

@@ -36,19 +36,7 @@ namespace spooftrack::core {
 /// Per-deploy journaling context (journal writer, recovered records,
 /// chain coordinates); defined in experiment.cpp.
 struct DeployJournal;
-
-/// How PeeringTestbed::deploy schedules propagation, measurement and
-/// analysis (docs/architecture.md, "Pipelined execution"):
-///   kOff  — barrier mode: propagate the whole campaign, then measure every
-///           configuration, then build the matrix.
-///   kOn   — streaming mode: the pipeline executor overlaps propagation of
-///           configuration i+1 with measurement of i and the analysis
-///           commit of i-1 (falls back to barrier when there is nothing to
-///           overlap: ground-truth deployments or fewer than 2 configs).
-///   kAuto — streaming whenever it applies, barrier otherwise (default).
-/// Results are byte-identical across all three for any worker count and
-/// queue depth; tests/test_pipeline.cpp pins the equivalence.
-enum class PipelineMode : std::uint8_t { kOff = 0, kOn = 1, kAuto = 2 };
+struct CampaignPlan;
 
 /// Table I: the PEERING muxes and transit providers used in the paper.
 struct MuxInfo {
@@ -107,7 +95,7 @@ struct TestbedConfig {
   /// configuration as its measurement completes; with journal.resume it
   /// first replays the journal, skips committed configurations, and splices
   /// their recorded measurements back in — byte-identical to an
-  /// uninterrupted run for any worker count, pipeline mode and depth.
+  /// uninterrupted run for any worker count and pipeline depth.
   /// Requires measured_catchments (ground-truth deployments have no
   /// per-configuration measurement to checkpoint; deploy() throws
   /// std::invalid_argument).
@@ -118,17 +106,15 @@ struct TestbedConfig {
   std::uint32_t ixp_count = 12;
   double ixp_edge_fraction = 0.5;
 
-  /// Worker threads for the parallel measurement driver — and, in
-  /// streaming mode, for the pipeline executor (0 = the
+  /// Worker threads of the deploy executor, which runs the propagation
+  /// chains, the measurements and the commits (0 = the
   /// util::default_worker_count() default). Results are byte-identical for
   /// any value.
   std::size_t measure_workers = 0;
 
-  /// Deploy scheduling mode (see PipelineMode above).
-  PipelineMode pipeline = PipelineMode::kAuto;
-  /// Streaming-mode backpressure: how many propagated-but-unmeasured steps
-  /// each chain may run ahead (pipeline::ExecutorOptions::queue_depth).
-  /// Bounds peak memory; never changes results. Values below 1 clamp to 1.
+  /// Deploy backpressure: how many propagated-but-unmeasured steps each
+  /// chain may run ahead (pipeline::ExecutorOptions::queue_depth). Bounds
+  /// peak memory; never changes results. Values below 1 clamp to 1.
   std::size_t pipeline_depth = 2;
 
   /// true: catchments come from the measured pipeline (§IV); false: ground
@@ -137,9 +123,9 @@ struct TestbedConfig {
   /// Compute Figure 9 compliance statistics during deployment.
   bool audit_policies = false;
   /// Propagate deployments through warm-started, similarity-ordered,
-  /// memoized campaign chains (core::propagate_campaign). Routing outcomes
-  /// are bit-identical to cold per-configuration propagation; disable for
-  /// ablations of the warm-start machinery itself.
+  /// memoized campaign chains (core::plan_campaign, core::ChainStepper).
+  /// Routing outcomes are bit-identical to cold per-configuration
+  /// propagation; disable for ablations of the warm-start machinery itself.
   bool warm_campaign = true;
 };
 
@@ -209,20 +195,19 @@ class PeeringTestbed {
   /// non-convergence).
   bgp::RoutingOutcome route(const bgp::Configuration& config) const;
 
-  /// Deploys a sequence of configurations, running the full per-config
-  /// measurement pipeline in parallel across configurations.
+  /// Deploys a sequence of configurations through one streaming schedule
+  /// (docs/architecture.md, "Pipelined execution"): the campaign plan's
+  /// chains propagate serially per chain, each configuration is measured
+  /// as soon as its step is produced (ground truth measures nothing), and
+  /// rows commit in ascending configuration order. Results are
+  /// byte-identical for any worker count and pipeline depth.
   DeploymentResult deploy(std::vector<bgp::Configuration> configs) const;
 
  private:
-  /// Barrier schedule: propagate everything, measure everything, analyse.
-  void deploy_barrier(DeploymentResult& result,
-                      const std::vector<char>& abandoned, bool faulty,
-                      DeployJournal* journal) const;
-  /// Streaming schedule: pipeline executor overlapping propagation,
-  /// measurement and analysis commits. Byte-identical to deploy_barrier.
-  void deploy_pipelined(DeploymentResult& result,
-                        const std::vector<char>& abandoned, bool faulty,
-                        DeployJournal* journal) const;
+  /// The schedule behind deploy(): runs `plan` on the pipeline executor.
+  void run_pipeline(DeploymentResult& result, const CampaignPlan& plan,
+                    const std::vector<char>& abandoned, bool faulty,
+                    DeployJournal* journal) const;
 
   TestbedConfig config_;
   topology::SynthTopology topo_;

@@ -53,7 +53,7 @@ class JournalError : public std::runtime_error {
 /// Binds a journal to one campaign: `hash` covers everything that
 /// determines deployment results (testbed seed, configuration plan, fault
 /// plan probabilities and thresholds) and deliberately excludes execution
-/// shape (workers, pipeline mode/depth, kill-points) — resuming with a
+/// shape (workers, pipeline depth, kill-points) — resuming with a
 /// different parallelism is supported and byte-identical.
 struct CampaignIdentity {
   std::uint64_t hash = 0;

@@ -41,7 +41,7 @@ class FeedSimulator {
   std::vector<FeedEntry> collect(const bgp::RoutingOutcome& outcome) const;
 
   /// As `collect`, overwriting `entries` in place: surviving slots (and
-  /// their AS-path storage) are recycled, so a streaming deploy reuses a
+  /// their AS-path storage) are recycled, so a deploy reuses a
   /// small buffer pool instead of allocating one snapshot per
   /// configuration. Output is identical to collect().
   void collect_into(const bgp::RoutingOutcome& outcome,

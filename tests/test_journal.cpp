@@ -18,9 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "core/experiment.hpp"
 #include "core/io.hpp"
 #include "fault/fault.hpp"
+#include "obs/obs.hpp"
 #include "util/crc32c.hpp"
 #include "util/fsio.hpp"
 
@@ -441,6 +443,34 @@ TEST(Journal, ZeroRateCrashPlanWithJournalMatchesJournalOff) {
   journaled.faults.crash_at = 1u << 20;  // armed, never reached
   EXPECT_EQ(deploy_artifact(journaled), reference);
 }
+
+#if SPOOFTRACK_OBS_ENABLED
+TEST(Journal, JournaledDeployPlansTheCampaignOnce) {
+  // The journal's chain coordinates and the schedule share one plan, so a
+  // journaled deploy pays for one similarity ordering, not two.
+  ScratchDir dir("plan-once");
+  core::TestbedConfig config = crash_testbed();
+  config.journal.dir = dir.str();
+  config.journal.fsync = false;
+  const core::PeeringTestbed testbed(config);
+  const auto plan = crash_plan(testbed);
+  const std::size_t unique = core::plan_campaign(plan).unique.size();
+
+  const auto before = obs::Registry::global().snapshot();
+  testbed.deploy(plan);
+  const auto after = obs::Registry::global().snapshot();
+  const auto metric = [](const obs::Snapshot& snap, const char* name) {
+    const obs::MetricSnapshot* m = snap.find(name);
+    return m == nullptr ? obs::MetricSnapshot{} : *m;
+  };
+  EXPECT_EQ(metric(after, "campaign.order_ns").count -
+                metric(before, "campaign.order_ns").count,
+            1u);
+  EXPECT_EQ(metric(after, "campaign.unique_configs").value -
+                metric(before, "campaign.unique_configs").value,
+            unique);
+}
+#endif  // SPOOFTRACK_OBS_ENABLED
 
 TEST(Journal, GroundTruthDeploymentRejectsJournaling) {
   core::TestbedConfig config = crash_testbed();

@@ -328,7 +328,8 @@ TEST(ObsReport, ParserIgnoresUnknownKeysAndAnyKeyOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Docs contract: every metric name the source tree emits is documented.
+// Docs contract, both ways: every metric name the source tree emits is
+// documented, and every metric the catalog documents is emitted.
 // ---------------------------------------------------------------------------
 
 #ifdef SPOOFTRACK_SOURCE_DIR
@@ -359,17 +360,20 @@ std::set<std::string> emitted_metric_names() {
   return names;
 }
 
-TEST(ObsDocsContract, EveryEmittedMetricIsDocumented) {
+std::string observability_doc() {
   const std::filesystem::path doc_path =
       std::filesystem::path(SPOOFTRACK_SOURCE_DIR) / "docs" /
       "observability.md";
-  ASSERT_TRUE(std::filesystem::exists(doc_path))
+  EXPECT_TRUE(std::filesystem::exists(doc_path))
       << "docs/observability.md is missing";
   std::ifstream in(doc_path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string doc = buffer.str();
+  return buffer.str();
+}
 
+TEST(ObsDocsContract, EveryEmittedMetricIsDocumented) {
+  const std::string doc = observability_doc();
   const std::set<std::string> names = emitted_metric_names();
   ASSERT_FALSE(names.empty()) << "no OBS_* call sites found — regex broken?";
   for (const std::string& name : names) {
@@ -378,6 +382,28 @@ TEST(ObsDocsContract, EveryEmittedMetricIsDocumented) {
         << "' is emitted by the code but not documented (backticked) in "
            "docs/observability.md";
   }
+}
+
+TEST(ObsDocsContract, EveryDocumentedMetricIsEmitted) {
+  // A catalog row names its metric, backticked and dotted, in the first
+  // cell. A row whose metric lost its last emitter is stale.
+  const std::regex metric(R"re(`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`)re");
+  const std::set<std::string> emitted = emitted_metric_names();
+  std::istringstream lines(observability_doc());
+  std::size_t documented = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (auto it = std::sregex_iterator(cell.begin(), cell.end(), metric);
+         it != std::sregex_iterator(); ++it) {
+      ++documented;
+      const std::string name = (*it)[1].str();
+      EXPECT_TRUE(emitted.count(name) == 1)
+          << "docs/observability.md documents '" << name
+          << "' but nothing under src/, bench/ or tools/ emits it";
+    }
+  }
+  EXPECT_GT(documented, 0u) << "no catalog rows found — table format changed?";
 }
 
 #endif  // SPOOFTRACK_SOURCE_DIR

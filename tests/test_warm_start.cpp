@@ -2,8 +2,8 @@
 // (Engine::run_warm produces bit-identical best routes, next hops and
 // announcement ids to a cold Engine::run) exercised over randomized
 // configuration pairs on a >= 1000-AS synthetic topology, plus the
-// campaign runner built on top of it (memoization, similarity ordering,
-// warm-start chains).
+// campaign plan and chain stepper built on top of it (memoization,
+// similarity ordering, warm-start chains).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,6 +297,31 @@ TEST(OrderBySimilarity, ProducesAPermutation) {
   EXPECT_EQ(order.front(), 0u);
 }
 
+/// Walks every chain of `campaign` to completion with ChainStepper and
+/// returns the outcomes in input order plus the summed chain stats. Steps
+/// copy their warm baseline rather than consume it, because the returned
+/// outcomes keep reading it.
+std::vector<bgp::RoutingOutcome> step_campaign(
+    const WarmWorld& w, const std::vector<bgp::Configuration>& plan,
+    const core::CampaignPlan& campaign,
+    core::CampaignRunStats* stats = nullptr) {
+  std::vector<bgp::RoutingOutcome> outcomes(plan.size());
+  for (std::size_t c = 0; c < campaign.chains(); ++c) {
+    core::ChainStepper stepper(w.engine, w.origin, plan, campaign, c);
+    while (!stepper.done()) {
+      const std::size_t u = stepper.next_slot();
+      const auto outcome = stepper.step(/*consume_baseline=*/false);
+      for (const std::size_t i : campaign.fanout[u]) outcomes[i] = *outcome;
+    }
+    if (stats != nullptr) {
+      stats->cold_runs += stepper.stats().cold_runs;
+      stats->warm_runs += stepper.stats().warm_runs;
+      stats->total_rounds += stepper.stats().total_rounds;
+    }
+  }
+  return outcomes;
+}
+
 TEST(PropagateCampaign, MatchesColdPropagation) {
   const WarmWorld& w = world();
   util::Rng rng{0x5EED};
@@ -306,39 +331,31 @@ TEST(PropagateCampaign, MatchesColdPropagation) {
   plan.push_back(plan[3]);
   plan.push_back(plan[7]);
 
+  const core::CampaignPlan campaign = core::plan_campaign(plan);
   core::CampaignRunStats warm_stats;
-  const auto warm = core::propagate_campaign_collect(
-      w.engine, w.origin, plan, {}, &warm_stats);
+  const auto warm = step_campaign(w, plan, campaign, &warm_stats);
 
-  core::CampaignRunnerOptions cold_options;
-  cold_options.warm_start = false;
-  cold_options.memoize = false;
-  cold_options.order_chains = false;
-  core::CampaignRunStats cold_stats;
-  const auto cold = core::propagate_campaign_collect(
-      w.engine, w.origin, plan, cold_options, &cold_stats);
-
+  // Cold baseline: one full propagation per configuration.
+  std::uint64_t cold_rounds = 0;
   ASSERT_EQ(warm.size(), plan.size());
-  ASSERT_EQ(cold.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(mismatch_count(cold[i], warm[i]), 0u) << "config " << i;
+    const bgp::RoutingOutcome cold = w.engine.run(w.origin, plan[i]);
+    cold_rounds += cold.rounds;
+    EXPECT_EQ(mismatch_count(cold, warm[i]), 0u) << "config " << i;
     const auto warm_catchments = bgp::extract_catchments(warm[i], plan[i]);
-    const auto cold_catchments = bgp::extract_catchments(cold[i], plan[i]);
+    const auto cold_catchments = bgp::extract_catchments(cold, plan[i]);
     EXPECT_EQ(warm_catchments.link_of, cold_catchments.link_of);
   }
 
-  EXPECT_EQ(warm_stats.configs, plan.size());
-  EXPECT_EQ(warm_stats.unique_configs, 30u);
-  EXPECT_EQ(warm_stats.memo_hits, 2u);
+  EXPECT_EQ(campaign.unique.size(), 30u);
+  EXPECT_EQ(campaign.fanout[3].size(), 2u);
+  EXPECT_EQ(campaign.fanout[7].size(), 2u);
+  EXPECT_TRUE(campaign.ordered);
   EXPECT_GT(warm_stats.warm_runs, 0u);
   EXPECT_EQ(warm_stats.warm_runs + warm_stats.cold_runs, 30u);
-  EXPECT_TRUE(warm_stats.ordered);
-
-  EXPECT_EQ(cold_stats.cold_runs, plan.size());
-  EXPECT_EQ(cold_stats.warm_runs, 0u);
-  EXPECT_EQ(cold_stats.memo_hits, 0u);
+  EXPECT_EQ(warm_stats.cold_runs, campaign.chains());
   // Warm chains must do strictly less Jacobi work than cold-per-config.
-  EXPECT_LT(warm_stats.total_rounds, cold_stats.total_rounds);
+  EXPECT_LT(warm_stats.total_rounds, cold_rounds);
 }
 
 TEST(PropagateCampaign, SingleWorkerChainIsDeterministic) {
@@ -347,13 +364,29 @@ TEST(PropagateCampaign, SingleWorkerChainIsDeterministic) {
   std::vector<bgp::Configuration> plan;
   for (std::size_t i = 0; i < 10; ++i) plan.push_back(random_config(rng));
 
-  core::CampaignRunnerOptions serial;
-  serial.workers = 1;
-  const auto a = core::propagate_campaign_collect(w.engine, w.origin, plan,
-                                                  serial);
-  const auto b = core::propagate_campaign_collect(w.engine, w.origin, plan);
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(mismatch_count(a[i], b[i]), 0u) << "config " << i;
+  // One chain walking the whole similarity order must reproduce every
+  // partition of that order into contiguous chains.
+  const core::CampaignPlan campaign = core::plan_campaign(plan);
+  std::vector<std::size_t> order;
+  for (const auto& steps : campaign.chain_steps) {
+    order.insert(order.end(), steps.begin(), steps.end());
+  }
+  core::CampaignPlan single = campaign;
+  single.chain_steps = {order};
+  const auto a = step_campaign(w, plan, single);
+  for (const std::size_t chains : {2u, 3u, 5u}) {
+    core::CampaignPlan split = campaign;
+    split.chain_steps.assign(chains, {});
+    for (std::size_t c = 0; c < chains; ++c) {
+      split.chain_steps[c].assign(order.begin() + c * order.size() / chains,
+                                  order.begin() +
+                                      (c + 1) * order.size() / chains);
+    }
+    const auto b = step_campaign(w, plan, split);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      EXPECT_EQ(mismatch_count(a[i], b[i]), 0u)
+          << "config " << i << ", " << chains << " chains";
+    }
   }
 }
 
@@ -362,7 +395,10 @@ TEST(PropagateCampaign, PropagatesEngineErrors) {
   bgp::Configuration bad;
   bad.announcements.push_back({kLinkCount + 3, 0, {}, {}});  // no such link
   std::vector<bgp::Configuration> plan{bad};
-  EXPECT_THROW(core::propagate_campaign_collect(w.engine, w.origin, plan),
+  const core::CampaignPlan campaign = core::plan_campaign(plan);
+  ASSERT_EQ(campaign.chains(), 1u);
+  core::ChainStepper stepper(w.engine, w.origin, plan, campaign, 0);
+  EXPECT_THROW(stepper.step(/*consume_baseline=*/true),
                std::invalid_argument);
 }
 

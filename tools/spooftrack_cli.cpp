@@ -93,14 +93,11 @@ util::FlagSet testbed_flags() {
       .define("fault-retries", "deployment retry budget", "2")
       .define("fault-seed", "fault schedule seed", "")
       .define("workers",
-              "worker threads for measurement and the deploy pipeline "
+              "worker threads of the deploy executor "
               "(0 = auto; must agree with SPOOFTRACK_THREADS when both are "
               "set, see docs/cli.md)", "0")
-      .define("pipeline",
-              "deploy scheduling: on|off|auto (streaming overlap of "
-              "propagation, measurement and analysis; docs/cli.md)", "auto")
       .define("pipeline-depth",
-              "streaming backpressure: max propagated-but-unmeasured steps "
+              "deploy backpressure: max propagated-but-unmeasured steps "
               "per chain", "2");
   return flags;
 }
@@ -152,17 +149,6 @@ core::TestbedConfig testbed_config(const util::FlagSet& flags) {
           "; unset one or make them agree (docs/cli.md)");
     }
     config.measure_workers = static_cast<std::size_t>(workers);
-  }
-  const std::string pipeline = flags.get("pipeline");
-  if (pipeline == "on") {
-    config.pipeline = core::PipelineMode::kOn;
-  } else if (pipeline == "off") {
-    config.pipeline = core::PipelineMode::kOff;
-  } else if (pipeline == "auto") {
-    config.pipeline = core::PipelineMode::kAuto;
-  } else {
-    throw std::invalid_argument("--pipeline must be on, off or auto (got '" +
-                                pipeline + "')");
   }
   config.pipeline_depth = static_cast<std::size_t>(
       flags.get_u64("pipeline-depth").value_or(2));
