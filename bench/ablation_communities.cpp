@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
                  result.truth[i].link_of[*id] != bgp::kNoCatchment;
       }
       // Refine the baseline partition with the steering row.
-      std::vector<bgp::LinkId> row(base_result.sources.size());
+      std::vector<std::uint8_t> row(base_result.sources.size());
       for (std::size_t s = 0; s < base_result.sources.size(); ++s) {
-        row[s] = result.truth[i].link_of[base_result.sources[s]];
+        row[s] = measure::CatchmentStore::encode(
+            result.truth[i].link_of[base_result.sources[s]]);
       }
       tracker.refine(row);
     }

@@ -4,25 +4,24 @@
 // clusters split gradually instead of saturating on the first row) and
 // measures, best-of-N:
 //
-//   * store build from legacy nested-vector rows, and the bit-sliced
-//     BitplaneStore mirror build (with a scalar-vs-wide dispatch gate),
-//   * cluster refinement: legacy u32 nested-vector reference vs
+//   * store build from LinkId rows, and the bit-sliced BitplaneStore
+//     mirror build (with a scalar-vs-wide dispatch gate),
+//   * cluster refinement: the reference u32 LinkId-row tracker vs
 //     ClusterTracker on encoded u8 rows vs the word-parallel bitplane
 //     refine,
-//   * greedy scheduling: legacy serial reference vs core::greedy_schedule
-//     single-threaded (the speedup_serial acceptance number) with a
-//     per-kernel ablation (bitplane default vs byte stamp-table), plus a
-//     worker sweep,
+//   * greedy scheduling: the reference serial scan vs core::greedy_schedule
+//     single-threaded (the speedup_serial acceptance number), plus a worker
+//     sweep and a forced-scalar run,
 //   * online cluster attribution on the store (tiled column gather).
 //
-// The legacy references reimplement the pre-columnar algorithms faithfully
-// (same epoch-stamped bucket tables, same first-touch dense ids, same
+// The references are the plain algorithms of tests/oracles.hpp (same
+// epoch-stamped bucket tables, same first-touch dense ids, same
 // lowest-index-max tie break) over std::vector<std::vector<bgp::LinkId>>,
-// without the u8 layout or the singleton word-skip — so every speedup is
-// attributable to the store, and equivalence can be asserted bit-for-bit:
-// cluster ids, greedy orders, parallel-vs-serial orders, per-kernel orders
-// and scalar-vs-wide plane builds must all match or the bench exits
-// non-zero.
+// without the u8 layout, the bit planes or the singleton word-skip — so
+// every speedup is attributable to the store and its kernels, and
+// equivalence can be asserted bit-for-bit: cluster ids, greedy orders,
+// parallel-vs-serial orders, forced-scalar orders and scalar-vs-wide plane
+// builds must all match or the bench exits non-zero.
 //
 // Usage: perf_analysis [--seed=N] [--obs-report=PATH] [--quick]
 #include <algorithm>
@@ -38,11 +37,11 @@
 #include "common.hpp"
 #include "core/attribution.hpp"
 #include "core/cluster.hpp"
-#include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
 #include "measure/bitplane_store.hpp"
 #include "measure/catchment_store.hpp"
 #include "obs/obs.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
@@ -69,17 +68,17 @@ constexpr Size kQuickSizes[] = {{"quick", 20, 100, 10, 1}};
 constexpr std::uint32_t kWorkerCounts[] = {1, 2, 4, 8};
 constexpr std::uint32_t kQuickWorkerCounts[] = {1};
 
-// Deterministic synthetic matrix in the legacy nested-vector shape. Sources
-// belong to hidden groups sharing a per-config prototype catchment; a small
-// flip/missing noise rate makes refinement split clusters gradually, the
-// regime the greedy scheduler actually runs in.
-measure::CatchmentMatrix synth_matrix(const Size& size, std::uint64_t seed) {
+// Deterministic synthetic matrix as LinkId rows. Sources belong to hidden
+// groups sharing a per-config prototype catchment; a small flip/missing
+// noise rate makes refinement split clusters gradually, the regime the
+// greedy scheduler actually runs in.
+test::LinkRows synth_matrix(const Size& size, std::uint64_t seed) {
   util::Rng rng(seed ^ 0xA11A);
   const std::size_t groups = std::max<std::size_t>(8, size.sources / 6);
   std::vector<std::size_t> group_of(size.sources);
   for (auto& g : group_of) g = rng.next_below(groups);
 
-  measure::CatchmentMatrix matrix(size.configs);
+  test::LinkRows matrix(size.configs);
   std::vector<bgp::LinkId> prototype(groups);
   for (auto& row : matrix) {
     for (auto& p : prototype) {
@@ -98,101 +97,6 @@ measure::CatchmentMatrix synth_matrix(const Size& size, std::uint64_t seed) {
   }
   return matrix;
 }
-
-// --- Legacy reference implementations (pre-columnar algorithms) -----------
-
-std::size_t legacy_slot(bgp::LinkId link) {
-  return link == bgp::kNoCatchment ? core::kMissingSlot
-                                   : static_cast<std::size_t>(link);
-}
-
-/// The pre-refactor incremental refinement: epoch-stamped
-/// (cluster, catchment) buckets over u32 rows, first-touch dense ids, no
-/// singleton fast path.
-class LegacyTracker {
- public:
-  explicit LegacyTracker(std::size_t sources)
-      : cluster_of_(sources, 0),
-        cluster_count_(sources == 0 ? 0 : 1),
-        keys_(std::max<std::size_t>(1, sources) * core::kSlots, 0),
-        order_(keys_.size(), 0) {}
-
-  std::uint32_t refine(const std::vector<bgp::LinkId>& row) {
-    ++epoch_;
-    std::uint32_t next_id = 0;
-    for (std::size_t s = 0; s < cluster_of_.size(); ++s) {
-      const std::size_t key =
-          static_cast<std::size_t>(cluster_of_[s]) * core::kSlots +
-          legacy_slot(row[s]);
-      if (keys_[key] != epoch_) {
-        keys_[key] = epoch_;
-        order_[key] = next_id++;
-      }
-      cluster_of_[s] = order_[key];
-    }
-    cluster_count_ = next_id;
-    return next_id;
-  }
-
-  /// Clusters after hypothetically refining with `row`; no state change.
-  std::uint32_t count_after(const std::vector<bgp::LinkId>& row) {
-    ++epoch_;
-    std::uint32_t count = 0;
-    for (std::size_t s = 0; s < cluster_of_.size(); ++s) {
-      const std::size_t key =
-          static_cast<std::size_t>(cluster_of_[s]) * core::kSlots +
-          legacy_slot(row[s]);
-      if (keys_[key] != epoch_) {
-        keys_[key] = epoch_;
-        ++count;
-      }
-    }
-    return count;
-  }
-
-  const std::vector<std::uint32_t>& cluster_of() const { return cluster_of_; }
-  std::uint32_t cluster_count() const { return cluster_count_; }
-
- private:
-  std::vector<std::uint32_t> cluster_of_;
-  std::uint32_t cluster_count_ = 0;
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> order_;
-  std::uint64_t epoch_ = 0;
-};
-
-/// The pre-refactor serial greedy schedule: scan every remaining
-/// configuration, pick the one maximising the refined cluster count
-/// (minimum mean cluster size), lowest index on ties.
-std::vector<std::size_t> legacy_greedy(const measure::CatchmentMatrix& matrix,
-                                       std::size_t steps) {
-  const std::size_t sources = matrix.empty() ? 0 : matrix.front().size();
-  LegacyTracker tracker(sources);
-  std::vector<bool> used(matrix.size(), false);
-  std::vector<std::size_t> order;
-  const std::size_t horizon =
-      steps == 0 ? matrix.size() : std::min(steps, matrix.size());
-  order.reserve(horizon);
-  for (std::size_t k = 0; k < horizon; ++k) {
-    std::size_t best = matrix.size();
-    std::uint32_t best_count = 0;
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      if (used[i]) continue;
-      const std::uint32_t count = tracker.count_after(matrix[i]);
-      if (best == matrix.size() || count > best_count) {
-        best = i;
-        best_count = count;
-      }
-    }
-    if (best == matrix.size()) break;
-    used[best] = true;
-    tracker.refine(matrix[best]);
-    order.push_back(best);
-  }
-  return order;
-}
-
-// --------------------------------------------------------------------------
 
 template <typename Fn>
 double best_of(std::uint32_t repeats, Fn&& fn) {
@@ -248,10 +152,10 @@ int main(int argc, char** argv) {
   for (const Size& size : sizes) {
     const auto legacy_matrix = synth_matrix(size, options.seed);
 
-    // Store build (legacy interchange -> columnar).
+    // Store build (LinkId rows -> columnar).
     measure::CatchmentStore matrix;
     const double build_ms = best_of(size.repeats, [&] {
-      matrix = measure::CatchmentStore(legacy_matrix);
+      matrix = test::store_of(legacy_matrix);
     });
     OBS_GAUGE("analysis.matrix_bytes", matrix.size_bytes());
 
@@ -281,10 +185,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Refinement: legacy u32 reference vs ClusterTracker on u8 rows.
-    LegacyTracker legacy_tracker(size.sources);
+    // Refinement: u32 reference vs ClusterTracker on u8 rows.
+    test::LegacyTracker legacy_tracker(size.sources);
     const double legacy_refine_ms = best_of(size.repeats, [&] {
-      legacy_tracker = LegacyTracker(size.sources);
+      legacy_tracker = test::LegacyTracker(size.sources);
       for (const auto& row : legacy_matrix) legacy_tracker.refine(row);
     });
     core::Clustering clustering;
@@ -308,11 +212,11 @@ int main(int argc, char** argv) {
                 << "]: bitplane clustering diverges from byte store\n";
     }
 
-    // Greedy scheduling: legacy serial reference vs store, then the worker
-    // sweep (all orders must be bit-identical).
+    // Greedy scheduling: serial reference vs store, then the worker sweep
+    // (all orders must be bit-identical).
     std::vector<std::size_t> legacy_order;
     const double legacy_greedy_ms = best_of(size.repeats, [&] {
-      legacy_order = legacy_greedy(legacy_matrix, size.steps);
+      legacy_order = test::legacy_greedy(legacy_matrix, size.steps).order;
     });
 
     double serial_ms = 0.0;
@@ -342,22 +246,8 @@ int main(int argc, char** argv) {
         serial_ms > 0.0 ? legacy_greedy_ms / serial_ms : 0.0;
     speedup_serial_last = speedup_serial;
 
-    // Kernel ablation: the byte stamp-table kernel must produce the same
-    // order, and its serial time isolates the bitplane kernel's share of
-    // the speedup.
-    std::vector<std::size_t> byte_order;
-    const double byte_greedy_ms = best_of(size.repeats, [&] {
-      byte_order = core::greedy_schedule(matrix, size.steps, 1,
-                                         core::GreedyKernel::kByte)
-                       .order;
-    });
-    if (byte_order != serial_order) {
-      equivalent = false;
-      std::cerr << "FAIL[" << size.name
-                << "]: byte kernel order diverges from bitplane kernel\n";
-    }
     {
-      // Bitplane greedy must not depend on the dispatch path either.
+      // Greedy must not depend on the dispatch path either.
       util::force_simd_level(util::SimdLevel::kScalar);
       const auto scalar_trace = core::greedy_schedule(matrix, size.steps, 1);
       util::force_simd_level(std::nullopt);
@@ -404,13 +294,9 @@ int main(int argc, char** argv) {
                      2)
               << ",\n     \"legacy_greedy_ms\": "
               << util::fmt_double(legacy_greedy_ms, 2)
-              << ", \"byte_greedy_ms\": " << util::fmt_double(byte_greedy_ms, 2)
               << ", \"store_greedy_ms\": " << util::fmt_double(serial_ms, 2)
               << ", \"speedup_serial\": "
               << util::fmt_double(speedup_serial, 2)
-              << ", \"kernel_speedup\": "
-              << util::fmt_double(
-                     serial_ms > 0.0 ? byte_greedy_ms / serial_ms : 0.0, 2)
               << ", \"attribution_ms\": "
               << util::fmt_double(attribution_ms, 3)
               << ",\n     \"workers\": {";
@@ -439,7 +325,7 @@ int main(int argc, char** argv) {
       });
 
   if (!equivalent) {
-    std::cerr << "FAIL: columnar analysis diverges from legacy reference\n";
+    std::cerr << "FAIL: columnar analysis diverges from the reference\n";
     return 1;
   }
   return report_rc;

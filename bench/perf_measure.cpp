@@ -8,22 +8,22 @@
 //     collect feeds, walk the routing outcome once per traceroute round
 //     (TracerouteSim::run), repair the batch with owned-vector
 //     substitution indexes, infer with a per-call vote buffer;
-//   * MeasurementDriver::run over snapshot tasks (feed collection and
-//     path extraction included in the timed region), across a worker
-//     sweep.
+//   * MeasurementDriver::measure_one per configuration on one scratch, as
+//     one deploy worker runs it (feed collection and path extraction into
+//     recycled buffers included in the timed region).
 //
 // The legacy reference allocates exactly where the old code allocated —
 // per-pair interior vectors in both substitution indexes, fresh hop and
-// mapping buffers per trace, a fresh vote matrix per config — so every
+// mapping buffers per trace, a fresh vote matrix per config — so the
 // speedup is attributable to the driver's scratch reuse, slice-pooled
 // indexes, and shared per-config forwarding paths. Equivalence is asserted
-// bit-for-bit: every worker count must reproduce the legacy
-// InferenceResults exactly or the bench exits non-zero.
+// bit-for-bit: measure_one must reproduce the legacy InferenceResults
+// exactly or the bench exits non-zero. Worker scaling is measured end to
+// end by bench/e2e (parallel_speedup).
 //
 // Usage: perf_measure [--seed=N] [--obs-report=PATH] [--quick]
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -57,9 +57,6 @@ constexpr Size kSizes[] = {
     {"large", 8, 150, 2500, 800, 250, 16, 3},
 };
 constexpr Size kQuickSizes[] = {{"quick", 4, 16, 120, 40, 30, 3, 1}};
-
-constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
-constexpr std::size_t kQuickWorkerCounts[] = {1};
 
 // --- Legacy reference: the pre-driver inline pipeline ---------------------
 
@@ -258,9 +255,6 @@ int main(int argc, char** argv) {
   const std::span<const Size> sizes =
       options.quick ? std::span<const Size>(kQuickSizes)
                     : std::span<const Size>(kSizes);
-  const std::span<const std::size_t> worker_counts =
-      options.quick ? std::span<const std::size_t>(kQuickWorkerCounts)
-                    : std::span<const std::size_t>(kWorkerCounts);
 
   std::cout << "{\n  \"bench\": \"perf_measure\",\n"
             << "  \"hardware_concurrency\": "
@@ -309,7 +303,9 @@ int main(int argc, char** argv) {
     std::vector<measure::InferenceResult> reference(announce.size());
     const double legacy_ms = best_of(size.repeats, [&] {
       for (std::size_t i = 0; i < announce.size(); ++i) {
-        const auto feeds = feed_sim.collect(outcomes[i]);
+        std::vector<measure::FeedEntry> feeds;
+        feeds.reserve(feed_sim.peers().size());
+        feed_sim.collect_into(outcomes[i], feeds);
         std::vector<measure::Traceroute> traces;
         traces.reserve(probes.size() * kRounds);
         for (topology::AsId probe : probes) {
@@ -326,40 +322,29 @@ int main(int argc, char** argv) {
     });
 
     // Driver pipeline: snapshotting (feeds + paths) is part of the timed
-    // region, exactly as the deploy sink pays for it.
-    double serial_ms = 0.0;
-    std::vector<std::pair<std::size_t, double>> worker_ms;
-    for (const std::size_t workers : worker_counts) {
-      measure::MeasurementDriverOptions driver_options;
-      driver_options.workers = workers;
-      driver_options.traceroute_rounds = kRounds;
-      const measure::MeasurementDriver driver(
-          tracer, repair, inference, probes, testbed.origin_id(),
-          driver_options);
-      std::vector<measure::InferenceResult> results;
-      const double ms = best_of(size.repeats, [&] {
-        std::vector<measure::MeasurementTask> tasks(announce.size());
-        for (std::size_t i = 0; i < announce.size(); ++i) {
-          tasks[i] = {
-              i,
-              std::make_shared<const std::vector<measure::FeedEntry>>(
-                  feed_sim.collect(outcomes[i])),
-              std::make_shared<const measure::ProbePathSet>(
-                  measure::ProbePathSet::extract(outcomes[i], probes,
-                                                 testbed.origin_id()))};
-        }
-        results = driver.run(tasks);
-      });
-      worker_ms.emplace_back(workers, ms);
-      if (workers == 1) serial_ms = ms;
-      if (results != reference) {
-        equivalent = false;
-        std::cerr << "FAIL[" << size.name << "]: driver results at "
-                  << workers << " workers diverge from the legacy pipeline\n";
+    // region, exactly as the deploy's work stage pays for it.
+    const measure::MeasurementDriver driver(tracer, repair, inference, probes,
+                                            testbed.origin_id(), kRounds);
+    measure::MeasurementDriver::Scratch scratch;
+    std::vector<measure::FeedEntry> feeds;
+    measure::ProbePathSet paths;
+    std::vector<measure::InferenceResult> results(announce.size());
+    const double driver_ms = best_of(size.repeats, [&] {
+      for (std::size_t i = 0; i < announce.size(); ++i) {
+        feed_sim.collect_into(outcomes[i], feeds);
+        measure::ProbePathSet::extract_into(outcomes[i], probes,
+                                            testbed.origin_id(), paths);
+        results[i] = driver.measure_one(i, feeds, paths, scratch);
       }
+    });
+    if (results != reference) {
+      equivalent = false;
+      std::cerr << "FAIL[" << size.name
+                << "]: measure_one results diverge from the legacy "
+                   "pipeline\n";
     }
     const double speedup_serial =
-        serial_ms > 0.0 ? legacy_ms / serial_ms : 0.0;
+        driver_ms > 0.0 ? legacy_ms / driver_ms : 0.0;
     speedup_serial_last = speedup_serial;
 
     if (!first_size) std::cout << ",\n";
@@ -370,20 +355,9 @@ int main(int argc, char** argv) {
               << ", \"probes\": " << probes.size()
               << ", \"traces\": " << traces_per_rep
               << ",\n     \"legacy_ms\": " << util::fmt_double(legacy_ms, 2)
-              << ", \"driver_ms\": " << util::fmt_double(serial_ms, 2)
+              << ", \"driver_ms\": " << util::fmt_double(driver_ms, 2)
               << ", \"speedup_serial\": "
-              << util::fmt_double(speedup_serial, 2)
-              << ",\n     \"workers\": {";
-    bool first_cell = true;
-    for (const auto& [workers, ms] : worker_ms) {
-      if (!first_cell) std::cout << ", ";
-      first_cell = false;
-      std::cout << "\"" << workers << "\": {\"ms\": "
-                << util::fmt_double(ms, 2) << ", \"speedup\": "
-                << util::fmt_double(ms > 0.0 ? serial_ms / ms : 0.0, 2)
-                << "}";
-    }
-    std::cout << "}}";
+              << util::fmt_double(speedup_serial, 2) << "}";
   }
   std::cout << "\n  ],\n  \"equivalent\": " << (equivalent ? "true" : "false")
             << ",\n  \"speedup_serial\": "

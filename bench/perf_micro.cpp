@@ -81,10 +81,13 @@ BENCHMARK(BM_EngineWithPoisoning);
 void BM_ClusterRefine(benchmark::State& state) {
   const auto sources = static_cast<std::size_t>(state.range(0));
   util::Rng rng{3};
-  std::vector<std::vector<bgp::LinkId>> rows(32,
-                                             std::vector<bgp::LinkId>(sources));
+  std::vector<std::vector<std::uint8_t>> rows(
+      32, std::vector<std::uint8_t>(sources));
   for (auto& row : rows) {
-    for (auto& cell : row) cell = static_cast<bgp::LinkId>(rng.next_below(7));
+    for (auto& cell : row) {
+      cell = measure::CatchmentStore::encode(
+          static_cast<bgp::LinkId>(rng.next_below(7)));
+    }
   }
   std::size_t i = 0;
   core::ClusterTracker tracker(sources);

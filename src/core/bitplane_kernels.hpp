@@ -23,8 +23,9 @@
 // Both abort once an upper bound on the remaining buckets (suffix sums
 // in ClusterMasks) proves the candidate cannot beat the bound, and both
 // count the same buckets in a different order, so winner selection stays
-// bit-identical to the byte-store path (the PR4 equivalence suite and
-// tests/test_bitplane_store.cpp enforce it).
+// bit-identical to a serial stamp-table scan (the legacy greedy oracle in
+// tests/oracles.hpp, which tests/test_catchment_store.cpp and
+// tests/test_bitplane_store.cpp run it against).
 #pragma once
 
 #include <cstdint>

@@ -59,9 +59,8 @@ void ClusterTracker::rebuild_singletons() {
   singletons_valid_ = true;
 }
 
-template <typename Cell>
-std::uint32_t ClusterTracker::refine_impl(
-    std::span<const Cell> catchment_row) {
+std::uint32_t ClusterTracker::refine(
+    std::span<const std::uint8_t> catchment_row) {
   OBS_TIMER("analysis.refine_ns");
   auto& cluster_of = clustering_.cluster_of;
   if (catchment_row.size() != cluster_of.size()) {
@@ -132,16 +131,6 @@ std::uint32_t ClusterTracker::refine_impl(
   return next_id;
 }
 
-std::uint32_t ClusterTracker::refine(
-    std::span<const std::uint8_t> catchment_row) {
-  return refine_impl(catchment_row);
-}
-
-std::uint32_t ClusterTracker::refine(
-    std::span<const bgp::LinkId> catchment_row) {
-  return refine_impl(catchment_row);
-}
-
 std::uint32_t ClusterTracker::refine(const measure::BitplaneStore& planes,
                                      std::size_t config) {
   if (planes.sources() != clustering_.cluster_of.size()) {
@@ -153,7 +142,7 @@ std::uint32_t ClusterTracker::refine(const measure::BitplaneStore& planes,
   // refining the source CatchmentStore row.
   decoded_.resize(planes.sources());
   planes.decode_row(config, decoded_.data());
-  return refine_impl(std::span<const std::uint8_t>(decoded_));
+  return refine(std::span<const std::uint8_t>(decoded_));
 }
 
 Clustering cluster_sources(const measure::CatchmentStore& matrix) {

@@ -52,13 +52,12 @@ class ClusterTracker {
   /// cluster slots cannot represent. Returns the new cluster count.
   std::uint32_t refine(std::span<const std::uint8_t> catchment_row);
 
-  /// Same, over raw LinkId cells (legacy row shape).
-  std::uint32_t refine(std::span<const bgp::LinkId> catchment_row);
-
   /// Same partition from a bit-sliced row: the row is decoded back to
   /// cell bytes word-parallel (BitplaneStore::decode_row, 8x8 bit
   /// transposes) and folded through the byte refine — ids are
-  /// bit-identical to refining the source CatchmentStore row.
+  /// bit-identical to refining the source CatchmentStore row. The greedy
+  /// scheduler refines its winners from the planes it already built, and
+  /// the bit-sliced cluster_sources below folds every row through here.
   std::uint32_t refine(const measure::BitplaneStore& planes,
                        std::size_t config);
 
@@ -89,8 +88,6 @@ class ClusterTracker {
   }
 
  private:
-  template <typename Cell>
-  std::uint32_t refine_impl(std::span<const Cell> catchment_row);
   void ensure_singletons();
   void rebuild_singletons();
 
@@ -114,6 +111,8 @@ class ClusterTracker {
 Clustering cluster_sources(const measure::CatchmentStore& matrix);
 
 /// Same partition from the bit-sliced mirror (word-parallel refines).
+/// Callers that already hold the mirror — the end-to-end benchmark builds
+/// it once per analysis pass — cluster from it without the byte store.
 Clustering cluster_sources(const measure::BitplaneStore& planes);
 
 }  // namespace spooftrack::core

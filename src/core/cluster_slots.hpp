@@ -29,13 +29,6 @@ static_assert(bgp::kMaxCatchmentLinks < kMissingSlot,
       "-link analysis limit (would alias in the 6-bit cluster slots)");
 }
 
-/// Slot of a raw LinkId cell; throws on ids the slots cannot represent.
-inline std::uint32_t slot_of(bgp::LinkId link) {
-  if (link == bgp::kNoCatchment) return kMissingSlot;
-  if (link >= bgp::kMaxCatchmentLinks) throw_slot_out_of_range(link);
-  return link;
-}
-
 /// Slot of an encoded CatchmentStore cell (byte, 0xFF missing).
 inline std::uint32_t slot_of(std::uint8_t cell) {
   if (cell == bgp::kNoCatchment8) return kMissingSlot;

@@ -565,11 +565,9 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
   std::vector<Handoff*> last_handoff(chains, nullptr);
   std::vector<std::vector<std::uint32_t>> chain_min_distance(chains);
 
-  measure::MeasurementDriverOptions driver_options;
-  driver_options.traceroute_rounds = config_.traceroute_rounds;
   const measure::MeasurementDriver driver(tracer_, repair_, inference_,
                                           probes_, origin_id_,
-                                          driver_options);
+                                          config_.traceroute_rounds);
   std::vector<measure::MeasurementDriver::Scratch> scratch(workers);
   std::vector<std::vector<measure::FeedEntry>> degraded_feeds(workers);
   std::vector<fault::ConfigQuality> measured_quality;

@@ -275,6 +275,33 @@ DeploymentArtifact load_artifact(std::istream& stream) {
   if (crc != expect) {
     throw std::runtime_error("artifact checksum mismatch");
   }
+
+  // The parts index each other (matrix rows by configuration, columns by
+  // source), so a well-formed artifact whose shapes disagree is rejected
+  // here rather than read out of bounds by its consumers.
+  const auto shape_error = [](const std::string& what, std::size_t got,
+                              std::size_t want) {
+    return std::runtime_error("artifact shape mismatch: " + what + " is " +
+                              std::to_string(got) + ", expected " +
+                              std::to_string(want));
+  };
+  const std::size_t configs = artifact.configs.size();
+  const std::size_t sources = artifact.sources.size();
+  if (artifact.matrix.configs() != configs) {
+    throw shape_error("matrix row count", artifact.matrix.configs(), configs);
+  }
+  if (artifact.matrix.sources() != sources) {
+    throw shape_error("matrix column count", artifact.matrix.sources(),
+                      sources);
+  }
+  if (artifact.source_distance.size() != sources) {
+    throw shape_error("source distance count",
+                      artifact.source_distance.size(), sources);
+  }
+  if (!artifact.compliance.empty() && artifact.compliance.size() != configs) {
+    throw shape_error("compliance entry count", artifact.compliance.size(),
+                      configs);
+  }
   return artifact;
 }
 

@@ -51,7 +51,10 @@ DeploymentArtifact make_artifact(const DeploymentResult& result,
                                  std::size_t link_count);
 
 /// Versioned binary serialization. save throws std::runtime_error on write
-/// failure; load throws std::runtime_error on corrupt/mismatched input.
+/// failure; load throws std::runtime_error on corrupt/mismatched input,
+/// including parts whose shapes disagree: matrix rows must equal
+/// configs.size(), matrix columns and source_distance.size() must equal
+/// sources.size(), and compliance is empty or one entry per configuration.
 void save_artifact(const DeploymentArtifact& artifact, std::ostream& out);
 DeploymentArtifact load_artifact(std::istream& in);
 

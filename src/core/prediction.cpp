@@ -46,17 +46,6 @@ void CatchmentPredictor::observe_source(const ConfigDescriptor& config,
 }
 
 void CatchmentPredictor::observe(const ConfigDescriptor& config,
-                                 std::span<const bgp::LinkId> row) {
-  if (row.size() != seen_.size()) {
-    throw std::invalid_argument("row size does not match source count");
-  }
-  ++observed_;
-  for (std::size_t s = 0; s < row.size(); ++s) {
-    observe_source(config, s, row[s]);
-  }
-}
-
-void CatchmentPredictor::observe(const ConfigDescriptor& config,
                                  std::span<const std::uint8_t> row) {
   if (row.size() != seen_.size()) {
     throw std::invalid_argument("row size does not match source count");
@@ -173,20 +162,6 @@ std::vector<bgp::LinkId> CatchmentPredictor::predict_row(
     row[s] = predict(config, s);
   }
   return row;
-}
-
-double CatchmentPredictor::accuracy(
-    const ConfigDescriptor& config,
-    std::span<const bgp::LinkId> actual) const {
-  std::size_t total = 0, correct = 0;
-  for (std::size_t s = 0; s < actual.size() && s < seen_.size(); ++s) {
-    if (actual[s] == bgp::kNoCatchment) continue;
-    ++total;
-    correct += predict(config, s) == actual[s];
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(correct) /
-                          static_cast<double>(total);
 }
 
 }  // namespace spooftrack::core

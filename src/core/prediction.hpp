@@ -42,10 +42,8 @@ class CatchmentPredictor {
   CatchmentPredictor(std::size_t source_count, std::size_t link_count);
 
   /// Ingests one observed configuration: row[s] is source s's measured
-  /// catchment (kNoCatchment cells are skipped).
-  void observe(const ConfigDescriptor& config,
-               std::span<const bgp::LinkId> row);
-  /// Same, over an encoded CatchmentStore row (kNoCatchment8 skipped).
+  /// catchment as an encoded CatchmentStore cell (kNoCatchment8 cells are
+  /// skipped).
   void observe(const ConfigDescriptor& config,
                std::span<const std::uint8_t> row);
 
@@ -57,10 +55,8 @@ class CatchmentPredictor {
   /// Predicted catchments for every source.
   std::vector<bgp::LinkId> predict_row(const ConfigDescriptor& config) const;
 
-  /// Fraction of non-missing cells of `actual` matched by the prediction.
-  double accuracy(const ConfigDescriptor& config,
-                  std::span<const bgp::LinkId> actual) const;
-  /// Same, over an encoded CatchmentStore row.
+  /// Fraction of non-missing cells of the encoded CatchmentStore row
+  /// `actual` matched by the prediction.
   double accuracy(const ConfigDescriptor& config,
                   std::span<const std::uint8_t> actual) const;
 

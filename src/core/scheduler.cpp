@@ -1,7 +1,6 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -20,37 +19,6 @@ namespace spooftrack::core {
 namespace {
 
 constexpr auto kNoConfig = std::numeric_limits<std::size_t>::max();
-
-/// Number of clusters a refinement with `row` would produce, without
-/// mutating the partition. Uses caller-provided epoch scratch tables.
-/// Singleton clusters contribute exactly one bucket each whatever their
-/// cell holds, so the scan touches only the pre-gathered active
-/// (non-singleton) sources; `active_base` carries each one's
-/// `cluster_of * kSlots` so the hot loop is one gather, one add and one
-/// stamp probe. Each active source can add at most one bucket, so once
-/// `count + remaining <= bound` the candidate provably cannot *strictly*
-/// exceed `bound` and the scan aborts early — the returned partial count
-/// is then <= the true count <= bound, which compares identically in the
-/// strictly-greater replacement the callers use.
-std::uint32_t count_after(std::span<const std::uint32_t> active_src,
-                          std::span<const std::size_t> active_base,
-                          std::uint32_t singleton_count,
-                          std::span<const std::uint8_t> row,
-                          std::vector<std::uint64_t>& stamp,
-                          std::uint64_t& epoch, std::uint32_t bound) {
-  ++epoch;
-  std::uint32_t count = singleton_count;
-  const std::size_t m = active_src.size();
-  for (std::size_t k = 0; k < m; ++k) {
-    if (count + static_cast<std::uint32_t>(m - k) <= bound) return count;
-    const std::size_t key = active_base[k] + slot_of(row[active_src[k]]);
-    if (stamp[key] != epoch) {
-      stamp[key] = epoch;
-      ++count;
-    }
-  }
-  return count;
-}
 
 struct Best {
   std::size_t config = kNoConfig;
@@ -93,122 +61,21 @@ ScheduleTrace random_schedule(const measure::CatchmentStore& matrix,
   return trace;
 }
 
-namespace {
-
-ScheduleTrace greedy_schedule_byte(const measure::CatchmentStore& matrix,
-                                   std::size_t steps, std::size_t chunks) {
+ScheduleTrace greedy_schedule(const measure::CatchmentStore& matrix,
+                              std::size_t steps, std::size_t workers) {
+  OBS_TIMER("analysis.schedule_ns");
   ScheduleTrace trace;
+  if (matrix.empty()) return trace;
   const std::size_t n = matrix.size();
-  const std::size_t source_count = matrix.sources();
-
-  ClusterTracker tracker(source_count);
-  std::vector<bool> used(n, false);
-
-  // One stamp table + epoch per worker so candidate scans never share
-  // mutable state; chunk w owns best[w], so dynamic task claiming in the
-  // pool cannot affect the result.
-  struct Scratch {
-    std::vector<std::uint64_t> stamp;
-    std::uint64_t epoch = 0;
-  };
-  std::vector<Scratch> scratch(chunks);
-  for (auto& sc : scratch) sc.stamp.assign(source_count * kSlots, 0);
-  std::vector<Best> best(chunks);
-
-  // Compact list of non-singleton sources, rebuilt once per step: the
-  // per-candidate scan touches only these, so as refinement saturates the
-  // partition the inner loop shrinks towards zero. `active_base` holds each
-  // active source's `cluster_of * kSlots` so candidates don't re-derive it.
-  std::vector<std::uint32_t> active_src;
-  std::vector<std::size_t> active_base;
-  active_src.reserve(source_count);
-  active_base.reserve(source_count);
-
-  util::WorkerPool pool(chunks - 1);
-
-  for (std::size_t step = 0; step < steps; ++step) {
-    const auto& cluster_of = tracker.current().cluster_of;
-    const auto mask = tracker.singleton_mask();
-    const std::uint32_t singles = tracker.singleton_count();
-
-    active_src.clear();
-    active_base.clear();
-    for (std::size_t s = 0; s < source_count;) {
-      if (s + 8 <= source_count) {
-        std::uint64_t word;
-        std::memcpy(&word, mask.data() + s, sizeof word);
-        if (word == ~std::uint64_t{0}) {
-          s += 8;
-          continue;
-        }
-      }
-      if (mask[s] == 0) {
-        active_src.push_back(static_cast<std::uint32_t>(s));
-        active_base.push_back(std::size_t{cluster_of[s]} * kSlots);
-      }
-      ++s;
-    }
-
-    Best winner;
-    if (active_src.empty()) {
-      // Fully saturated partition: every candidate refines to exactly
-      // `singles` clusters, so the serial scan would pick the lowest-index
-      // unused config. Do that directly.
-      for (std::size_t c = 0; c < n; ++c) {
-        if (!used[c]) {
-          winner = {c, singles};
-          break;
-        }
-      }
-    } else {
-      const std::size_t eff =
-          effective_chunks(chunks, n - step, active_src.size());
-      OBS_HIST("analysis.kernel.fanout", "chunks", eff);
-      pool.run(eff, [&](std::size_t w) {
-        Best b;
-        auto& sc = scratch[w];
-        const std::size_t begin = w * n / eff;
-        const std::size_t end = (w + 1) * n / eff;
-        for (std::size_t c = begin; c < end; ++c) {
-          if (used[c]) continue;
-          const std::uint32_t bound = b.config == kNoConfig ? 0 : b.count;
-          const std::uint32_t count =
-              count_after(active_src, active_base, singles, matrix.row(c),
-                          sc.stamp, sc.epoch, bound);
-          if (b.config == kNoConfig || count > b.count) b = {c, count};
-        }
-        best[w] = b;
-      });
-
-      // Deterministic reduction: chunks cover ascending contiguous config
-      // ranges, and both the in-chunk scan and this merge replace only on
-      // strictly greater counts — so the winner is the lowest-index config
-      // with the maximum count, exactly as in a serial scan.
-      for (std::size_t w = 0; w < eff; ++w) {
-        const Best& b = best[w];
-        if (b.config == kNoConfig) continue;
-        if (winner.config == kNoConfig || b.count > winner.count) winner = b;
-      }
-    }
-    if (winner.config == kNoConfig) break;
-    used[winner.config] = true;
-    tracker.refine(matrix.row(winner.config));
-    trace.order.push_back(winner.config);
-    trace.mean_cluster_size.push_back(tracker.mean_cluster_size());
-  }
-  return trace;
-}
-
-ScheduleTrace greedy_schedule_bitplane(const measure::CatchmentStore& matrix,
-                                       std::size_t steps,
-                                       std::size_t chunks) {
-  ScheduleTrace trace;
-  const std::size_t n = matrix.size();
+  if (steps == 0 || steps > n) steps = n;
+  if (workers == 0) workers = util::default_worker_count();
+  const std::size_t chunks = std::max<std::size_t>(1, std::min(workers, n));
+  OBS_GAUGE("analysis.schedule_workers", chunks);
 
   // Built once per schedule; candidate scans then count distinct slots
   // through per-cluster presence bitmaps — plane-word DFS for dense mask
-  // words, direct byte reads for sparse ones — instead of probing the
-  // sources x kSlots stamp table the byte kernel walks.
+  // words, direct byte reads for sparse ones — so no per-candidate
+  // (cluster, slot) table is ever cleared or probed.
   const measure::BitplaneStore planes(matrix);
   const std::size_t words = planes.words();
 
@@ -286,7 +153,7 @@ ScheduleTrace greedy_schedule_bitplane(const measure::CatchmentStore& matrix,
       // Deterministic reduction: chunks cover ascending contiguous config
       // ranges and each worker's best is its chunk's lowest-index max, so
       // the strictly-greater merge yields the lowest-index config with
-      // the maximum count — exactly the byte kernel's serial winner.
+      // the maximum count — exactly what one serial scan would pick.
       for (std::size_t w = 0; w < eff; ++w) {
         const Best& b = best[w];
         if (b.config == kNoConfig) continue;
@@ -300,24 +167,6 @@ ScheduleTrace greedy_schedule_bitplane(const measure::CatchmentStore& matrix,
     trace.mean_cluster_size.push_back(tracker.mean_cluster_size());
   }
   return trace;
-}
-
-}  // namespace
-
-ScheduleTrace greedy_schedule(const measure::CatchmentStore& matrix,
-                              std::size_t steps, std::size_t workers,
-                              GreedyKernel kernel) {
-  OBS_TIMER("analysis.schedule_ns");
-  ScheduleTrace trace;
-  if (matrix.empty()) return trace;
-  const std::size_t n = matrix.size();
-  if (steps == 0 || steps > n) steps = n;
-  if (workers == 0) workers = util::default_worker_count();
-  const std::size_t chunks = std::max<std::size_t>(1, std::min(workers, n));
-  OBS_GAUGE("analysis.schedule_workers", chunks);
-  return kernel == GreedyKernel::kByte
-             ? greedy_schedule_byte(matrix, steps, chunks)
-             : greedy_schedule_bitplane(matrix, steps, chunks);
 }
 
 ScheduleTrace weighted_greedy_schedule(

@@ -3,11 +3,11 @@
 // schedule that — assuming catchments were measured beforehand — always
 // deploys the configuration minimising the resulting mean cluster size.
 //
-// All schedulers consume the columnar measure::CatchmentStore; legacy
-// nested-vector matrices convert implicitly. greedy_schedule parallelises
-// its per-step candidate scan across workers with per-worker epoch stamp
-// tables and a deterministic lowest-index-max reduction, so its output is
-// bit-identical for any worker count.
+// All schedulers consume the columnar measure::CatchmentStore.
+// greedy_schedule evaluates candidates on the bit-sliced BitplaneStore
+// mirror and parallelises each step's candidate scan across workers with a
+// deterministic lowest-index-max reduction, so its output is bit-identical
+// for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -29,25 +29,16 @@ struct ScheduleTrace {
 ScheduleTrace random_schedule(const measure::CatchmentStore& matrix,
                               util::Rng& rng);
 
-/// Candidate-evaluation kernel for greedy_schedule. Both kernels produce
-/// bit-identical schedules; the byte kernel is kept as the ablation
-/// reference.
-enum class GreedyKernel {
-  kBitplane,  // word-parallel plane-partition kernel (default)
-  kByte,      // byte-store stamp-table kernel
-};
-
 /// Greedy schedule: at each step deploy the configuration that minimises
 /// the mean cluster size of the refined partition (ties: lowest index).
 /// Stops after `steps` configurations (0 = all). The candidate scan of each
 /// step runs on `workers` threads (0 = util::default_worker_count()),
 /// scaled down per step by a work-per-worker threshold so tiny matrices
 /// skip thread wake overhead; the schedule is bit-identical for every
-/// worker count and for both kernels.
+/// worker count.
 ScheduleTrace greedy_schedule(const measure::CatchmentStore& matrix,
                               std::size_t steps = 0,
-                              std::size_t workers = 0,
-                              GreedyKernel kernel = GreedyKernel::kBitplane);
+                              std::size_t workers = 0);
 
 /// §VIII future work (i): greedy schedule that jointly optimises cluster
 /// size and spoofed volume. Each source carries a volume weight (e.g. the

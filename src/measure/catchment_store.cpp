@@ -25,13 +25,6 @@ CatchmentStore::CatchmentStore(std::size_t configs, std::size_t sources)
       cols_(sources),
       cells_(configs * sources, kNoCatchment8) {}
 
-CatchmentStore::CatchmentStore(const CatchmentMatrix& rows) {
-  if (rows.empty()) return;
-  cols_ = rows[0].size();
-  cells_.reserve(rows.size() * cols_);
-  for (const auto& row : rows) append_row(std::span<const bgp::LinkId>(row));
-}
-
 std::uint8_t CatchmentStore::encode(bgp::LinkId link) {
   if (link == bgp::kNoCatchment) return kNoCatchment8;
   if (link >= bgp::kMaxCatchmentLinks) throw_out_of_range(link);
@@ -69,12 +62,6 @@ void CatchmentStore::assign(std::size_t configs, std::size_t sources) {
   cells_.assign(configs * sources, kNoCatchment8);
 }
 
-void CatchmentStore::gather_column(std::size_t source,
-                                   std::uint8_t* out) const {
-  const std::uint32_t sources[] = {static_cast<std::uint32_t>(source)};
-  gather_columns(sources, out);
-}
-
 void CatchmentStore::gather_columns(std::span<const std::uint32_t> sources,
                                     std::uint8_t* out) const {
   OBS_TIMER("analysis.kernel.gather_ns");
@@ -95,16 +82,6 @@ void CatchmentStore::gather_columns(std::span<const std::uint32_t> sources,
       for (; c < c1; ++c) dst[c - c0] = base[c * cols_];
     }
   }
-}
-
-CatchmentMatrix CatchmentStore::to_rows() const {
-  CatchmentMatrix out(rows_, std::vector<bgp::LinkId>(cols_));
-  for (std::size_t c = 0; c < rows_; ++c) {
-    for (std::size_t s = 0; s < cols_; ++s) {
-      out[c][s] = link_at(c, s);
-    }
-  }
-  return out;
 }
 
 }  // namespace spooftrack::measure

@@ -11,9 +11,9 @@
 // with a 0xFF missing sentinel (bgp::kNoCatchment8 — the exact encoding the
 // artifact format already uses on disk) covers the full value range.
 //
-// Rows are contiguous spans with O(1) stride; columns are strided views.
-// Construction validates every link id — out-of-range values throw instead
-// of silently aliasing into the last cluster slot.
+// Rows are contiguous spans with O(1) stride; columns are read through the
+// tiled gather_columns. Every write validates its link id — out-of-range
+// values throw instead of silently aliasing into the last cluster slot.
 #pragma once
 
 #include <cstddef>
@@ -27,34 +27,9 @@ namespace spooftrack::measure {
 
 using bgp::kNoCatchment8;
 
-/// Legacy nested-vector matrix shape: row per configuration, column per
-/// source, cells are LinkIds or bgp::kNoCatchment. Kept as an interchange
-/// type (tests and tools build rows incrementally); analysis code consumes
-/// CatchmentStore.
-using CatchmentMatrix = std::vector<std::vector<bgp::LinkId>>;
-
 /// Flat row-major catchment matrix with one byte per cell.
 class CatchmentStore {
  public:
-  /// Strided read-only view of one source's catchment across all
-  /// configurations.
-  class ColumnView {
-   public:
-    ColumnView(const std::uint8_t* base, std::size_t rows,
-               std::size_t stride) noexcept
-        : base_(base), rows_(rows), stride_(stride) {}
-
-    std::uint8_t operator[](std::size_t config) const noexcept {
-      return base_[config * stride_];
-    }
-    std::size_t size() const noexcept { return rows_; }
-
-   private:
-    const std::uint8_t* base_;
-    std::size_t rows_;
-    std::size_t stride_;
-  };
-
   /// Forward iterator over rows, yielding std::span<const std::uint8_t>.
   class RowIterator {
    public:
@@ -79,12 +54,6 @@ class CatchmentStore {
 
   /// configs x sources matrix with every cell missing.
   CatchmentStore(std::size_t configs, std::size_t sources);
-
-  /// Converts (and validates) a legacy nested-vector matrix. Implicit on
-  /// purpose: row-literal call sites keep working against store-taking
-  /// APIs. Throws std::invalid_argument on ragged rows, std::out_of_range
-  /// on link ids >= bgp::kMaxCatchmentLinks.
-  CatchmentStore(const CatchmentMatrix& rows);  // NOLINT(google-explicit-constructor)
 
   /// Encodes one LinkId into a cell byte; throws std::out_of_range for
   /// links >= bgp::kMaxCatchmentLinks (other than kNoCatchment).
@@ -112,9 +81,6 @@ class CatchmentStore {
   std::span<const std::uint8_t> operator[](std::size_t config) const noexcept {
     return row(config);
   }
-  ColumnView column(std::size_t source) const noexcept {
-    return {cells_.data() + source, rows_, cols_};
-  }
 
   std::uint8_t cell(std::size_t config, std::size_t source) const noexcept {
     return cells_[config * cols_ + source];
@@ -129,7 +95,12 @@ class CatchmentStore {
   }
 
   /// Appends one row of LinkIds (validating each). The first row fixes the
-  /// column count; later rows must match it.
+  /// column count; later rows must match it; throws std::invalid_argument
+  /// on a width mismatch and std::out_of_range on link ids
+  /// >= bgp::kMaxCatchmentLinks. The one LinkId row entry point: decoded
+  /// rows such as CatchmentPredictor::predict_row output (the prediction
+  /// ablation builds its predicted matrix this way) append without an
+  /// encode loop at the call site.
   void append_row(std::span<const bgp::LinkId> links);
   /// Appends one row of already-encoded cells (validating each).
   void append_row(std::span<const std::uint8_t> cells);
@@ -137,15 +108,11 @@ class CatchmentStore {
   /// Resets to configs x sources, every cell missing.
   void assign(std::size_t configs, std::size_t sources);
 
-  /// Gathers one source's trajectory into a contiguous buffer:
-  /// out[c] = cell(c, source). `out` must hold configs() bytes.
-  void gather_column(std::size_t source, std::uint8_t* out) const;
-
-  /// Tiled word-gather of several columns at once: out[j * configs() + c]
-  /// = cell(c, sources[j]). Walks the matrix in 64-row tiles, packing 8
-  /// cells per column into one u64 store, so the matrix rows are streamed
-  /// with cache reuse across columns instead of one cache-hostile strided
-  /// walk per column (the ColumnView pattern this replaces).
+  /// Tiled word-gather of columns (source trajectories):
+  /// out[j * configs() + c] = cell(c, sources[j]). Walks the matrix in
+  /// 64-row tiles, packing 8 cells per column into one u64 store, so the
+  /// matrix rows are streamed with cache reuse across columns instead of
+  /// one cache-hostile strided walk per column.
   void gather_columns(std::span<const std::uint32_t> sources,
                       std::uint8_t* out) const;
 
@@ -156,9 +123,6 @@ class CatchmentStore {
 
   RowIterator begin() const noexcept { return {this, 0}; }
   RowIterator end() const noexcept { return {this, rows_}; }
-
-  /// Legacy export (decoded nested vectors).
-  CatchmentMatrix to_rows() const;
 
   friend bool operator==(const CatchmentStore&,
                          const CatchmentStore&) = default;

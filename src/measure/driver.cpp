@@ -1,20 +1,9 @@
 #include "measure/driver.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::measure {
-
-ProbePathSet ProbePathSet::extract(const bgp::RoutingOutcome& outcome,
-                                   std::span<const topology::AsId> probes,
-                                   topology::AsId origin) {
-  ProbePathSet set;
-  extract_into(outcome, probes, origin, set);
-  return set;
-}
 
 void ProbePathSet::extract_into(const bgp::RoutingOutcome& outcome,
                                 std::span<const topology::AsId> probes,
@@ -38,29 +27,28 @@ MeasurementDriver::MeasurementDriver(const TracerouteSim& tracer,
                                      const CatchmentInference& inference,
                                      std::span<const topology::AsId> probes,
                                      topology::AsId origin,
-                                     MeasurementDriverOptions options)
+                                     std::uint32_t traceroute_rounds)
     : tracer_(tracer),
       repair_(repair),
       inference_(inference),
       probes_(probes),
       origin_(origin),
-      options_(options) {}
+      rounds_(traceroute_rounds) {}
 
 InferenceResult MeasurementDriver::measure_one(
     std::size_t config_index, const std::vector<FeedEntry>& feeds,
     const ProbePathSet& paths, Scratch& scratch,
     fault::ConfigQuality* quality) const {
   OBS_TIMER("measure.driver.config_ns");
-  const std::uint32_t rounds = options_.traceroute_rounds;
   const std::size_t probe_count = probes_.size();
   Scratch& s = scratch;
-  if (s.traces.size() != probe_count * rounds) {
-    s.traces.resize(probe_count * rounds);
+  if (s.traces.size() != probe_count * rounds_) {
+    s.traces.resize(probe_count * rounds_);
   }
   std::size_t k = 0;
   for (std::size_t p = 0; p < probe_count; ++p) {
     const auto path = paths.path(p);
-    for (std::uint32_t round = 0; round < rounds; ++round) {
+    for (std::uint32_t round = 0; round < rounds_; ++round) {
       tracer_.run_on_path(path, probes_[p], origin_,
                           util::hash_combine(config_index, round),
                           s.traces[k++]);
@@ -76,39 +64,6 @@ InferenceResult MeasurementDriver::measure_one(
   }
   repair_.repair(s.traces, feeds, s.repair, s.repaired);
   return inference_.infer(feeds, s.repaired, s.inference);
-}
-
-std::vector<InferenceResult> MeasurementDriver::run(
-    std::span<const MeasurementTask> tasks,
-    std::vector<fault::ConfigQuality>* quality) const {
-  std::vector<InferenceResult> results(tasks.size());
-  if (quality != nullptr) quality->assign(tasks.size(), {});
-  if (tasks.empty()) return results;
-
-  const std::size_t workers =
-      options_.workers == 0 ? util::default_worker_count() : options_.workers;
-  const std::size_t slots =
-      std::max<std::size_t>(1, std::min(workers, tasks.size()));
-  OBS_GAUGE("measure.driver.workers", slots);
-  OBS_COUNT("measure.driver.tasks", tasks.size());
-
-  std::vector<Scratch> scratch(slots);
-
-  auto run_slot = [&](std::size_t slot) {
-    Scratch& s = scratch[slot];
-    for (std::size_t t = slot; t < tasks.size(); t += slots) {
-      const MeasurementTask& task = tasks[t];
-      fault::ConfigQuality* q = quality != nullptr ? &(*quality)[t] : nullptr;
-      if (q != nullptr) q->feed_faults = task.feed_faults;
-      results[t] = measure_one(task.config_index, *task.feeds,
-                               *task.probe_paths, s, q);
-    }
-  };
-
-  // slots - 1 pool threads; the calling thread claims the remaining slot.
-  util::WorkerPool pool(slots - 1);
-  pool.run(slots, run_slot);
-  return results;
 }
 
 }  // namespace spooftrack::measure

@@ -1,19 +1,16 @@
-// Parallel measurement plane (§IV): runs the per-configuration pipeline —
-// feed snapshot -> traceroute batch -> §IV-b repair -> catchment inference
-// — as independent tasks over a util::WorkerPool.
+// Measurement plane (§IV): runs the per-configuration pipeline — feed
+// snapshot -> traceroute batch -> §IV-b repair -> catchment inference — one
+// configuration per measure_one call, on a caller-owned Scratch.
 //
 // Determinism contract: every random draw in the pipeline derives from
-// (traceroute seed, salt = hash_combine(config index, round)), so a task's
-// result depends on nothing but the task itself. Tasks fan out over worker
-// *slots* in a fixed stride — slot s runs tasks s, s + slots, ... with its
-// own scratch, writing each result into the task's own output slot — so
-// results are byte-identical for any worker count and arrive in task
-// order. (WorkerPool claims work dynamically; striding over slots instead
-// of tasks is what keeps scratch ownership deterministic.)
+// (traceroute seed, salt = hash_combine(config index, round)), so a
+// configuration's result depends on nothing but its index and inputs, never
+// on which worker or scratch measured it. The deploy's work stage fans
+// measure_one out over its workers, one Scratch each, and stays
+// byte-identical for any worker count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,39 +37,14 @@ struct ProbePathSet {
         offsets[probe_index], offsets[probe_index + 1] - offsets[probe_index]);
   }
 
-  /// Walks bgp::forwarding_path once per probe. An unrouted probe stores an
-  /// empty path (its traceroute dies at the probe gateway, as with run()).
-  static ProbePathSet extract(const bgp::RoutingOutcome& outcome,
-                              std::span<const topology::AsId> probes,
-                              topology::AsId origin);
-
-  /// As `extract`, rebuilding into `set`'s existing buffers (streaming
-  /// handoff recycling: the pipelined deploy keeps a small pool of path
-  /// sets instead of one snapshot per configuration).
+  /// Walks bgp::forwarding_path once per probe, rebuilding `set` in its
+  /// existing buffers (the deploy recycles a small pool of path sets
+  /// instead of allocating one per configuration). An unrouted probe stores
+  /// an empty path (its traceroute dies at the probe gateway, as with
+  /// TracerouteSim::run).
   static void extract_into(const bgp::RoutingOutcome& outcome,
                            std::span<const topology::AsId> probes,
                            topology::AsId origin, ProbePathSet& set);
-};
-
-/// One configuration's measurement inputs, snapshotted at propagation time.
-/// Configurations with identical routing outcomes (campaign memoization
-/// fan-out) share one feed collection and one path set.
-struct MeasurementTask {
-  std::size_t config_index = 0;  // traceroute salt = (config_index, round)
-  std::shared_ptr<const std::vector<FeedEntry>> feeds;
-  std::shared_ptr<const ProbePathSet> probe_paths;
-  /// Feed entries lost to injected collector faults before the task was
-  /// built (FeedSimulator::degrade); carried here so quality accounting
-  /// sees them even though `feeds` holds only the survivors.
-  std::uint32_t feed_faults = 0;
-};
-
-struct MeasurementDriverOptions {
-  /// Worker threads (0 = util::default_worker_count()). Any value yields
-  /// byte-identical results.
-  std::size_t workers = 0;
-  /// Traceroute rounds per configuration (§IV-b).
-  std::uint32_t traceroute_rounds = 3;
 };
 
 class MeasurementDriver {
@@ -89,16 +61,16 @@ class MeasurementDriver {
   };
 
   /// The referenced components and probe list must outlive the driver.
+  /// `traceroute_rounds` traceroutes run per probe and configuration
+  /// (§IV-b).
   MeasurementDriver(const TracerouteSim& tracer, const PathRepair& repair,
                     const CatchmentInference& inference,
                     std::span<const topology::AsId> probes,
-                    topology::AsId origin,
-                    MeasurementDriverOptions options = {});
+                    topology::AsId origin, std::uint32_t traceroute_rounds);
 
   /// Runs the full §IV pipeline for one configuration: traceroute batch
   /// (salts derive from `config_index` and the round, nothing else) →
-  /// §IV-b repair → catchment inference. The unit of work both run() and
-  /// the pipelined deploy path fan out — one call, one configuration, one
+  /// §IV-b repair → catchment inference. One call, one configuration, one
   /// scratch. When `quality` is non-null its feed/trace accounting fields
   /// are filled (feed_faults is the caller's: the driver only sees the
   /// surviving entries); the grade is left untouched.
@@ -107,24 +79,13 @@ class MeasurementDriver {
                               const ProbePathSet& paths, Scratch& scratch,
                               fault::ConfigQuality* quality = nullptr) const;
 
-  /// Runs the measurement pipeline for every task; results in task order.
-  /// When `quality` is non-null it is resized to tasks.size() and filled
-  /// with per-task fault accounting (feed entry/fault counts from the task,
-  /// trace counts and fault flags from the traceroute batch). Grades are
-  /// left at kGood — the deploy loop grades once it also knows deployment
-  /// attempts. Quality output is byte-identical for any worker count, like
-  /// the results themselves.
-  std::vector<InferenceResult> run(
-      std::span<const MeasurementTask> tasks,
-      std::vector<fault::ConfigQuality>* quality = nullptr) const;
-
  private:
   const TracerouteSim& tracer_;
   const PathRepair& repair_;
   const CatchmentInference& inference_;
   std::span<const topology::AsId> probes_;
   topology::AsId origin_;
-  MeasurementDriverOptions options_;
+  std::uint32_t rounds_;
 };
 
 }  // namespace spooftrack::measure

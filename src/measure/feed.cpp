@@ -43,14 +43,6 @@ FeedSimulator::FeedSimulator(const topology::AsGraph& graph,
   std::sort(peers_.begin(), peers_.end());
 }
 
-std::vector<FeedEntry> FeedSimulator::collect(
-    const bgp::RoutingOutcome& outcome) const {
-  std::vector<FeedEntry> entries;
-  entries.reserve(peers_.size());
-  collect_into(outcome, entries);
-  return entries;
-}
-
 void FeedSimulator::collect_into(const bgp::RoutingOutcome& outcome,
                                  std::vector<FeedEntry>& entries) const {
   OBS_TIMER("measure.feed.collect_ns");
@@ -70,16 +62,6 @@ void FeedSimulator::collect_into(const bgp::RoutingOutcome& outcome,
   }
   entries.resize(count);
   OBS_COUNT("measure.feed.entries", entries.size());
-}
-
-std::vector<FeedEntry> FeedSimulator::degrade(
-    const std::vector<FeedEntry>& entries,
-    const fault::FaultInjector& injector, std::uint64_t salt,
-    topology::Asn origin_asn, std::uint32_t* faulted) {
-  std::vector<FeedEntry> out;
-  out.reserve(entries.size());
-  degrade_into(entries, injector, salt, origin_asn, faulted, out);
-  return out;
 }
 
 void FeedSimulator::degrade_into(const std::vector<FeedEntry>& entries,

@@ -36,36 +36,25 @@ class FeedSimulator {
 
   const std::vector<topology::AsId>& peers() const noexcept { return peers_; }
 
-  /// Collects one RIB snapshot: one entry per peer that currently has a
-  /// route. Thread-safe (const, no mutable state).
-  std::vector<FeedEntry> collect(const bgp::RoutingOutcome& outcome) const;
-
-  /// As `collect`, overwriting `entries` in place: surviving slots (and
-  /// their AS-path storage) are recycled, so a deploy reuses a
-  /// small buffer pool instead of allocating one snapshot per
-  /// configuration. Output is identical to collect().
+  /// Collects one RIB snapshot into `entries`: one entry per peer that
+  /// currently has a route. Overwrites in place, recycling surviving slots
+  /// (and their AS-path storage), so a deploy reuses a small buffer pool
+  /// instead of allocating one snapshot per configuration. Thread-safe
+  /// (const, no mutable state).
   void collect_into(const bgp::RoutingOutcome& outcome,
                     std::vector<FeedEntry>& entries) const;
 
-  /// Applies deterministic collector faults to a clean snapshot: per
-  /// (salt, peer), an *outage* drops the peer's entry entirely and a
-  /// *stale* snapshot truncates its AS-path before the first occurrence of
-  /// `origin_asn` (the collector dumped a RIB that predates the
-  /// announcement, so the entry yields no catchment votes). `salt` is the
-  /// configuration index. Fault draws are stateless, so degrading a
-  /// snapshot shared by several configurations (campaign memo fan-out)
-  /// stays per-config deterministic. With both feed probabilities zero the
-  /// input is returned unchanged. Increments *faulted (when given) once
-  /// per dropped or staled entry.
-  static std::vector<FeedEntry> degrade(const std::vector<FeedEntry>& entries,
-                                        const fault::FaultInjector& injector,
-                                        std::uint64_t salt,
-                                        topology::Asn origin_asn,
-                                        std::uint32_t* faulted = nullptr);
-
-  /// As `degrade`, writing the surviving entries into `out` (overwritten in
-  /// place, slot storage recycled). `out` must not alias `entries`. Output
-  /// is identical to degrade().
+  /// Applies deterministic collector faults to a clean snapshot, writing
+  /// the surviving entries into `out` (overwritten in place, slot storage
+  /// recycled; `out` must not alias `entries`). Per (salt, peer), an
+  /// *outage* drops the peer's entry entirely and a *stale* snapshot
+  /// truncates its AS-path before the first occurrence of `origin_asn` (the
+  /// collector dumped a RIB that predates the announcement, so the entry
+  /// yields no catchment votes). `salt` is the configuration index. Fault
+  /// draws are stateless, so degrading a snapshot shared by several
+  /// configurations (campaign memo fan-out) stays per-config deterministic.
+  /// With both feed probabilities zero `out` equals the input. Increments
+  /// *faulted (when given) once per dropped or staled entry.
   static void degrade_into(const std::vector<FeedEntry>& entries,
                            const fault::FaultInjector& injector,
                            std::uint64_t salt, topology::Asn origin_asn,

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "obs/obs.hpp"
-
 namespace spooftrack::measure {
 
 std::vector<topology::AsId> baseline_sources(const InferenceResult& first) {
@@ -18,23 +16,6 @@ std::vector<topology::AsId> baseline_sources(const InferenceResult& first) {
     }
   }
   return sources;
-}
-
-CatchmentStore build_matrix(const std::vector<InferenceResult>& per_config,
-                            const std::vector<topology::AsId>& sources) {
-  CatchmentStore matrix(per_config.size(), sources.size());
-  for (std::size_t c = 0; c < per_config.size(); ++c) {
-    const auto& inferred = per_config[c];
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      const topology::AsId id = sources[s];
-      if (inferred.observed[id]) {
-        matrix.set(c, s, inferred.catchments.link_of[id]);
-      }
-    }
-  }
-  impute_missing(matrix);
-  OBS_GAUGE("analysis.matrix_bytes", matrix.size_bytes());
-  return matrix;
 }
 
 namespace {

@@ -22,17 +22,13 @@ namespace spooftrack::measure {
 /// (all-locations, no prepending, no poisoning) configuration.
 std::vector<topology::AsId> baseline_sources(const InferenceResult& first);
 
-/// Builds the columnar matrix (row per configuration, column per source,
-/// indexed as in `sources`) from per-configuration inference results, then
-/// imputes missing cells via s_max. Two imputation passes run so that a
-/// cell can be filled from a value the first pass produced; cells that
-/// remain missing (e.g. s_max unobserved in the same configurations) stay
-/// kNoCatchment8.
-CatchmentStore build_matrix(const std::vector<InferenceResult>& per_config,
-                            const std::vector<topology::AsId>& sources);
-
-/// The imputation step alone, exposed for tests: fills missing cells of
-/// `matrix` in place using s_max co-catchment frequency.
+/// Fills missing cells of `matrix` (row per configuration, column per
+/// source) in place from s_max co-catchment frequency. Two imputation
+/// passes run so that a cell can be filled from a value the first pass
+/// produced; cells that remain missing (e.g. s_max unobserved in the same
+/// configurations) stay kNoCatchment8. The deploy's commit stage writes
+/// each observed cell as its configuration commits and imputes once after
+/// the last.
 void impute_missing(CatchmentStore& matrix);
 
 }  // namespace spooftrack::measure

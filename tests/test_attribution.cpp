@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.hpp"
+
 namespace spooftrack::core {
 namespace {
 
@@ -43,10 +45,10 @@ TEST(TrafficBySize, SizeMismatchThrows) {
 TEST(AttributeClusters, RanksTrueClusterFirst) {
   // Two configs, three sources in three singleton clusters.
   // Source 1 is the attacker: volumes concentrate on its catchment link.
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 1, 1},
       {0, 0, 1},
-  };
+  });
   const auto clustering = make_clustering({0, 1, 2}, 3);
   // Observed per-link volumes: all traffic follows source 1's trajectory
   // (link 1 in config 0, link 0 in config 1).
@@ -64,9 +66,9 @@ TEST(AttributeClusters, RanksTrueClusterFirst) {
 TEST(AttributeClusters, SharedTrajectoryTies) {
   // Sources 0 and 1 always share catchments -> same cluster; the cluster's
   // score uses one representative and is well-defined.
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 0, 1},
-  };
+  });
   const auto clustering = cluster_sources(matrix);
   ASSERT_EQ(clustering.cluster_count, 2u);
   const std::vector<std::vector<double>> volumes = {{0.9, 0.1}};
@@ -75,16 +77,16 @@ TEST(AttributeClusters, SharedTrajectoryTies) {
 }
 
 TEST(AttributeClusters, ConfigCountMismatchThrows) {
-  measure::CatchmentMatrix matrix = {{0, 1}};
+  const auto matrix = test::store_of({{0, 1}});
   const auto clustering = make_clustering({0, 1}, 2);
   EXPECT_THROW(attribute_clusters(matrix, clustering, {}),
                std::invalid_argument);
 }
 
 TEST(AttributeClusters, MissingCatchmentPenalised) {
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, bgp::kNoCatchment},
-  };
+  });
   const auto clustering = make_clustering({0, 1}, 2);
   const std::vector<std::vector<double>> volumes = {{1.0, 0.0}};
   const auto result = attribute_clusters(matrix, clustering, volumes);
@@ -94,11 +96,11 @@ TEST(AttributeClusters, MissingCatchmentPenalised) {
 TEST(AttributeMixture, RecoversTwoSourceDecomposition) {
   // Three singleton clusters with distinguishable trajectories; clusters 0
   // and 2 emit 70% / 30% of the traffic.
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 1, 1},
       {0, 0, 1},
       {1, 0, 0},
-  };
+  });
   const auto clustering = make_clustering({0, 1, 2}, 3);
   // Observed volumes = 0.7 * trajectory(cluster0) + 0.3 * trajectory(c2).
   const std::vector<std::vector<double>> volumes = {
@@ -118,10 +120,10 @@ TEST(AttributeMixture, RecoversTwoSourceDecomposition) {
 TEST(AttributeMixture, InnocentClustersGetNoWeight) {
   // Cluster 1's trajectory hits a zero-volume link in config 1, so its
   // consistent weight is zero.
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 1},
       {0, 1},
-  };
+  });
   const auto clustering = make_clustering({0, 1}, 2);
   const std::vector<std::vector<double>> volumes = {
       {1.0, 0.0},
@@ -134,9 +136,9 @@ TEST(AttributeMixture, InnocentClustersGetNoWeight) {
 }
 
 TEST(AttributeMixture, MinWeightAndComponentCaps) {
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 1, 1},
-  };
+  });
   const auto clustering = make_clustering({0, 1, 2}, 3);
   const std::vector<std::vector<double>> volumes = {{0.9, 0.1}};
   // With a high threshold only the dominant component survives.
@@ -149,9 +151,9 @@ TEST(AttributeMixture, MinWeightAndComponentCaps) {
 }
 
 TEST(AttributeMixture, VolumesNeedNotBeNormalised) {
-  measure::CatchmentMatrix matrix = {
+  const auto matrix = test::store_of({
       {0, 1},
-  };
+  });
   const auto clustering = make_clustering({0, 1}, 2);
   // Raw packet counts instead of fractions.
   const std::vector<std::vector<double>> volumes = {{300.0, 100.0}};
@@ -163,7 +165,7 @@ TEST(AttributeMixture, VolumesNeedNotBeNormalised) {
 
 TEST(AttributeMixture, MismatchThrows) {
   const auto clustering = make_clustering({0}, 1);
-  measure::CatchmentMatrix matrix = {{0}};
+  const auto matrix = test::store_of({{0}});
   EXPECT_THROW(attribute_mixture(matrix, clustering, {}),
                std::invalid_argument);
 }

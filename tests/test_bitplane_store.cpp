@@ -1,8 +1,9 @@
-// Equivalence suite for the bit-sliced analysis kernels (ISSUE 9): the
-// BitplaneStore mirror and every kernel running on it — plane-partition
-// refinement, the bitplane greedy scheduler, the tiled column gather —
-// must be bit-identical to the byte-store algorithms, for every worker
-// count and for both SIMD dispatch paths.
+// Equivalence suite for the bit-sliced analysis kernels: the BitplaneStore
+// mirror and every kernel running on it — plane-partition refinement, the
+// bitplane greedy scheduler, the tiled column gather — must be
+// bit-identical to the byte-store refine, the reference greedy in
+// oracles.hpp and plain cell reads, for every worker count and for both
+// SIMD dispatch paths.
 #include "measure/bitplane_store.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
 #include "measure/catchment_store.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -337,49 +339,29 @@ TEST_P(SimdLevels, CountAfterMatchesStampReference) {
 TEST_P(SimdLevels, GreedyKernelsAgreeForAllWorkerCounts) {
   for (const std::size_t sources : {29u, 100u}) {
     const auto store = random_store(24, sources, 1000 + sources);
-    const auto reference =
-        core::greedy_schedule(store, 0, 1, core::GreedyKernel::kByte);
+    const auto reference = test::legacy_greedy(test::rows_of(store), 0);
     for (const std::size_t workers : {1u, 2u, 8u}) {
-      for (const auto kernel :
-           {core::GreedyKernel::kBitplane, core::GreedyKernel::kByte}) {
-        const auto trace = core::greedy_schedule(store, 0, workers, kernel);
-        ASSERT_EQ(trace.order, reference.order)
-            << "sources=" << sources << " workers=" << workers;
-        ASSERT_EQ(trace.mean_cluster_size, reference.mean_cluster_size)
-            << "sources=" << sources << " workers=" << workers;
-      }
+      const auto trace = core::greedy_schedule(store, 0, workers);
+      ASSERT_EQ(trace.order, reference.order)
+          << "sources=" << sources << " workers=" << workers;
+      ASSERT_EQ(trace.mean_cluster_size, reference.mean_cluster_size)
+          << "sources=" << sources << " workers=" << workers;
     }
   }
 }
 
-TEST(BitplaneKernels, GreedyDefaultsToBitplaneKernel) {
-  const auto store = random_store(12, 40, 4242);
-  const auto defaulted = core::greedy_schedule(store);
-  const auto bitplane =
-      core::greedy_schedule(store, 0, 0, core::GreedyKernel::kBitplane);
-  EXPECT_EQ(defaulted.order, bitplane.order);
-}
-
 // --- Column gather --------------------------------------------------------
 
-TEST(ColumnGather, MatchesStridedColumnView) {
+TEST(ColumnGather, MatchesStridedCells) {
   const auto store = full_range_store(37, 90, 9);
   std::vector<std::uint32_t> columns = {0, 1, 17, 63, 64, 89, 42};
   std::vector<std::uint8_t> gathered(columns.size() * store.configs());
   store.gather_columns(columns, gathered.data());
   for (std::size_t j = 0; j < columns.size(); ++j) {
-    const auto view = store.column(columns[j]);
     for (std::size_t c = 0; c < store.configs(); ++c) {
-      ASSERT_EQ(gathered[j * store.configs() + c], view[c])
+      ASSERT_EQ(gathered[j * store.configs() + c], store.cell(c, columns[j]))
           << "column " << columns[j] << " config " << c;
     }
-  }
-
-  std::vector<std::uint8_t> single(store.configs());
-  store.gather_column(17, single.data());
-  const auto view = store.column(17);
-  for (std::size_t c = 0; c < store.configs(); ++c) {
-    ASSERT_EQ(single[c], view[c]);
   }
 }
 

@@ -1,11 +1,10 @@
-// Equivalence suite for the columnar CatchmentStore (ISSUE 4): the store
-// and the parallel greedy scheduler must be bit-identical to the legacy
-// nested-vector algorithms they replaced. The legacy references below
-// reimplement the pre-columnar code paths faithfully (same epoch-stamped
-// buckets, same first-touch dense ids, same lowest-index-max tie break,
-// same floating-point attribution arithmetic) so any divergence in the
-// store, the singleton fast paths, or the deterministic parallel reduction
-// fails loudly here.
+// Equivalence suite for the columnar CatchmentStore: the store and the
+// parallel greedy scheduler must be bit-identical to the plain reference
+// algorithms in oracles.hpp (same epoch-stamped buckets, same first-touch
+// dense ids, same lowest-index-max tie break) and to the nested-row
+// attribution reference below (same floating-point arithmetic), so any
+// divergence in the store, the singleton fast paths, or the deterministic
+// parallel reduction fails loudly here.
 #include "measure/catchment_store.hpp"
 
 #include <gtest/gtest.h>
@@ -23,103 +22,17 @@
 #include "core/cluster_slots.hpp"
 #include "core/io.hpp"
 #include "core/scheduler.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack {
 namespace {
 
-// --- Legacy reference implementations (pre-columnar algorithms) -----------
-
-std::size_t legacy_slot(bgp::LinkId link) {
-  return link == bgp::kNoCatchment ? core::kMissingSlot
-                                   : static_cast<std::size_t>(link);
-}
-
-/// Pre-refactor incremental refinement over u32 nested-vector rows.
-class LegacyTracker {
- public:
-  explicit LegacyTracker(std::size_t sources)
-      : cluster_of_(sources, 0),
-        cluster_count_(sources == 0 ? 0 : 1),
-        keys_(std::max<std::size_t>(1, sources) * core::kSlots, 0),
-        order_(keys_.size(), 0) {}
-
-  std::uint32_t refine(const std::vector<bgp::LinkId>& row) {
-    ++epoch_;
-    std::uint32_t next_id = 0;
-    for (std::size_t s = 0; s < cluster_of_.size(); ++s) {
-      const std::size_t key =
-          static_cast<std::size_t>(cluster_of_[s]) * core::kSlots +
-          legacy_slot(row[s]);
-      if (keys_[key] != epoch_) {
-        keys_[key] = epoch_;
-        order_[key] = next_id++;
-      }
-      cluster_of_[s] = order_[key];
-    }
-    cluster_count_ = next_id;
-    return next_id;
-  }
-
-  std::uint32_t count_after(const std::vector<bgp::LinkId>& row) {
-    ++epoch_;
-    std::uint32_t count = 0;
-    for (std::size_t s = 0; s < cluster_of_.size(); ++s) {
-      const std::size_t key =
-          static_cast<std::size_t>(cluster_of_[s]) * core::kSlots +
-          legacy_slot(row[s]);
-      if (keys_[key] != epoch_) {
-        keys_[key] = epoch_;
-        ++count;
-      }
-    }
-    return count;
-  }
-
-  const std::vector<std::uint32_t>& cluster_of() const { return cluster_of_; }
-  std::uint32_t cluster_count() const { return cluster_count_; }
-
- private:
-  std::vector<std::uint32_t> cluster_of_;
-  std::uint32_t cluster_count_ = 0;
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> order_;
-  std::uint64_t epoch_ = 0;
-};
-
-/// Pre-refactor serial greedy schedule: scan every remaining config, pick
-/// the max refined cluster count, lowest index on ties.
-std::vector<std::size_t> legacy_greedy(const measure::CatchmentMatrix& matrix,
-                                       std::size_t steps) {
-  const std::size_t sources = matrix.empty() ? 0 : matrix.front().size();
-  LegacyTracker tracker(sources);
-  std::vector<bool> used(matrix.size(), false);
-  std::vector<std::size_t> order;
-  const std::size_t horizon =
-      steps == 0 ? matrix.size() : std::min(steps, matrix.size());
-  for (std::size_t k = 0; k < horizon; ++k) {
-    std::size_t best = matrix.size();
-    std::uint32_t best_count = 0;
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      if (used[i]) continue;
-      const std::uint32_t count = tracker.count_after(matrix[i]);
-      if (best == matrix.size() || count > best_count) {
-        best = i;
-        best_count = count;
-      }
-    }
-    if (best == matrix.size()) break;
-    used[best] = true;
-    tracker.refine(matrix[best]);
-    order.push_back(best);
-  }
-  return order;
-}
-
-/// Pre-refactor attribution scores over nested-vector trajectories: same
-/// arithmetic, same iteration order, so rankings must match bit-for-bit.
+/// Attribution scores over nested LinkId trajectories: the store path's
+/// arithmetic in the same iteration order, so rankings must match
+/// bit-for-bit.
 std::vector<std::uint32_t> legacy_attribution_ranking(
-    const measure::CatchmentMatrix& matrix,
+    const test::LinkRows& matrix,
     const std::vector<std::uint32_t>& cluster_of, std::uint32_t cluster_count,
     const std::vector<std::vector<double>>& link_volume_per_config) {
   constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
@@ -160,39 +73,8 @@ std::vector<std::uint32_t> legacy_attribution_ranking(
 
 constexpr std::uint32_t kLinkCount = 7;
 
-/// Deterministic randomized matrix: hidden source groups plus flip/missing
-/// noise, so refinement splits clusters gradually (the regime greedy
-/// scheduling actually runs in) instead of saturating on the first row.
-measure::CatchmentMatrix random_matrix(std::size_t configs,
-                                       std::size_t sources,
-                                       std::uint64_t seed) {
-  util::Rng rng(seed ^ 0xCA7C);
-  const std::size_t groups = std::max<std::size_t>(4, sources / 5);
-  std::vector<std::size_t> group_of(sources);
-  for (auto& g : group_of) g = rng.next_below(groups);
-
-  measure::CatchmentMatrix matrix(configs);
-  std::vector<bgp::LinkId> prototype(groups);
-  for (auto& row : matrix) {
-    for (auto& p : prototype) {
-      p = static_cast<bgp::LinkId>(rng.next_below(kLinkCount));
-    }
-    row.resize(sources);
-    for (std::size_t s = 0; s < sources; ++s) {
-      if (rng.chance(0.03)) {
-        row[s] = bgp::kNoCatchment;
-      } else if (rng.chance(0.03)) {
-        row[s] = static_cast<bgp::LinkId>(rng.next_below(kLinkCount));
-      } else {
-        row[s] = prototype[group_of[s]];
-      }
-    }
-  }
-  return matrix;
-}
-
-std::vector<std::vector<double>> random_volumes(
-    const measure::CatchmentMatrix& matrix, std::uint64_t seed) {
+std::vector<std::vector<double>> random_volumes(const test::LinkRows& matrix,
+                                               std::uint64_t seed) {
   util::Rng rng(seed ^ 0xB01);
   const std::size_t sources = matrix.empty() ? 0 : matrix.front().size();
   std::vector<double> volume(sources);
@@ -230,19 +112,15 @@ TEST(CatchmentStore, EncodeThrowsOutOfRange) {
 }
 
 TEST(CatchmentStore, ConstructionValidates) {
-  EXPECT_THROW(measure::CatchmentStore(measure::CatchmentMatrix{{0, 1}, {2}}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      measure::CatchmentStore(measure::CatchmentMatrix{{0, 62, 1}}),
-      std::out_of_range);
-  EXPECT_NO_THROW(measure::CatchmentStore(
-      measure::CatchmentMatrix{{0, 61, bgp::kNoCatchment}}));
+  EXPECT_THROW(test::store_of({{0, 1}, {2}}), std::invalid_argument);
+  EXPECT_THROW(test::store_of({{0, 62, 1}}), std::out_of_range);
+  EXPECT_NO_THROW(test::store_of({{0, 61, bgp::kNoCatchment}}));
 }
 
 TEST(CatchmentStore, ViewsMatchLegacyLayout) {
-  const measure::CatchmentMatrix legacy =
-      random_matrix(/*configs=*/13, /*sources=*/29, /*seed=*/7);
-  const measure::CatchmentStore store(legacy);
+  const test::LinkRows legacy =
+      test::random_matrix(/*configs=*/13, /*sources=*/29, /*seed=*/7);
+  const measure::CatchmentStore store = test::store_of(legacy);
   ASSERT_EQ(store.configs(), legacy.size());
   ASSERT_EQ(store.sources(), legacy.front().size());
   EXPECT_EQ(store.size_bytes(), legacy.size() * legacy.front().size());
@@ -254,23 +132,33 @@ TEST(CatchmentStore, ViewsMatchLegacyLayout) {
       EXPECT_EQ(measure::CatchmentStore::decode(row[s]), legacy[c][s]);
     }
   }
+  std::vector<std::uint32_t> all(store.sources());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<std::uint8_t> columns(store.sources() * store.configs());
+  store.gather_columns(all, columns.data());
   for (std::size_t s = 0; s < store.sources(); ++s) {
-    const auto column = store.column(s);
-    ASSERT_EQ(column.size(), store.configs());
     for (std::size_t c = 0; c < store.configs(); ++c) {
-      EXPECT_EQ(measure::CatchmentStore::decode(column[c]), legacy[c][s]);
+      EXPECT_EQ(measure::CatchmentStore::decode(
+                    columns[s * store.configs() + c]),
+                legacy[c][s]);
     }
   }
-  EXPECT_EQ(store.to_rows(), legacy);
+  EXPECT_EQ(test::rows_of(store), legacy);
 }
 
 TEST(CatchmentStore, AppendRowMatchesConversion) {
-  const measure::CatchmentMatrix legacy = random_matrix(6, 17, 21);
-  measure::CatchmentStore incremental;
+  // LinkId rows and their encoded cells append to the same store.
+  const test::LinkRows legacy = test::random_matrix(6, 17, 21);
+  measure::CatchmentStore incremental = test::store_of(legacy);
+  measure::CatchmentStore encoded;
   for (const auto& row : legacy) {
-    incremental.append_row(std::span<const bgp::LinkId>(row));
+    std::vector<std::uint8_t> cells;
+    for (bgp::LinkId link : row) {
+      cells.push_back(measure::CatchmentStore::encode(link));
+    }
+    encoded.append_row(std::span<const std::uint8_t>(cells));
   }
-  EXPECT_EQ(incremental, measure::CatchmentStore(legacy));
+  EXPECT_EQ(incremental, encoded);
 
   // Later rows must match the column count fixed by the first.
   EXPECT_THROW(incremental.append_row(std::span<const bgp::LinkId>(
@@ -283,9 +171,11 @@ TEST(CatchmentStore, ArtifactRoundTripPreservesMatrix) {
   artifact.seed = 11;
   artifact.as_count = 40;
   artifact.link_count = kLinkCount;
+  artifact.configs.resize(2);  // one per matrix row
+  artifact.configs[0].label = "first";
+  artifact.configs[1].label = "second";
   artifact.sources = {3, 9, 12};
-  artifact.matrix =
-      measure::CatchmentMatrix{{0, 1, bgp::kNoCatchment}, {2, 2, 0}};
+  artifact.matrix = test::store_of({{0, 1, bgp::kNoCatchment}, {2, 2, 0}});
   artifact.source_distance = {1, 2, 3};
 
   std::stringstream buffer;
@@ -299,37 +189,31 @@ TEST(CatchmentStore, ArtifactRoundTripPreservesMatrix) {
 
 TEST(ClusterSlots, TrackerThrowsOnOutOfRangeLink) {
   core::ClusterTracker tracker(3);
-  const std::vector<bgp::LinkId> bad = {0, bgp::kMaxCatchmentLinks, 1};
-  EXPECT_THROW(tracker.refine(std::span<const bgp::LinkId>(bad)),
-               std::out_of_range);
-
   const std::vector<std::uint8_t> bad_cells = {0, 62, 1};
   EXPECT_THROW(tracker.refine(std::span<const std::uint8_t>(bad_cells)),
                std::out_of_range);
 
-  // The missing sentinel is in range for both cell widths.
+  // The missing sentinel is in range.
   const std::vector<std::uint8_t> ok = {0, bgp::kNoCatchment8, 1};
   EXPECT_NO_THROW(tracker.refine(std::span<const std::uint8_t>(ok)));
 }
 
 TEST(ClusterSlots, SlotOfThrowsOnOutOfRange) {
-  EXPECT_EQ(core::slot_of(bgp::kNoCatchment), core::kMissingSlot);
   EXPECT_EQ(core::slot_of(std::uint8_t{bgp::kNoCatchment8}),
             core::kMissingSlot);
-  EXPECT_EQ(core::slot_of(bgp::LinkId{61}), 61u);
-  EXPECT_THROW(core::slot_of(bgp::LinkId{62}), std::out_of_range);
+  EXPECT_EQ(core::slot_of(std::uint8_t{61}), 61u);
   EXPECT_THROW(core::slot_of(std::uint8_t{62}), std::out_of_range);
   EXPECT_THROW(core::slot_of(std::uint8_t{0xFE}), std::out_of_range);
 }
 
-// --- Randomized equivalence: store vs legacy algorithms -------------------
+// --- Randomized equivalence: store vs reference algorithms ----------------
 
 TEST(StoreEquivalence, ClusteringMatchesLegacyReference) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    const auto legacy_matrix = random_matrix(40, 200, seed);
-    const measure::CatchmentStore store(legacy_matrix);
+    const auto legacy_matrix = test::random_matrix(40, 200, seed);
+    const measure::CatchmentStore store = test::store_of(legacy_matrix);
 
-    LegacyTracker legacy(200);
+    test::LegacyTracker legacy(200);
     for (const auto& row : legacy_matrix) legacy.refine(row);
     const core::Clustering clustering = core::cluster_sources(store);
 
@@ -341,20 +225,22 @@ TEST(StoreEquivalence, ClusteringMatchesLegacyReference) {
 
 TEST(StoreEquivalence, GreedyOrderMatchesLegacyReference) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto legacy_matrix = random_matrix(60, 150, seed);
-    const measure::CatchmentStore store(legacy_matrix);
+    const auto legacy_matrix = test::random_matrix(60, 150, seed);
+    const measure::CatchmentStore store = test::store_of(legacy_matrix);
 
-    const auto legacy_order = legacy_greedy(legacy_matrix, /*steps=*/0);
+    const auto legacy = test::legacy_greedy(legacy_matrix, /*steps=*/0);
     const auto trace = core::greedy_schedule(store, /*steps=*/0,
                                              /*workers=*/1);
-    EXPECT_EQ(trace.order, legacy_order) << "seed " << seed;
+    EXPECT_EQ(trace.order, legacy.order) << "seed " << seed;
+    EXPECT_EQ(trace.mean_cluster_size, legacy.mean_cluster_size)
+        << "seed " << seed;
   }
 }
 
 TEST(StoreEquivalence, ParallelGreedyMatchesSerial) {
   for (std::uint64_t seed : {1u, 2u}) {
-    const auto legacy_matrix = random_matrix(50, 180, seed);
-    const measure::CatchmentStore store(legacy_matrix);
+    const measure::CatchmentStore store =
+        test::store_of(test::random_matrix(50, 180, seed));
 
     const auto serial = core::greedy_schedule(store, 0, /*workers=*/1);
     for (std::size_t workers : {2u, 8u}) {
@@ -369,8 +255,8 @@ TEST(StoreEquivalence, ParallelGreedyMatchesSerial) {
 
 TEST(StoreEquivalence, AttributionRankingMatchesLegacyReference) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto legacy_matrix = random_matrix(30, 120, seed);
-    const measure::CatchmentStore store(legacy_matrix);
+    const auto legacy_matrix = test::random_matrix(30, 120, seed);
+    const measure::CatchmentStore store = test::store_of(legacy_matrix);
     const auto volumes = random_volumes(legacy_matrix, seed);
 
     const core::Clustering clustering = core::cluster_sources(store);

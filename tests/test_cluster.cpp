@@ -4,12 +4,16 @@
 
 #include <numeric>
 
+#include "oracles.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::core {
 namespace {
 
-constexpr bgp::LinkId kMissing = bgp::kNoCatchment;
+constexpr std::uint8_t kMissing = bgp::kNoCatchment8;
+
+/// One configuration's encoded catchment row (CatchmentStore cells).
+using Row = std::vector<std::uint8_t>;
 
 TEST(ClusterTracker, StartsWithSingleCluster) {
   ClusterTracker tracker(5);
@@ -19,7 +23,7 @@ TEST(ClusterTracker, StartsWithSingleCluster) {
 
 TEST(ClusterTracker, SplitsOnCatchmentBoundaries) {
   ClusterTracker tracker(6);
-  const std::vector<bgp::LinkId> row = {0, 0, 1, 1, 2, 2};
+  const Row row = {0, 0, 1, 1, 2, 2};
   EXPECT_EQ(tracker.refine(row), 3u);
   const auto sizes = tracker.current().sizes();
   EXPECT_EQ(sizes, (std::vector<std::uint32_t>{2, 2, 2}));
@@ -28,31 +32,31 @@ TEST(ClusterTracker, SplitsOnCatchmentBoundaries) {
 TEST(ClusterTracker, NoSplitWhenCatchmentCoversCluster) {
   // "we do not split kappa if kappa intersect alpha = kappa"
   ClusterTracker tracker(4);
-  tracker.refine(std::vector<bgp::LinkId>{0, 0, 1, 1});
+  tracker.refine(Row{0, 0, 1, 1});
   EXPECT_EQ(tracker.cluster_count(), 2u);
   // A row that does not separate anything further keeps the partition.
-  tracker.refine(std::vector<bgp::LinkId>{3, 3, 5, 5});
+  tracker.refine(Row{3, 3, 5, 5});
   EXPECT_EQ(tracker.cluster_count(), 2u);
 }
 
 TEST(ClusterTracker, SuccessiveRefinementIntersects) {
   ClusterTracker tracker(4);
-  tracker.refine(std::vector<bgp::LinkId>{0, 0, 1, 1});
-  tracker.refine(std::vector<bgp::LinkId>{0, 1, 0, 1});
+  tracker.refine(Row{0, 0, 1, 1});
+  tracker.refine(Row{0, 1, 0, 1});
   EXPECT_EQ(tracker.cluster_count(), 4u);
   EXPECT_DOUBLE_EQ(tracker.mean_cluster_size(), 1.0);
 }
 
 TEST(ClusterTracker, MissingCatchmentIsItsOwnBucket) {
   ClusterTracker tracker(3);
-  tracker.refine(std::vector<bgp::LinkId>{0, kMissing, 0});
+  tracker.refine(Row{0, kMissing, 0});
   EXPECT_EQ(tracker.cluster_count(), 2u);
 }
 
 TEST(ClusterTracker, OrderInvariantFinalPartition) {
   // The final clustering is the intersection over all rows, so row order
   // must not matter.
-  const std::vector<std::vector<bgp::LinkId>> rows = {
+  const std::vector<Row> rows = {
       {0, 0, 1, 1, 2, 2, 0, 1},
       {0, 1, 1, 0, 2, 0, 0, 1},
       {2, 2, 2, 2, 2, 2, 0, 0},
@@ -73,20 +77,20 @@ TEST(ClusterTracker, OrderInvariantFinalPartition) {
 
 TEST(ClusterTracker, RowSizeMismatchThrows) {
   ClusterTracker tracker(3);
-  EXPECT_THROW(tracker.refine(std::vector<bgp::LinkId>{0, 1}),
+  EXPECT_THROW(tracker.refine(Row{0, 1}),
                std::invalid_argument);
 }
 
 TEST(ClusterTracker, EmptySourceSet) {
   ClusterTracker tracker(0);
   EXPECT_EQ(tracker.cluster_count(), 0u);
-  EXPECT_EQ(tracker.refine(std::vector<bgp::LinkId>{}), 0u);
+  EXPECT_EQ(tracker.refine(Row{}), 0u);
   EXPECT_DOUBLE_EQ(tracker.mean_cluster_size(), 0.0);
 }
 
 TEST(Clustering, MembersConsistentWithSizes) {
   ClusterTracker tracker(5);
-  tracker.refine(std::vector<bgp::LinkId>{0, 1, 0, 1, 2});
+  tracker.refine(Row{0, 1, 0, 1, 2});
   const auto& clustering = tracker.current();
   const auto members = clustering.members();
   const auto sizes = clustering.sizes();
@@ -100,10 +104,10 @@ TEST(Clustering, MembersConsistentWithSizes) {
 }
 
 TEST(ClusterSources, MatrixConvenienceMatchesTracker) {
-  const std::vector<std::vector<bgp::LinkId>> matrix = {
+  const auto matrix = test::store_of({
       {0, 0, 1, 1},
       {0, 1, 0, 1},
-  };
+  });
   const auto clustering = cluster_sources(matrix);
   EXPECT_EQ(clustering.cluster_count, 4u);
 }
@@ -116,9 +120,9 @@ TEST(ClusterTracker, ManyRandomRefinementsStayConsistent) {
   ClusterTracker tracker(sources);
   std::uint32_t last = 1;
   for (int round = 0; round < 50; ++round) {
-    std::vector<bgp::LinkId> row(sources);
+    Row row(sources);
     for (auto& cell : row) {
-      cell = static_cast<bgp::LinkId>(rng.next_below(4));
+      cell = static_cast<std::uint8_t>(rng.next_below(4));
     }
     const std::uint32_t count = tracker.refine(row);
     EXPECT_GE(count, last);

@@ -148,10 +148,12 @@ TEST(FeedFaults, DegradeDropsAndTruncatesMonotonically) {
 
   std::uint32_t lo_faults = 0;
   std::uint32_t hi_faults = 0;
-  const auto lo = measure::FeedSimulator::degrade(
-      clean, FaultInjector(lo_plan), 3, kOrigin, &lo_faults);
-  const auto hi = measure::FeedSimulator::degrade(
-      clean, FaultInjector(hi_plan), 3, kOrigin, &hi_faults);
+  std::vector<measure::FeedEntry> lo;
+  std::vector<measure::FeedEntry> hi;
+  measure::FeedSimulator::degrade_into(clean, FaultInjector(lo_plan), 3,
+                                       kOrigin, &lo_faults, lo);
+  measure::FeedSimulator::degrade_into(clean, FaultInjector(hi_plan), 3,
+                                       kOrigin, &hi_faults, hi);
 
   EXPECT_LT(lo_faults, hi_faults);
   EXPECT_GT(lo_faults, 0u);
@@ -194,8 +196,9 @@ TEST(FeedFaults, DisabledDegradeReturnsInputVerbatim) {
     clean.push_back(entry(peer, {1000 + peer, kOrigin}));
   }
   std::uint32_t faulted = 0;
-  const auto out = measure::FeedSimulator::degrade(clean, FaultInjector{}, 0,
-                                                   kOrigin, &faulted);
+  std::vector<measure::FeedEntry> out;
+  measure::FeedSimulator::degrade_into(clean, FaultInjector{}, 0, kOrigin,
+                                       &faulted, out);
   EXPECT_EQ(faulted, 0u);
   ASSERT_EQ(out.size(), clean.size());
   for (std::size_t i = 0; i < out.size(); ++i) {

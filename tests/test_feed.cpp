@@ -54,7 +54,8 @@ TEST_F(FeedTest, EntriesExportFullPaths) {
   const FeedSimulator sim(graph_, options);
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
-  const auto entries = sim.collect(outcome);
+  std::vector<FeedEntry> entries;
+  sim.collect_into(outcome, entries);
   // Everyone except the (routeless) origin contributes an entry.
   EXPECT_EQ(entries.size(), graph_.size() - 1);
   for (const auto& entry : entries) {
@@ -71,7 +72,8 @@ TEST_F(FeedTest, PrependVisibleInFeed) {
   bgp::Configuration config;
   config.announcements.push_back({0, 4, {}});
   const auto outcome = engine_.run(origin_, config);
-  const auto entries = sim.collect(outcome);
+  std::vector<FeedEntry> entries;
+  sim.collect_into(outcome, entries);
   // p1's entry shows the origin prepended five times.
   for (const auto& entry : entries) {
     if (graph_.asn_of(entry.peer) == test::kP1) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/experiment.hpp"
+#include "oracles.hpp"
 
 namespace spooftrack::core {
 namespace {
@@ -36,8 +38,7 @@ DeploymentArtifact sample_artifact() {
   stats.best_relationship = 88;
   stats.both_criteria = 80;
   artifact.compliance = {stats, stats};
-  artifact.matrix = measure::CatchmentMatrix{{0, 1, bgp::kNoCatchment},
-                                             {2, 2, 0}};
+  artifact.matrix = test::store_of({{0, 1, bgp::kNoCatchment}, {2, 2, 0}});
   return artifact;
 }
 
@@ -127,6 +128,45 @@ TEST(ArtifactIo, EmptyArtifactRoundTrips) {
   save_artifact(empty, buffer);
   const auto reloaded = load_artifact(buffer);
   EXPECT_EQ(reloaded, empty);
+}
+
+/// Saves `artifact` — well-formed bytes, matching checksum — and requires
+/// that loading rejects it for naming `part` as disagreeing in shape.
+void expect_shape_rejected(const DeploymentArtifact& artifact,
+                           const std::string& part) {
+  std::stringstream buffer;
+  save_artifact(artifact, buffer);
+  try {
+    load_artifact(buffer);
+    ADD_FAILURE() << "loaded an artifact whose " << part << " disagrees";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ArtifactIo, RejectsMatrixRowsNotMatchingConfigs) {
+  auto artifact = sample_artifact();
+  artifact.matrix.assign(3, artifact.sources.size());
+  expect_shape_rejected(artifact, "matrix row count");
+}
+
+TEST(ArtifactIo, RejectsMatrixColumnsNotMatchingSources) {
+  auto artifact = sample_artifact();
+  artifact.matrix.assign(artifact.configs.size(), 4);
+  expect_shape_rejected(artifact, "matrix column count");
+}
+
+TEST(ArtifactIo, RejectsDistancesNotMatchingSources) {
+  auto artifact = sample_artifact();
+  artifact.source_distance.resize(2);
+  expect_shape_rejected(artifact, "source distance count");
+}
+
+TEST(ArtifactIo, RejectsComplianceNotMatchingConfigs) {
+  auto artifact = sample_artifact();
+  artifact.compliance.resize(1);
+  expect_shape_rejected(artifact, "compliance entry count");
 }
 
 TEST(ArtifactIo, MakeArtifactFromDeployment) {

@@ -1,13 +1,13 @@
-// Pinned equivalence of the parallel measurement driver: for any worker
-// count, MeasurementDriver must produce byte-identical InferenceResults,
-// equal to a straightforward serial composition of the pipeline stages
-// (feed collect -> per-round traceroutes -> repair -> inference). Mirrors
-// the scheduler equivalence pinning in test_catchment_store.cpp.
+// Pinned equivalence of MeasurementDriver::measure_one: per configuration
+// it must produce byte-identical InferenceResults equal to a
+// straightforward serial composition of the pipeline stages (feed collect
+// -> per-round traceroutes -> repair -> inference), whatever the scratch it
+// runs on measured before. Worker-count invariance of the deploy that fans
+// measure_one out is pinned by MeasureDriverDeploy below and by the
+// PipelineEquivalence suite.
 #include "measure/driver.hpp"
 
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "core/experiment.hpp"
 #include "util/rng.hpp"
@@ -42,19 +42,22 @@ class MeasureDriverTest : public ::testing::Test {
 
   static constexpr std::uint32_t kRounds = 2;
 
-  std::vector<MeasurementTask> make_tasks(
+  /// One configuration's measurement inputs, as the deploy snapshots them.
+  struct Inputs {
+    std::vector<FeedEntry> feeds;
+    ProbePathSet paths;
+  };
+
+  std::vector<Inputs> snapshot(
       const std::vector<bgp::Configuration>& configs) const {
-    std::vector<MeasurementTask> tasks;
+    std::vector<Inputs> inputs(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       const auto outcome = testbed_.route(configs[i]);
-      tasks.push_back(
-          {i,
-           std::make_shared<const std::vector<FeedEntry>>(
-               feeds_.collect(outcome)),
-           std::make_shared<const ProbePathSet>(ProbePathSet::extract(
-               outcome, testbed_.probe_ases(), testbed_.origin_id()))});
+      feeds_.collect_into(outcome, inputs[i].feeds);
+      ProbePathSet::extract_into(outcome, testbed_.probe_ases(),
+                                 testbed_.origin_id(), inputs[i].paths);
     }
-    return tasks;
+    return inputs;
   }
 
   /// The pre-driver inline pipeline, verbatim: per config, feeds +
@@ -65,7 +68,8 @@ class MeasureDriverTest : public ::testing::Test {
     std::vector<InferenceResult> results(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       const auto outcome = testbed_.route(configs[i]);
-      const auto feed_entries = feeds_.collect(outcome);
+      std::vector<FeedEntry> feed_entries;
+      feeds_.collect_into(outcome, feed_entries);
       std::vector<Traceroute> traces;
       traces.reserve(testbed_.probe_ases().size() * kRounds);
       for (topology::AsId probe : testbed_.probe_ases()) {
@@ -80,13 +84,10 @@ class MeasureDriverTest : public ::testing::Test {
     return results;
   }
 
-  MeasurementDriver driver(std::size_t workers) const {
-    MeasurementDriverOptions options;
-    options.workers = workers;
-    options.traceroute_rounds = kRounds;
+  MeasurementDriver driver() const {
     return MeasurementDriver(tracer_, repair_, inference_,
                              testbed_.probe_ases(), testbed_.origin_id(),
-                             options);
+                             kRounds);
   }
 
   core::PeeringTestbed testbed_;
@@ -100,36 +101,50 @@ class MeasureDriverTest : public ::testing::Test {
 };
 
 TEST_F(MeasureDriverTest, MatchesSerialReferenceForAnyWorkerCount) {
+  // A worker measures whichever configurations the deploy hands it, in any
+  // order: forward and then reverse on one scratch must both reproduce the
+  // serial reference.
   auto configs = testbed_.generator().location_phase();
   configs.resize(5);
   const auto reference = serial_reference(configs);
-  const auto tasks = make_tasks(configs);
+  const auto inputs = snapshot(configs);
+  const MeasurementDriver measure = driver();
+  MeasurementDriver::Scratch scratch;
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const auto results = driver(workers).run(tasks);
-    ASSERT_EQ(results.size(), reference.size()) << "workers=" << workers;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], reference[i])
-          << "workers=" << workers << " config=" << i;
-    }
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(measure.measure_one(i, inputs[i].feeds, inputs[i].paths,
+                                  scratch),
+              reference[i])
+        << "forward, config=" << i;
+  }
+  for (std::size_t i = configs.size(); i-- > 0;) {
+    EXPECT_EQ(measure.measure_one(i, inputs[i].feeds, inputs[i].paths,
+                                  scratch),
+              reference[i])
+        << "reverse, config=" << i;
   }
 }
 
 TEST_F(MeasureDriverTest, ScratchReuseAcrossTasksIsInert) {
-  // The same task submitted twice through one worker slot must produce the
-  // same result both times: nothing may leak between a slot's tasks.
+  // The same configuration measured twice on one scratch, with another in
+  // between, must produce the same result both times: nothing may leak
+  // between a scratch's calls.
   auto configs = testbed_.generator().location_phase();
   configs.resize(2);
-  auto tasks = make_tasks(configs);
-  const std::size_t n = tasks.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    MeasurementTask copy = tasks[i];
-    tasks.push_back(std::move(copy));
+  const auto inputs = snapshot(configs);
+  const MeasurementDriver measure = driver();
+  MeasurementDriver::Scratch scratch;
+
+  std::vector<InferenceResult> first;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    first.push_back(
+        measure.measure_one(i, inputs[i].feeds, inputs[i].paths, scratch));
   }
-  const auto results = driver(1).run(tasks);
-  ASSERT_EQ(results.size(), 2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(results[i], results[n + i]) << "task " << i;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(
+        measure.measure_one(i, inputs[i].feeds, inputs[i].paths, scratch),
+        first[i])
+        << "config " << i;
   }
 }
 
@@ -139,30 +154,31 @@ TEST_F(MeasureDriverTest, SharedSnapshotsAcrossTasksStayIndependent) {
   // and a shared snapshot must never alias results.
   auto configs = testbed_.generator().location_phase();
   configs.resize(1);
-  auto tasks = make_tasks(configs);
-  MeasurementTask duplicate = tasks[0];
-  duplicate.config_index = 1;  // same outcome, different salt stream
-  tasks.push_back(duplicate);
+  const auto inputs = snapshot(configs);
+  const Inputs& shared = inputs[0];
+  const MeasurementDriver measure = driver();
+  MeasurementDriver::Scratch scratch;
 
-  const auto results = driver(2).run(tasks);
-  ASSERT_EQ(results.size(), 2u);
-  // Same snapshot, same pipeline: coverage statistics agree in
-  // distribution, and results for the *same* index are reproducible.
-  const auto again = driver(1).run(tasks);
-  EXPECT_EQ(results[0], again[0]);
-  EXPECT_EQ(results[1], again[1]);
-}
-
-TEST_F(MeasureDriverTest, EmptyTaskListYieldsNoResults) {
-  EXPECT_TRUE(driver(4).run({}).empty());
+  const auto a0 = measure.measure_one(0, shared.feeds, shared.paths, scratch);
+  const auto a1 = measure.measure_one(1, shared.feeds, shared.paths, scratch);
+  // Same snapshot, same pipeline: results for the *same* index are
+  // reproducible.
+  EXPECT_EQ(measure.measure_one(0, shared.feeds, shared.paths, scratch), a0);
+  EXPECT_EQ(measure.measure_one(1, shared.feeds, shared.paths, scratch), a1);
 }
 
 TEST_F(MeasureDriverTest, ProbePathSetMatchesForwardingPaths) {
+  // Rebuilding into a set that held another configuration's paths leaves
+  // nothing of them behind.
   auto configs = testbed_.generator().location_phase();
-  configs.resize(1);
+  configs.resize(2);
   const auto outcome = testbed_.route(configs[0]);
-  const auto set = ProbePathSet::extract(outcome, testbed_.probe_ases(),
-                                         testbed_.origin_id());
+  ProbePathSet set;
+  ProbePathSet::extract_into(testbed_.route(configs[1]),
+                             testbed_.probe_ases(), testbed_.origin_id(),
+                             set);
+  ProbePathSet::extract_into(outcome, testbed_.probe_ases(),
+                             testbed_.origin_id(), set);
   ASSERT_EQ(set.offsets.size(), testbed_.probe_ases().size() + 1);
   for (std::size_t p = 0; p < testbed_.probe_ases().size(); ++p) {
     const auto expect = bgp::forwarding_path(

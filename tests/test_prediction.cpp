@@ -10,6 +10,9 @@
 namespace spooftrack::core {
 namespace {
 
+/// One configuration's encoded catchment row (CatchmentStore cells).
+using Row = std::vector<std::uint8_t>;
+
 ConfigDescriptor descriptor(std::uint32_t active, std::uint32_t prepended = 0) {
   ConfigDescriptor d;
   d.active_mask = active;
@@ -37,8 +40,8 @@ TEST(Predictor, UnseenSourceIsUnpredictable) {
 TEST(Predictor, LearnsTotalOrderFromObservations) {
   CatchmentPredictor predictor(1, 3);
   // Source prefers link 0 > link 1 > link 2.
-  predictor.observe(descriptor(0b111), std::vector<bgp::LinkId>{0});
-  predictor.observe(descriptor(0b110), std::vector<bgp::LinkId>{1});
+  predictor.observe(descriptor(0b111), Row{0});
+  predictor.observe(descriptor(0b110), Row{1});
   EXPECT_EQ(predictor.predict(descriptor(0b111), 0), 0u);
   EXPECT_EQ(predictor.predict(descriptor(0b110), 0), 1u);
   EXPECT_EQ(predictor.predict(descriptor(0b100), 0), 2u);
@@ -47,7 +50,7 @@ TEST(Predictor, LearnsTotalOrderFromObservations) {
 
 TEST(Predictor, PrependedLinksAreDemoted) {
   CatchmentPredictor predictor(1, 2);
-  predictor.observe(descriptor(0b11), std::vector<bgp::LinkId>{0});
+  predictor.observe(descriptor(0b11), Row{0});
   // Prepending the preferred link 0 demotes it behind link 1.
   EXPECT_EQ(predictor.predict(descriptor(0b11, 0b01), 0), 1u);
   // Unless the source's history shows link 0 dominates... it doesn't
@@ -61,25 +64,24 @@ TEST(Predictor, LocalPrefOverrideKeepsDominantLink) {
   CatchmentPredictor predictor(1, 2);
   // Source keeps link 0 even while link 0 is prepended (LocalPref-style
   // loyalty observed twice), and never chooses link 1.
-  predictor.observe(descriptor(0b11, 0b01), std::vector<bgp::LinkId>{0});
-  predictor.observe(descriptor(0b11, 0b01), std::vector<bgp::LinkId>{0});
+  predictor.observe(descriptor(0b11, 0b01), Row{0});
+  predictor.observe(descriptor(0b11, 0b01), Row{0});
   EXPECT_EQ(predictor.predict(descriptor(0b11, 0b01), 0), 0u);
 }
 
 TEST(Predictor, AccuracyCountsNonMissingCells) {
   CatchmentPredictor predictor(2, 2);
-  predictor.observe(descriptor(0b11),
-                    std::vector<bgp::LinkId>{0, 1});
-  const std::vector<bgp::LinkId> actual{0, bgp::kNoCatchment};
+  predictor.observe(descriptor(0b11), Row{0, 1});
+  const Row actual{0, bgp::kNoCatchment8};
   EXPECT_DOUBLE_EQ(predictor.accuracy(descriptor(0b11), actual), 1.0);
-  const std::vector<bgp::LinkId> wrong{1, bgp::kNoCatchment};
+  const Row wrong{1, bgp::kNoCatchment8};
   EXPECT_DOUBLE_EQ(predictor.accuracy(descriptor(0b11), wrong), 0.0);
 }
 
 TEST(Predictor, RejectsMismatchedRow) {
   CatchmentPredictor predictor(2, 2);
   EXPECT_THROW(
-      predictor.observe(descriptor(0b11), std::vector<bgp::LinkId>{0}),
+      predictor.observe(descriptor(0b11), Row{0}),
       std::invalid_argument);
   EXPECT_THROW(CatchmentPredictor(1, 64), std::invalid_argument);
 }

@@ -245,7 +245,8 @@ TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
   }
 
   const FeedSimulator feed_sim(graph, {60, 0.6, param.seed ^ 0x5EED});
-  const auto feeds = feed_sim.collect(outcome);
+  std::vector<FeedEntry> feeds;
+  feed_sim.collect_into(outcome, feeds);
 
   const auto repaired = repair.repair(traces, feeds);
   ASSERT_EQ(repaired.size(), traces.size());

@@ -6,30 +6,31 @@
 #include <numeric>
 
 #include "core/cluster.hpp"
+#include "oracles.hpp"
 
 namespace spooftrack::core {
 namespace {
 
 /// Matrix where config i splits sources by bit i: each config halves the
 /// remaining clusters (8 sources, 3 perfectly informative configs).
-measure::CatchmentMatrix bit_matrix() {
-  measure::CatchmentMatrix matrix(3, std::vector<bgp::LinkId>(8));
+measure::CatchmentStore bit_matrix() {
+  measure::CatchmentStore matrix(3, 8);
   for (std::size_t c = 0; c < 3; ++c) {
     for (std::size_t s = 0; s < 8; ++s) {
-      matrix[c][s] = static_cast<bgp::LinkId>((s >> c) & 1);
+      matrix.set(c, s, static_cast<bgp::LinkId>((s >> c) & 1));
     }
   }
   return matrix;
 }
 
 /// Matrix with one informative config (index 2) and redundant ones.
-measure::CatchmentMatrix skewed_matrix() {
-  measure::CatchmentMatrix matrix;
-  matrix.push_back({0, 0, 0, 0, 0, 0});      // useless
-  matrix.push_back({0, 0, 0, 1, 1, 1});      // splits in half
-  matrix.push_back({0, 1, 2, 3, 4, 5});      // fully separates
-  matrix.push_back({0, 0, 0, 0, 0, 1});      // weak
-  return matrix;
+measure::CatchmentStore skewed_matrix() {
+  return test::store_of({
+      {0, 0, 0, 0, 0, 0},  // useless
+      {0, 0, 0, 1, 1, 1},  // splits in half
+      {0, 1, 2, 3, 4, 5},  // fully separates
+      {0, 0, 0, 0, 0, 1},  // weak
+  });
 }
 
 TEST(RandomSchedule, UsesEveryConfigOnce) {
@@ -106,10 +107,11 @@ TEST(WeightedGreedy, ChasesTheHeavyCluster) {
   // Config 0 splits the heavy source's cluster; config 1 splits a light
   // cluster into many pieces. Plain greedy prefers config 1 (more
   // clusters); weighted greedy must prefer config 0.
-  measure::CatchmentMatrix matrix;
-  //             heavy--v
-  matrix.push_back({0, 1, 0, 0, 0, 0});      // isolates source 1 (heavy)
-  matrix.push_back({0, 0, 1, 2, 3, 4});      // shatters the light sources
+  const auto matrix = test::store_of({
+      //  v--heavy
+      {0, 1, 0, 0, 0, 0},  // isolates source 1 (heavy)
+      {0, 0, 1, 2, 3, 4},  // shatters the light sources
+  });
   std::vector<double> volume = {0.0, 1.0, 0.0, 0.0, 0.0, 0.0};
 
   const auto plain = greedy_schedule(matrix, 1);
@@ -124,10 +126,11 @@ TEST(WeightedGreedy, ChasesTheHeavyCluster) {
 }
 
 TEST(WeightedGreedy, ObjectiveIsMonotoneNonIncreasing) {
-  measure::CatchmentMatrix matrix;
-  matrix.push_back({0, 0, 1, 1, 2, 2, 0, 1});
-  matrix.push_back({0, 1, 1, 0, 2, 0, 0, 1});
-  matrix.push_back({2, 2, 2, 2, 2, 2, 0, 0});
+  const auto matrix = test::store_of({
+      {0, 0, 1, 1, 2, 2, 0, 1},
+      {0, 1, 1, 0, 2, 0, 0, 1},
+      {2, 2, 2, 2, 2, 2, 0, 0},
+  });
   std::vector<double> volume = {1, 2, 3, 4, 5, 6, 7, 8};
   const auto trace = weighted_greedy_schedule(matrix, volume);
   for (std::size_t i = 1; i < trace.mean_cluster_size.size(); ++i) {
@@ -141,8 +144,7 @@ TEST(WeightedGreedy, UniformWeightsMatchPlainObjective) {
   // same argmin as cluster count in general, but its reported value after
   // refining everything must equal the expected cluster size of a random
   // member, computed independently.
-  measure::CatchmentMatrix matrix;
-  matrix.push_back({0, 0, 1, 1, 1, 2});
+  const auto matrix = test::store_of({{0, 0, 1, 1, 1, 2}});
   const std::vector<double> volume(6, 1.0);
   const auto trace = weighted_greedy_schedule(matrix, volume, 1);
   // Clusters {2}{3}{1}: objective = (4 + 9 + 1) / 6.
@@ -150,14 +152,13 @@ TEST(WeightedGreedy, UniformWeightsMatchPlainObjective) {
 }
 
 TEST(WeightedGreedy, RejectsMismatchedVolumes) {
-  measure::CatchmentMatrix matrix;
-  matrix.push_back({0, 1});
+  const auto matrix = test::store_of({{0, 1}});
   EXPECT_THROW(weighted_greedy_schedule(matrix, {1.0}),
                std::invalid_argument);
 }
 
 TEST(Schedules, EmptyMatrixHandled) {
-  measure::CatchmentMatrix empty;
+  const measure::CatchmentStore empty;
   util::Rng rng{1};
   EXPECT_TRUE(random_schedule(empty, rng).order.empty());
   EXPECT_TRUE(greedy_schedule(empty).order.empty());

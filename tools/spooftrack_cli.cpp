@@ -395,10 +395,19 @@ int cmd_attack(const std::vector<std::string>& args) {
     std::cerr << "artifact has no catchment matrix\n";
     return 1;
   }
+  // Attackers are distinct sources: more than the artifact has (any at all
+  // on the zero-source artifact of an all-abandoned deploy) cannot be
+  // placed.
+  const auto attacker_count = flags.get_u64("attackers").value_or(2);
+  if (attacker_count > artifact.sources.size()) {
+    std::cerr << "cannot place " << attacker_count
+              << " distinct attackers among " << artifact.sources.size()
+              << " sources\n";
+    return 2;
+  }
   const auto clustering = core::cluster_sources(artifact.matrix);
 
   util::Rng rng{flags.get_u64("seed").value_or(7)};
-  const auto attacker_count = flags.get_u64("attackers").value_or(2);
   std::vector<std::size_t> attackers;
   while (attackers.size() < attacker_count) {
     const auto pick = rng.next_below(artifact.sources.size());
