@@ -52,21 +52,6 @@ void BM_EnginePropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePropagation)->Arg(500)->Arg(2000)->Arg(4000);
 
-void BM_EngineNoActivityTracking(benchmark::State& state) {
-  // Ablation: the same propagation with activity tracking disabled — every
-  // AS recomputes every round.
-  const auto& testbed = testbed_for(2000);
-  bgp::EngineOptions options;
-  options.activity_tracking = false;
-  const bgp::Engine engine(testbed.graph(), testbed.policy(), options);
-  const auto config = testbed.generator().location_phase().front();
-  for (auto _ : state) {
-    auto outcome = engine.run(testbed.origin(), config);
-    benchmark::DoNotOptimize(outcome.best.data());
-  }
-}
-BENCHMARK(BM_EngineNoActivityTracking);
-
 void BM_EngineWithPoisoning(benchmark::State& state) {
   const auto& testbed = testbed_for(2000);
   auto configs = testbed.generator().poison_phase(testbed.graph());

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/parallel.hpp"
 
 namespace spooftrack::bgp {
 
@@ -147,9 +146,8 @@ bool export_filter_equal(AsId p, const SeedTable& a, const Configuration& ca,
 
 /// A route change produced by the compute phase, before interning. The
 /// winner's path is NOT interned here — it is described as (sender_asn,
-/// parent) and interned by the serial commit phase, which is what keeps the
-/// parallel compute phase free of arena writes and the resulting ids
-/// independent of the thread count.
+/// parent) and interned by the commit phase, which keeps the compute phase
+/// free of writes: every AS of round k reads round k-1 only.
 struct StagedWrite {
   AsId x = kInvalidAsId;
   AsId from = kInvalidAsId;
@@ -208,12 +206,9 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
   //
   // Each round splits into a compute phase that reads ONLY round-(k-1)
   // state (current/current_from/arena) and stages changed routes, and a
-  // serial commit phase that interns paths and applies the writes. Because
-  // compute is read-only, the frontier can be evaluated on several threads:
-  // chunks of active_list each fill their own staging buffer, and the
-  // commit walks the buffers in chunk order — the exact order a serial
-  // sweep over active_list would produce, so results (and even arena node
-  // ids) are bit-identical for every worker count.
+  // commit phase that interns paths and applies the writes in frontier
+  // order. These are the Jacobi semantics: no AS sees a round-k write
+  // before every AS of round k has been evaluated.
   std::vector<AsId> active_list;
   active_list.reserve(n);
   for (AsId x = 0; x < n; ++x) {
@@ -223,9 +218,9 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
   std::vector<bool> queued(n, false);
 
   // Evaluates one active AS against its neighbors' round-(k-1) routes and
-  // stages a write when its best route changed. Read-only on shared state;
-  // safe to call concurrently for distinct `x`.
-  const auto evaluate = [&](AsId x, std::vector<StagedWrite>& out) {
+  // stages a write when its best route changed. Read-only on shared state.
+  std::vector<StagedWrite> staged;
+  const auto evaluate = [&](AsId x) {
     const topology::Asn x_asn = graph_.asn_of(x);
     CandidateRef best_ref;
     bool have_best = false;
@@ -287,7 +282,7 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
       if (current_from[x] == kInvalidAsId && !cur.valid()) return;
       StagedWrite w;
       w.x = x;
-      out.push_back(w);
+      staged.push_back(w);
       return;
     }
     const bool same =
@@ -310,105 +305,60 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
     w.local_pref = best_ref.local_pref;
     w.includes_sender = best_ref.path_includes_sender;
     w.has_route = true;
-    out.push_back(w);
+    staged.push_back(w);
   };
-
-  const std::size_t workers = options_.workers == 0
-                                  ? util::default_worker_count()
-                                  : options_.workers;
-  std::unique_ptr<util::WorkerPool> pool;
-  if (workers > 1) {
-    pool = std::make_unique<util::WorkerPool>(workers - 1);
-    OBS_GAUGE("engine.parallel.workers", workers);
-  }
-  std::vector<std::vector<StagedWrite>> chunk_staged(
-      pool ? workers * 4 : std::size_t{1});
 
   std::uint32_t round = 0;
   std::uint32_t last_staged_round = 0;
   bool any_staged = false;
   for (; round < options_.max_rounds && !active_list.empty(); ++round) {
     OBS_HIST("engine.frontier", "ases", active_list.size());
-    for (auto& chunk : chunk_staged) chunk.clear();
+    staged.clear();
+    for (const AsId x : active_list) evaluate(x);
 
-    const bool go_parallel =
-        pool && active_list.size() >= options_.parallel_min_frontier;
-    const std::size_t chunks =
-        go_parallel ? std::min(active_list.size(), chunk_staged.size()) : 1;
-    if (go_parallel) {
-      OBS_COUNT("engine.parallel.rounds", 1);
-      const std::size_t per = (active_list.size() + chunks - 1) / chunks;
-      pool->run(chunks, [&](std::size_t c) {
-        const std::size_t lo = c * per;
-        const std::size_t hi = std::min(lo + per, active_list.size());
-        OBS_HIST("engine.parallel.chunk_ases", "ases", hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          evaluate(active_list[i], chunk_staged[c]);
-        }
-      });
-    } else {
-      for (const AsId x : active_list) evaluate(x, chunk_staged[0]);
-    }
-
-    // Commit phase (serial): intern winners and apply the writes in chunk
-    // order == active_list order, deriving the next frontier as we go.
-    // Activation is export-filtered: neighbor `nb` of a changed AS joins
-    // the frontier only when Gao-Rexford export rules let nb see the old
-    // or the new route — a stub whose provider-learned route changed
-    // exports to nobody, so its change activates nobody. Skipped neighbors
-    // provably have unchanged candidate sets and would stage nothing.
+    // Commit phase: intern winners and apply the writes in active_list
+    // order, deriving the next frontier as we go. Activation is
+    // export-filtered: neighbor `nb` of a changed AS joins the frontier
+    // only when Gao-Rexford export rules let nb see the old or the new
+    // route — a stub whose provider-learned route changed exports to
+    // nobody, so its change activates nobody. Skipped neighbors provably
+    // have unchanged candidate sets and would stage nothing.
     active_list.clear();
-    std::size_t staged_total = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      for (const StagedWrite& w : chunk_staged[c]) {
-        ++staged_total;
-        Route& slot = current[w.x];
-        const bool old_valid = slot.valid();
-        const Rel old_learned_from = slot.learned_from;
-        if (w.has_route) {
-          Route route;
-          route.ann = w.ann;
-          route.path = w.includes_sender
-                           ? w.parent
-                           : arena.prepend(w.sender_asn, w.parent);
-          route.learned_from = w.learned_from;
-          route.local_pref = w.local_pref;
-          slot = route;
-        } else {
-          slot = Route{};
+    for (const StagedWrite& w : staged) {
+      Route& slot = current[w.x];
+      const bool old_valid = slot.valid();
+      const Rel old_learned_from = slot.learned_from;
+      if (w.has_route) {
+        Route route;
+        route.ann = w.ann;
+        route.path = w.includes_sender ? w.parent
+                                       : arena.prepend(w.sender_asn, w.parent);
+        route.learned_from = w.learned_from;
+        route.local_pref = w.local_pref;
+        slot = route;
+      } else {
+        slot = Route{};
+      }
+      current_from[w.x] = w.from;
+      settled[w.x] = round + 1;
+      for (const topology::Neighbor& nb : graph_.neighbors(w.x)) {
+        if (nb.id == origin_id || queued[nb.id]) continue;
+        // nb.rel is nb's relationship as seen from w.x, which is exactly
+        // the receiver side of the sender's export decision.
+        if (!((old_valid && policy_.exports(old_learned_from, nb.rel)) ||
+              (w.has_route && policy_.exports(w.learned_from, nb.rel)))) {
+          continue;
         }
-        current_from[w.x] = w.from;
-        settled[w.x] = round + 1;
-        if (options_.activity_tracking) {
-          for (const topology::Neighbor& nb : graph_.neighbors(w.x)) {
-            if (nb.id == origin_id || queued[nb.id]) continue;
-            // nb.rel is nb's relationship as seen from w.x, which is
-            // exactly the receiver side of the sender's export decision.
-            if (!((old_valid && policy_.exports(old_learned_from, nb.rel)) ||
-                  (w.has_route && policy_.exports(w.learned_from, nb.rel)))) {
-              continue;
-            }
-            queued[nb.id] = true;
-            active_list.push_back(nb.id);
-          }
-        }
+        queued[nb.id] = true;
+        active_list.push_back(nb.id);
       }
     }
-    OBS_COUNT("engine.routes_staged", staged_total);
-    if (staged_total != 0) {
+    OBS_COUNT("engine.routes_staged", staged.size());
+    if (!staged.empty()) {
       any_staged = true;
       last_staged_round = round;
     }
-
-    if (!options_.activity_tracking) {
-      if (staged_total != 0) {
-        for (AsId x = 0; x < n; ++x) {
-          if (x != origin_id) active_list.push_back(x);
-        }
-      }
-    } else {
-      for (const AsId x : active_list) queued[x] = false;
-    }
+    for (const AsId x : active_list) queued[x] = false;
   }
 
   OBS_HIST("engine.rounds", "rounds", round);

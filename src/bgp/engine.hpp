@@ -11,11 +11,11 @@
 //
 // AS-paths live in a hash-consed PathArena owned by the outcome (see
 // path_arena.hpp); routes are POD and the propagation loop never allocates
-// per route. The compute phase of each round is read-only over the previous
-// round's state, which is what lets the engine evaluate the frontier on
-// several threads while staying bit-identical to the serial schedule: every
-// write — including all arena interning — happens in the serial commit
-// phase, in frontier order.
+// per route. Each round evaluates only its frontier — the ASes a changed
+// neighbor could export to — and its compute phase is read-only over the
+// previous round's state: every write, including all arena interning,
+// happens in the commit phase, in frontier order. One run is serial;
+// configurations run in parallel as separate runs (core::ChainStepper).
 //
 // The origin AS is modelled explicitly: it originates the prefix on the
 // configured peering links (with prepending / poisoning encoded in the seed
@@ -42,17 +42,6 @@ struct EngineOptions {
   /// Hard cap on Jacobi rounds; converging instances use far fewer
   /// (roughly the AS-level diameter).
   std::uint32_t max_rounds = 512;
-  /// Recompute an AS only when a neighbor changed in the previous round.
-  /// Semantically transparent (the fixed point is identical); exists as an
-  /// ablation knob for the performance claim in docs/architecture.md.
-  bool activity_tracking = true;
-  /// Threads evaluating each round's frontier (compute phase only; commit
-  /// stays serial, so results are bit-identical for every value). 1 = fully
-  /// serial, 0 = util::default_worker_count().
-  std::size_t workers = 1;
-  /// Frontiers smaller than this are evaluated serially even when workers
-  /// > 1 — dispatch overhead dwarfs the work on the convergence tail.
-  std::size_t parallel_min_frontier = 256;
   /// A warm start whose baseline arena holds more nodes than this compacts
   /// it (re-interning only live paths) instead of extending it; bounds
   /// memory along long warm-start chains.
@@ -98,9 +87,9 @@ bool routes_equal(const RoutingOutcome& a, const RoutingOutcome& b,
                   topology::AsId id);
 
 /// What outcome_checksum covers: kRoutes hashes the converged routing state
-/// (best routes with full paths + next hops) — identical across cold/warm
-/// and serial/parallel runs of the same configuration; kFull additionally
-/// hashes settled_round and rounds, which warm starts deliberately change.
+/// (best routes with full paths + next hops) — identical across cold and
+/// warm runs of the same configuration; kFull additionally hashes
+/// settled_round and rounds, which warm starts deliberately change.
 enum class ChecksumScope { kRoutes, kFull };
 
 /// FNV-1a 64 digest of an outcome, stable across processes and platforms.
@@ -138,9 +127,8 @@ class Engine {
   Prepared prepare(const OriginSpec& origin, const Configuration& config) const;
 
   /// Routes one configuration. Thread-safe: `run` is const and keeps all
-  /// mutable state on the stack, so configurations can run in parallel
-  /// (on top of the per-run compute-phase parallelism options_.workers
-  /// selects). Throws like `prepare`.
+  /// mutable state on the stack, so configurations can run in parallel.
+  /// Throws like `prepare`.
   RoutingOutcome run(const OriginSpec& origin,
                      const Configuration& config) const;
   /// As above, reusing a prepared seed table (skips validation entirely).

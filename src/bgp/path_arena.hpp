@@ -19,9 +19,7 @@
 // read paths they were handed beforehand (reads touch only node slots
 // written before the handoff; the handoff itself must synchronise, e.g. a
 // thread join or task queue). The intern table is touched only by the
-// writer. The engine relies on this: parallel Jacobi workers read the
-// arena lock-free during the compute phase, and all interning happens in
-// the serial commit phase.
+// writer.
 #pragma once
 
 #include <array>

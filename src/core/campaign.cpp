@@ -63,10 +63,8 @@ constexpr std::size_t kMaxOrderingConfigs = 4096;
 
 }  // namespace
 
-CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
-                           const CampaignRunnerOptions& options) {
+CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs) {
   CampaignPlan plan;
-  plan.warm_start = options.warm_start;
   if (configs.empty()) return plan;
 
   // 1. Memoization: one propagation per distinct announcement list, fanned
@@ -98,27 +96,18 @@ CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
     plan.ordered = true;
   }
 
-  // 3. Chain partitioning. The chain count depends only on the resolved
-  //    worker default and the unique-config count — never on who executes
-  //    the plan or with how many executor workers — so warm-start
-  //    schedules and round counts are fixed by the plan alone.
+  // 3. Chain partitioning into contiguous runs of the ordered plan; only
+  //    chain heads pay a cold propagation. The chain count depends only on
+  //    the resolved worker default and the unique-config count — never on
+  //    who executes the plan or with how many executor workers — so
+  //    warm-start schedules and round counts are fixed by the plan alone.
   const std::size_t chains =
       std::min(util::default_worker_count(), plan.unique.size());
   plan.chain_steps.resize(chains);
-  if (options.warm_start) {
-    // Contiguous runs of the ordered plan; only chain heads pay a cold
-    // propagation.
-    for (std::size_t c = 0; c < chains; ++c) {
-      const std::size_t begin = c * plan.unique.size() / chains;
-      const std::size_t end = (c + 1) * plan.unique.size() / chains;
-      plan.chain_steps[c].assign(order.begin() + begin, order.begin() + end);
-    }
-  } else {
-    // Cold baseline: strided static chains over unique configurations
-    // (every step is a cold run, so similarity order buys nothing).
-    for (std::size_t u = 0; u < plan.unique.size(); ++u) {
-      plan.chain_steps[u % chains].push_back(u);
-    }
+  for (std::size_t c = 0; c < chains; ++c) {
+    const std::size_t begin = c * plan.unique.size() / chains;
+    const std::size_t end = (c + 1) * plan.unique.size() / chains;
+    plan.chain_steps[c].assign(order.begin() + begin, order.begin() + end);
   }
   OBS_COUNT("campaign.chains", chains);
   for (const std::vector<std::size_t>& steps : plan.chain_steps) {
@@ -147,7 +136,7 @@ std::shared_ptr<bgp::RoutingOutcome> ChainStepper::step(
   // re-validate or rebuild one.
   bgp::Engine::Prepared prep = engine_->prepare(*origin_, config);
   std::shared_ptr<bgp::RoutingOutcome> outcome;
-  if (plan_->warm_start && prev_config_ != nullptr && prev_->converged) {
+  if (prev_config_ != nullptr && prev_->converged) {
     outcome = std::make_shared<bgp::RoutingOutcome>(engine_->run_warm_leased(
         *origin_, config, prep, *prev_config_, *prev_prep_, prev_,
         consume_baseline));
@@ -158,11 +147,9 @@ std::shared_ptr<bgp::RoutingOutcome> ChainStepper::step(
     ++stats_.cold_runs;
   }
   stats_.total_rounds += outcome->rounds;
-  if (plan_->warm_start) {
-    prev_ = outcome;
-    prev_config_ = &config;
-    prev_prep_ = std::move(prep);
-  }
+  prev_ = outcome;
+  prev_config_ = &config;
+  prev_prep_ = std::move(prep);
   return outcome;
 }
 

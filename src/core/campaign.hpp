@@ -77,12 +77,6 @@ struct CampaignModel {
 // whichever chain partition the plan uses.
 // ---------------------------------------------------------------------------
 
-struct CampaignRunnerOptions {
-  /// Warm-start each configuration from its chain predecessor; false
-  /// cold-propagates every configuration (ablation / comparison baseline).
-  bool warm_start = true;
-};
-
 /// Cold/warm propagation and round accounting of one chain.
 struct CampaignRunStats {
   std::size_t cold_runs = 0;  // chain heads (full propagation)
@@ -97,11 +91,9 @@ struct CampaignPlan {
   std::vector<std::size_t> unique;
   /// Per unique slot: every configuration index sharing its outcome.
   std::vector<std::vector<std::size_t>> fanout;
-  /// Per chain: the unique slots it propagates, in step order. Warm plans
-  /// take contiguous slices of the similarity order; cold plans stride over
-  /// the unique slots.
+  /// Per chain: the unique slots it propagates, in step order — a
+  /// contiguous slice of the similarity order.
   std::vector<std::vector<std::size_t>> chain_steps;
-  bool warm_start = true;
   bool ordered = false;  // similarity ordering was applied
 
   std::size_t chains() const noexcept { return chain_steps.size(); }
@@ -112,12 +104,11 @@ struct CampaignPlan {
 /// dominate), chain partitioning. Pure planning — no propagation runs. The
 /// chain count is util::default_worker_count() clamped to the number of
 /// unique configurations; it never depends on who executes the plan.
-CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs,
-                           const CampaignRunnerOptions& options = {});
+CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs);
 
 /// Steps one chain of a CampaignPlan: each step() propagates the chain's
-/// next unique slot (warm-started from the previous step when the plan
-/// says so) and returns the outcome as a shared_ptr the caller may lease
+/// next unique slot (warm-started from the previous step when that one
+/// converged) and returns the outcome as a shared_ptr the caller may lease
 /// to concurrent consumers. The plan and configs must outlive the stepper;
 /// a stepper is driven from one thread at a time (the executor's per-chain
 /// produce serialization provides exactly that). Throws whatever the engine

@@ -85,7 +85,7 @@ PeeringTestbed::PeeringTestbed(TestbedConfig config)
       topo_(build_topology(config_)),
       origin_(build_origin()),
       policy_(topo_.graph, patched_policy(config_)),
-      engine_(topo_.graph, policy_, config_.engine),
+      engine_(topo_.graph, policy_),
       plan_(topo_.graph),
       ixps_(topo_.graph, config_.ixp_count, config_.ixp_edge_fraction,
             util::hash_combine(config_.seed, 0x1A9)),
@@ -201,9 +201,10 @@ journal::CampaignIdentity campaign_identity(
   h = util::hash_combine(h, config.traceroute_rounds);
   h = util::hash_combine(h, config.ixp_count);
   h = hash_double(h, config.ixp_edge_fraction);
+  // Bit 4u stood for the warm campaign, now the only one; it stays mixed
+  // in so that journals written while it was an option still resume.
   h = util::hash_combine(h, (config.measured_catchments ? 1u : 0u) |
-                                (config.audit_policies ? 2u : 0u) |
-                                (config.warm_campaign ? 4u : 0u));
+                                (config.audit_policies ? 2u : 0u) | 4u);
   const fault::FaultPlan& f = config.faults;
   h = util::hash_combine(h, f.seed);
   h = hash_double(h, f.feed_outage_prob);
@@ -373,9 +374,7 @@ DeploymentResult PeeringTestbed::deploy(
   // The campaign plan (memoization, similarity order, chain partition) is
   // built once per deploy: the journal records its chain coordinates and
   // the schedule propagates along its chains.
-  CampaignRunnerOptions runner;
-  runner.warm_start = config_.warm_campaign;
-  const CampaignPlan plan = plan_campaign(result.configs, runner);
+  const CampaignPlan plan = plan_campaign(result.configs);
 
   // Journal setup. A fresh journal just starts segment 0; a resume replays
   // the directory, cross-checks every recovered record against the

@@ -74,7 +74,6 @@ struct TestbedConfig {
   double provider_position_fraction = 0.5;
 
   bgp::PolicyConfig policy;
-  bgp::EngineOptions engine;
   measure::FeedOptions feed;
   measure::TracerouteOptions traceroute;
   measure::Ip2AsOptions ip2as;
@@ -122,11 +121,6 @@ struct TestbedConfig {
   bool measured_catchments = true;
   /// Compute Figure 9 compliance statistics during deployment.
   bool audit_policies = false;
-  /// Propagate deployments through warm-started, similarity-ordered,
-  /// memoized campaign chains (core::plan_campaign, core::ChainStepper).
-  /// Routing outcomes are bit-identical to cold per-configuration
-  /// propagation; disable for ablations of the warm-start machinery itself.
-  bool warm_campaign = true;
 };
 
 struct DeploymentResult {
@@ -145,9 +139,9 @@ struct DeploymentResult {
   std::vector<std::uint32_t> min_route_distance;
   /// Per-configuration compliance statistics (when audited).
   std::vector<ComplianceStats> compliance;
-  /// Jacobi rounds per configuration. Under warm-started deployment
-  /// (TestbedConfig::warm_campaign) warm-started configurations report the
-  /// rounds of their incremental re-propagation, not a cold convergence.
+  /// Jacobi rounds per configuration. Configurations warm-started along a
+  /// campaign chain (core::ChainStepper) report the rounds of their
+  /// incremental re-propagation, not a cold convergence.
   std::vector<std::uint32_t> engine_rounds;
   /// Mean over configurations of the multi-catchment fraction (§IV-c).
   double mean_multi_catchment = 0.0;

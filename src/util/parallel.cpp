@@ -49,40 +49,8 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
   OBS_COUNT("parallel.invocations", 1);
   OBS_COUNT("parallel.tasks", count);
   if (workers == 0) workers = default_worker_count();
-  workers = std::min(workers, count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  // Separate stop flag: a thrower must not signal termination through the
-  // work index itself, where concurrent fetch_adds race with the sentinel
-  // store; the monotonic flag cannot be un-set by a peer claiming work.
-  std::atomic<bool> stop{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto body = [&]() {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        stop.store(true, std::memory_order_release);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(body);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // The calling thread is the pool's last worker.
+  WorkerPool(std::min(workers, count) - 1).run(count, fn);
 }
 
 WorkerPool::WorkerPool(std::size_t threads) : target_threads_(threads) {}

@@ -1,9 +1,9 @@
 // Data-parallel helpers. Announcement configurations are routed
 // independently, so benches parallelize propagation across worker threads
-// with the blocking parallel_for below. The routing engine itself uses
-// WorkerPool: the Jacobi compute phase dispatches a batch of chunk tasks to
-// persistent threads every round, and spawning threads per round would
-// dominate the work.
+// with the blocking parallel_for below, which runs one batch on a
+// short-lived WorkerPool. The greedy scheduler (core/scheduler) keeps a
+// WorkerPool for its whole run: it dispatches one batch of chunk tasks per
+// greedy step, and spawning threads per step would dominate the work.
 #pragma once
 
 #include <atomic>
@@ -32,10 +32,11 @@ std::size_t default_worker_count() noexcept;
 /// "Worker-count precedence").
 std::optional<std::size_t> env_worker_override() noexcept;
 
-/// Runs fn(i) for i in [0, count) across `workers` threads (0 = default).
-/// Blocks until all iterations complete. Exceptions in tasks are rethrown
-/// (first one wins) after all workers have stopped; once a task throws, no
-/// worker claims new work (tasks already started still run to completion).
+/// Runs fn(i) for i in [0, count) across `workers` threads (0 = default),
+/// the calling thread among them. Blocks until all iterations complete.
+/// Exceptions in tasks are rethrown (first one wins) after all workers have
+/// stopped; once a task throws, no worker claims new work (tasks already
+/// started still run to completion).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t workers = 0);
 

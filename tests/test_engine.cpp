@@ -188,27 +188,6 @@ TEST_F(EngineTest, Tier1FiltersPoisonedCustomerRoutes) {
   EXPECT_EQ(catchment_of(outcome, config, kB), 1u);
 }
 
-TEST_F(EngineTest, ActivityTrackingIsSemanticallyTransparent) {
-  bgp::EngineOptions no_tracking;
-  no_tracking.activity_tracking = false;
-  const bgp::Engine brute(graph_, policy_, no_tracking);
-  for (const auto& config :
-       {test::announce_all(2), [] {
-          bgp::Configuration c;
-          c.announcements.push_back({0, 4, {}, {}});
-          c.announcements.push_back({1, 0, {kT2}, {}});
-          return c;
-        }()}) {
-    const auto fast = engine_.run(origin_, config);
-    const auto slow = brute.run(origin_, config);
-    for (topology::AsId as = 0; as < graph_.size(); ++as) {
-      // The two runs intern paths in different orders, so compare content
-      // (routes_equal), not PathIds.
-      EXPECT_TRUE(bgp::routes_equal(fast, slow, as));
-    }
-  }
-}
-
 TEST_F(EngineTest, DeterministicAcrossRuns) {
   const auto config = test::announce_all(2);
   const auto first = engine_.run(origin_, config);

@@ -1,10 +1,18 @@
 // Property tests: structural invariants of the routing engine on randomly
-// synthesized topologies, across seeds (parameterized sweep).
+// synthesized topologies, across seeds (parameterized sweep), and the
+// stable-paths certificate every outcome must pass.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "bgp/catchment.hpp"
 #include "bgp/engine.hpp"
+#include "core/config_gen.hpp"
 #include "core/experiment.hpp"
+#include "helpers.hpp"
 #include "topology/metrics.hpp"
 #include "topology/synth.hpp"
 
@@ -190,8 +198,112 @@ TEST_P(EngineProperty, PoisoningMovesOrKeepsButNeverStrands) {
   EXPECT_EQ(map.routed_count(), world.topo.graph.size() - 1);
 }
 
+/// Stable-paths certificate: `outcome` is a fixed point of the routing
+/// policy when every AS holds the preference maximum over the routes its
+/// neighbors export to it (Engine::candidates), and an AS is unrouted
+/// exactly when it has no candidate. The maximum is taken here from the
+/// keys policy.hpp documents — LocalPref; then path length and tiebreak
+/// score, in the order that AS uses; then the lowest sender ASN — not by
+/// the engine's selection loop.
+void expect_stable_paths(const bgp::Engine& engine,
+                         const bgp::OriginSpec& origin,
+                         const bgp::Configuration& config,
+                         const bgp::RoutingOutcome& outcome,
+                         const std::string& what) {
+  const topology::AsGraph& g = engine.graph();
+  const bgp::RoutingPolicy& policy = engine.policy();
+  const bgp::Engine::Prepared seeds = engine.prepare(origin, config);
+  for (topology::AsId as = 0; as < g.size(); ++as) {
+    const auto candidates =
+        engine.candidates(as, origin, config, seeds, outcome);
+    const bgp::Route& route = outcome.best[as];
+    if (candidates.empty()) {
+      EXPECT_FALSE(route.valid())
+          << what << ": AS " << g.asn_of(as) << " routed without candidates";
+      EXPECT_EQ(outcome.next_hop[as], topology::kInvalidAsId) << what;
+      continue;
+    }
+    const topology::Asn asn = g.asn_of(as);
+    const bool score_first = policy.flags(as).shortest_violator;
+    // Smaller key = more preferred.
+    const auto key = [&](const bgp::Engine::CandidateInfo& c) {
+      const topology::Asn sender = g.asn_of(c.sender);
+      const std::uint64_t score = policy.tie_score(asn, sender);
+      const std::uint64_t length = c.length;
+      return score_first ? std::make_tuple(-int{c.local_pref}, score, length,
+                                           sender)
+                         : std::make_tuple(-int{c.local_pref}, length, score,
+                                           sender);
+    };
+    const auto best = std::min_element(
+        candidates.begin(), candidates.end(),
+        [&](const auto& a, const auto& b) { return key(a) < key(b); });
+    EXPECT_TRUE(route.valid() && outcome.next_hop[as] == best->sender &&
+                route.ann == best->ann &&
+                route.local_pref == best->local_pref &&
+                outcome.path_length(as) == best->length)
+        << what << ": AS " << asn
+        << " does not hold its most preferred candidate, the route from AS "
+        << g.asn_of(best->sender);
+  }
+}
+
+TEST_P(EngineProperty, OutcomesAreStablePathsFixedPoints) {
+  World world = make_world(GetParam());
+  bgp::PolicyConfig pconfig;
+  pconfig.seed = GetParam();
+  // Default violator fractions: some ASes rank the tiebreak score above
+  // path length, some swap peer and provider preference.
+  const bgp::RoutingPolicy policy(world.topo.graph, pconfig);
+  const bgp::Engine engine(world.topo.graph, policy);
+
+  core::GeneratorOptions gen;
+  gen.max_removals = 1;
+  gen.max_poison_configs = 4;
+  gen.max_community_configs = 4;
+  const auto configs =
+      core::ConfigGenerator(world.origin, gen).full_plan(world.topo.graph);
+  ASSERT_GT(configs.size(), 20u);
+
+  bgp::RoutingOutcome warm;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string label = std::to_string(i) + " " + configs[i].label;
+    const auto cold = engine.run(world.origin, configs[i]);
+    ASSERT_TRUE(cold.converged) << label;
+    expect_stable_paths(engine, world.origin, configs[i], cold,
+                        "cold " + label);
+    // One warm chain through the whole plan, each step started from the
+    // previous step's warm outcome.
+    warm = i == 0 ? engine.run(world.origin, configs[i])
+                  : engine.run_warm(world.origin, configs[i], configs[i - 1],
+                                    std::move(warm));
+    ASSERT_TRUE(warm.converged) << label;
+    expect_stable_paths(engine, world.origin, configs[i], warm,
+                        "warm " + label);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(StablePaths, HandBuiltTopologyOutcomesAreFixedPoints) {
+  // Anycast from both links, and prepending on link 0 with t2 poisoned on
+  // link 1.
+  const topology::AsGraph graph = test::small_topology();
+  const bgp::RoutingPolicy policy(graph, test::clean_policy_config());
+  const bgp::Engine engine(graph, policy);
+  const bgp::OriginSpec origin = test::small_origin();
+  bgp::Configuration steered;
+  steered.label = "prepend-l0-poison-t2-l1";
+  steered.announcements.push_back({0, 4, {}, {}});
+  steered.announcements.push_back({1, 0, {test::kT2}, {}});
+  for (const bgp::Configuration& config :
+       {test::announce_all(2), steered}) {
+    const auto outcome = engine.run(origin, config);
+    ASSERT_TRUE(outcome.converged) << config.label;
+    expect_stable_paths(engine, origin, config, outcome, config.label);
+  }
+}
 
 }  // namespace
 }  // namespace spooftrack

@@ -1,18 +1,11 @@
 // Golden-checksum equivalence suite.
 //
-// Two bit-exactness guarantees back the path-arena and in-engine
-// parallelism work:
-//
-//  1. The hash-consed PathArena engine reproduces the exact outcomes of
-//     the pre-arena engine (per-route std::vector<Asn> paths). The golden
-//     checksums below were emitted by that engine at the commit preceding
-//     the arena change; outcome_checksum(kFull) folds every route field,
-//     every path ASN, next hops, settled rounds and the round count, so a
-//     match here is outcome equality, not a smoke signal.
-//
-//  2. The parallel compute phase is deterministic: any worker count
-//     produces bit-identical outcomes to the serial engine, because
-//     staged writes are committed (and paths interned) in index order.
+// The hash-consed PathArena engine reproduces the exact outcomes of the
+// pre-arena engine (per-route std::vector<Asn> paths). The golden
+// checksums below were emitted by that engine at the commit preceding the
+// arena change; outcome_checksum(kFull) folds every route field, every
+// path ASN, next hops, settled rounds and the round count, so a match here
+// is outcome equality, not a smoke signal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -168,80 +161,6 @@ INSTANTIATE_TEST_SUITE_P(Topologies, GoldenChecksum,
                                       ? "WarmWorld"
                                       : "Small";
                          });
-
-class ParallelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ParallelEquivalence, AnyWorkerCountIsBitIdenticalToSerial) {
-  // Randomized topology per seed; force the parallel path even on small
-  // frontiers so every round exercises the chunked compute + ordered
-  // commit, not just the deep middle of propagation.
-  const std::uint64_t seed = GetParam();
-  const auto topo = make_topo(seed, 5, 60, 400);
-  const bgp::RoutingPolicy policy(topo.graph, bgp::PolicyConfig{});
-  const bgp::OriginSpec origin = make_origin();
-
-  auto configs = static_configs();
-  {
-    const bgp::Engine probe(topo.graph, policy);
-    configs.push_back(
-        no_export_config(topo.graph, probe.run(origin, configs[0]), nullptr));
-  }
-
-  std::vector<std::uint64_t> serial_sums;
-  for (std::uint32_t workers : {1u, 2u, 8u}) {
-    bgp::EngineOptions options;
-    options.workers = workers;
-    options.parallel_min_frontier = 1;
-    const bgp::Engine engine(topo.graph, policy, options);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto outcome = engine.run(origin, configs[i]);
-      ASSERT_TRUE(outcome.converged);
-      const auto sum =
-          bgp::outcome_checksum(outcome, bgp::ChecksumScope::kFull);
-      if (workers == 1) {
-        serial_sums.push_back(sum);
-      } else {
-        EXPECT_EQ(sum, serial_sums[i])
-            << "workers=" << workers << " config=" << configs[i].label;
-      }
-    }
-  }
-}
-
-TEST_P(ParallelEquivalence, WarmStartsAreBitIdenticalAcrossWorkerCounts) {
-  // The warm path shares the staged-commit machinery but starts from a
-  // sparse frontier; make sure parallel chunking doesn't disturb it.
-  const std::uint64_t seed = GetParam();
-  const auto topo = make_topo(seed, 5, 60, 400);
-  const bgp::RoutingPolicy policy(topo.graph, bgp::PolicyConfig{});
-  const bgp::OriginSpec origin = make_origin();
-  const auto configs = static_configs();
-
-  std::vector<std::uint64_t> serial_sums;
-  for (std::uint32_t workers : {1u, 2u, 8u}) {
-    bgp::EngineOptions options;
-    options.workers = workers;
-    options.parallel_min_frontier = 1;
-    const bgp::Engine engine(topo.graph, policy, options);
-    auto baseline = engine.run(origin, configs[0]);
-    for (std::size_t i = 1; i < configs.size(); ++i) {
-      const auto warm =
-          engine.run_warm(origin, configs[i], configs[i - 1], baseline);
-      ASSERT_TRUE(warm.converged);
-      const auto sum = bgp::outcome_checksum(warm, bgp::ChecksumScope::kFull);
-      if (workers == 1) {
-        serial_sums.push_back(sum);
-      } else {
-        EXPECT_EQ(sum, serial_sums[i - 1])
-            << "workers=" << workers << " config=" << configs[i].label;
-      }
-      baseline = warm;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
-                         ::testing::Values(11, 47, 20260806));
 
 TEST(OutcomeChecksum, ScopesDiffer) {
   // kRoutes must ignore convergence telemetry: two outcomes with identical

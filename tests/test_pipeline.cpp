@@ -6,7 +6,7 @@
 //      serialization, backpressure bound, exception drain, inline
 //      single-worker execution, plan validation;
 //   2. golden digests — PeeringTestbed::deploy reproduces a pinned digest
-//      per scenario (measured, faults, cold, ground truth, all abandoned,
+//      per scenario (measured, faults, ground truth, all abandoned,
 //      one-configuration plans) and returns an empty deployment for an
 //      empty plan;
 //   3. end-to-end equivalence — every worker count x queue depth
@@ -17,10 +17,14 @@
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -364,12 +368,6 @@ core::TestbedConfig faulty_testbed() {
   return config;
 }
 
-core::TestbedConfig cold_testbed() {
-  core::TestbedConfig config = equivalence_testbed();
-  config.warm_campaign = false;
-  return config;
-}
-
 core::TestbedConfig ground_truth_testbed() {
   core::TestbedConfig config = equivalence_testbed();
   config.measured_catchments = false;
@@ -395,8 +393,6 @@ constexpr GoldenCase kMeasured{"measured", equivalence_testbed, false,
                                "ba6f689c1a50e480"};
 constexpr GoldenCase kFaulty{"active fault plan", faulty_testbed, false,
                              "413c8e95ae5c5329"};
-constexpr GoldenCase kCold{"cold campaign", cold_testbed, false,
-                           "ba6f689c1a50e480"};
 constexpr GoldenCase kGroundTruth{"ground truth", ground_truth_testbed, false,
                                   "40b057bbfd0bdeb8"};
 constexpr GoldenCase kAbandoned{"all abandoned", abandoning_testbed, false,
@@ -408,9 +404,8 @@ constexpr GoldenCase kSingleGroundTruth{"one config, ground truth",
                                         ground_truth_testbed, true,
                                         "93dce9a9075205e0"};
 constexpr const GoldenCase* kGoldenCases[] = {
-    &kMeasured,    &kFaulty,         &kCold,
-    &kGroundTruth, &kAbandoned,      &kSingleMeasured,
-    &kSingleGroundTruth,
+    &kMeasured,  &kFaulty,         &kGroundTruth,
+    &kAbandoned, &kSingleMeasured, &kSingleGroundTruth,
 };
 
 std::vector<bgp::Configuration> golden_plan(const core::PeeringTestbed& testbed,
@@ -506,6 +501,39 @@ TEST(DeployGolden, EmptyPlanYieldsAnEmptyDeployment) {
   }
 }
 
+/// The campaign identity hash a journaled deploy of `config` writes into its
+/// first segment header, after the u64 magic, u32 version and u32 sequence.
+std::uint64_t journal_identity(core::TestbedConfig config) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("spooftrack-identity-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  config.journal.dir = dir.string();
+  config.journal.fsync = false;
+  {
+    const core::PeeringTestbed testbed(config);
+    testbed.deploy(equivalence_plan(testbed));
+  }
+  fs::path segment = dir / "seg-000000.wal";
+  if (!fs::exists(segment)) segment.replace_extension(".open");
+  std::ifstream in(segment, std::ios::binary);
+  char header[24] = {};
+  in.read(header, sizeof header);
+  fs::remove_all(dir);
+  EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(sizeof header))
+      << segment;
+  std::uint64_t identity = 0;
+  std::memcpy(&identity, header + 16, sizeof identity);
+  return identity;
+}
+
+TEST(DeployGolden, JournalIdentityMatchesPinnedValue) {
+  // A resume rejects a journal whose identity differs, so any change to
+  // campaign_identity strands every journal written before it.
+  EXPECT_EQ(journal_identity(equivalence_testbed()),
+            0xe54e26170d6ad96dULL);
+}
+
 // ---------------------------------------------------------------------------
 // Deploy equivalence: every worker count x queue depth reproduces the
 // workers-1, depth-1 deployment and the scenario's golden digest. The
@@ -544,10 +572,6 @@ TEST(PipelineEquivalence, MatchesBarrierForAllWorkerAndDepthCombos) {
 
 TEST(PipelineEquivalence, MatchesBarrierUnderActiveFaultPlan) {
   run_equivalence_sweep(kFaulty);
-}
-
-TEST(PipelineEquivalence, MatchesBarrierWithColdCampaign) {
-  run_equivalence_sweep(kCold);
 }
 
 TEST(PipelineEquivalence, MatchesBarrierForGroundTruth) {

@@ -16,6 +16,7 @@
 #include "bgp/policy.hpp"
 #include "core/campaign.hpp"
 #include "core/config_gen.hpp"
+#include "obs/obs.hpp"
 #include "topology/synth.hpp"
 #include "util/rng.hpp"
 
@@ -189,6 +190,45 @@ TEST(WarmStart, ChainedWarmStartsStayOnTheFixedPoint) {
     prev = warm;
     prev_config = config;
   }
+}
+
+TEST(WarmStart, CompactingEveryWarmStartStaysOnTheFixedPoint) {
+  // arena_compact_nodes = 1 makes every warm start re-intern its
+  // baseline's live paths into a fresh arena (PathArena::migrate) instead
+  // of extending the arena it was handed. Routes must not notice.
+  const WarmWorld& w = world();
+  bgp::EngineOptions options;
+  options.arena_compact_nodes = 1;
+  const bgp::Engine compacting(w.topo.graph, w.policy, options);
+  const auto compactions = [] {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::MetricSnapshot* m = snap.find("engine.arena.compactions");
+    return m == nullptr ? std::uint64_t{0} : m->value;
+  };
+  const std::uint64_t compactions_before = compactions();
+
+  util::Rng rng{0xC0DE};
+  bgp::RoutingOutcome prev;
+  bgp::Configuration prev_config;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const bgp::Configuration config = random_config(rng);
+    bgp::RoutingOutcome warm =
+        i == 0 ? compacting.run(w.origin, config)
+               : compacting.run_warm(w.origin, config, prev_config,
+                                     std::move(prev));
+    ASSERT_TRUE(warm.converged) << "chain step " << i;
+    EXPECT_EQ(bgp::outcome_checksum(warm, bgp::ChecksumScope::kRoutes),
+              bgp::outcome_checksum(w.engine.run(w.origin, config),
+                                    bgp::ChecksumScope::kRoutes))
+        << "chain step " << i;
+    prev = std::move(warm);
+    prev_config = config;
+  }
+#if SPOOFTRACK_OBS_ENABLED
+  EXPECT_GT(compactions() - compactions_before, 0u);
+#else
+  (void)compactions_before;
+#endif
 }
 
 TEST(WarmStart, IdenticalSeedTableShortCircuits) {

@@ -15,8 +15,11 @@
 // writes a spooftrack.obs.v1 JSON RunReport of the run's telemetry; see
 // docs/observability.md.
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +68,53 @@ int usage(int code) {
   return code;
 }
 
+/// A malformed or out-of-range flag value: a usage error (exit 2), reported
+/// before any work starts.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Integer flag `name` — its default when not given — which must be a
+/// whole decimal number in [lo, hi].
+std::uint64_t uint_flag(
+    const util::FlagSet& flags, const std::string& name, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+  const auto value = flags.get_u64(name);
+  if (!value || *value < lo || *value > hi) {
+    throw UsageError("--" + name + "=" + flags.get(name) +
+                     ": expected an integer in [" + std::to_string(lo) +
+                     ", " + std::to_string(hi) + "]");
+  }
+  return *value;
+}
+
+/// As uint_flag, for flags that fill 32-bit fields.
+std::uint32_t u32_flag(const util::FlagSet& flags, const std::string& name,
+                       std::uint32_t lo = 0) {
+  return static_cast<std::uint32_t>(
+      uint_flag(flags, name, lo, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// Real-valued flag `name`, which must be a finite number >= 0.
+double real_flag(const util::FlagSet& flags, const std::string& name) {
+  const auto value = flags.get_double(name);
+  if (!value || !std::isfinite(*value) || *value < 0.0) {
+    throw UsageError("--" + name + "=" + flags.get(name) +
+                     ": expected a finite number >= 0");
+  }
+  return *value;
+}
+
+/// Probability flag `name`, which must be a number in [0, 1].
+double probability_flag(const util::FlagSet& flags, const std::string& name) {
+  const auto value = flags.get_double(name);
+  if (!value || !(*value >= 0.0 && *value <= 1.0)) {  // NaN fails both
+    throw UsageError("--" + name + "=" + flags.get(name) +
+                     ": expected a probability in [0, 1]");
+  }
+  return *value;
+}
+
 util::FlagSet testbed_flags() {
   util::FlagSet flags;
   flags.define("seed", "deterministic seed", "42")
@@ -104,43 +154,33 @@ util::FlagSet testbed_flags() {
 
 core::TestbedConfig testbed_config(const util::FlagSet& flags) {
   core::TestbedConfig config;
-  config.seed = flags.get_u64("seed").value_or(42);
-  config.stub_count = static_cast<std::uint32_t>(
-      flags.get_u64("stubs").value_or(2500));
-  config.transit_count = static_cast<std::uint32_t>(
-      flags.get_u64("transit").value_or(150));
-  config.tier1_count = static_cast<std::uint32_t>(
-      flags.get_u64("tier1").value_or(8));
-  config.probe_count = static_cast<std::uint32_t>(
-      flags.get_u64("probes").value_or(800));
-  config.traceroute_rounds = static_cast<std::uint32_t>(
-      flags.get_u64("rounds").value_or(2));
+  config.seed = uint_flag(flags, "seed");
+  config.stub_count = u32_flag(flags, "stubs");
+  config.transit_count = u32_flag(flags, "transit");
+  config.tier1_count = u32_flag(flags, "tier1");
+  config.probe_count = u32_flag(flags, "probes");
+  config.traceroute_rounds = u32_flag(flags, "rounds");
   config.measured_catchments = !flags.get_switch("ground-truth");
-  config.faults.set_all(flags.get_double("fault-rate").value_or(0.0));
-  if (const auto v = flags.get_double("fault-feed-outage")) {
-    config.faults.feed_outage_prob = *v;
+  config.faults.set_all(probability_flag(flags, "fault-rate"));
+  // Per-site probabilities override fault-rate only when given.
+  const auto override_site = [&flags](const char* name, double& field) {
+    if (!flags.get(name).empty()) field = probability_flag(flags, name);
+  };
+  override_site("fault-feed-outage", config.faults.feed_outage_prob);
+  override_site("fault-feed-stale", config.faults.feed_stale_prob);
+  override_site("fault-trace-loss", config.faults.traceroute_loss_prob);
+  override_site("fault-trace-truncate",
+                config.faults.traceroute_truncate_prob);
+  override_site("fault-deploy", config.faults.deploy_failure_prob);
+  config.faults.deploy_retry_budget = u32_flag(flags, "fault-retries");
+  if (!flags.get("fault-seed").empty()) {
+    config.faults.seed = uint_flag(flags, "fault-seed");
   }
-  if (const auto v = flags.get_double("fault-feed-stale")) {
-    config.faults.feed_stale_prob = *v;
-  }
-  if (const auto v = flags.get_double("fault-trace-loss")) {
-    config.faults.traceroute_loss_prob = *v;
-  }
-  if (const auto v = flags.get_double("fault-trace-truncate")) {
-    config.faults.traceroute_truncate_prob = *v;
-  }
-  if (const auto v = flags.get_double("fault-deploy")) {
-    config.faults.deploy_failure_prob = *v;
-  }
-  config.faults.deploy_retry_budget = static_cast<std::uint32_t>(
-      flags.get_u64("fault-retries").value_or(2));
-  config.faults.seed = flags.get_u64("fault-seed")
-                           .value_or(config.faults.seed);
   // Worker-count precedence (docs/cli.md): an explicit --workers wins over
   // the resolved default, but a *conflicting* SPOOFTRACK_THREADS is a
   // configuration error, not a silent tie-break — scripted runs should not
   // discover at bench-diff time which of the two was honoured.
-  const std::uint64_t workers = flags.get_u64("workers").value_or(0);
+  const std::uint64_t workers = uint_flag(flags, "workers");
   if (workers > 0) {
     if (const auto env = util::env_worker_override(); env && *env != workers) {
       throw std::invalid_argument(
@@ -150,8 +190,7 @@ core::TestbedConfig testbed_config(const util::FlagSet& flags) {
     }
     config.measure_workers = static_cast<std::size_t>(workers);
   }
-  config.pipeline_depth = static_cast<std::size_t>(
-      flags.get_u64("pipeline-depth").value_or(2));
+  config.pipeline_depth = uint_flag(flags, "pipeline-depth");
   return config;
 }
 
@@ -205,12 +244,11 @@ int cmd_plan(const std::vector<std::string>& args) {
       .define("max-communities", "community phase cap (0 = off)", "0");
   if (int rc = run_with_help(flags, args, "plan"); rc >= 0) return rc;
 
-  const core::PeeringTestbed testbed(testbed_config(flags));
   core::GeneratorOptions gen;
-  gen.max_removals = static_cast<std::uint32_t>(
-      flags.get_u64("max-removals").value_or(3));
-  gen.max_poison_configs = flags.get_u64("max-poison").value_or(347);
-  gen.max_community_configs = flags.get_u64("max-communities").value_or(0);
+  gen.max_removals = u32_flag(flags, "max-removals");
+  gen.max_poison_configs = uint_flag(flags, "max-poison");
+  gen.max_community_configs = uint_flag(flags, "max-communities");
+  const core::PeeringTestbed testbed(testbed_config(flags));
 
   const auto plan = testbed.generator(gen).full_plan(testbed.graph());
   util::Table table({"#", "label", "links", "prepended", "poisoned",
@@ -264,14 +302,12 @@ int cmd_deploy(const std::vector<std::string>& args) {
   } else {
     config.journal.dir = journal_dir;
   }
-  config.journal.segment_records = static_cast<std::size_t>(
-      flags.get_u64("journal-segment-records").value_or(128));
+  config.journal.segment_records = uint_flag(flags, "journal-segment-records");
+  core::GeneratorOptions gen;
+  gen.max_removals = u32_flag(flags, "max-removals");
+  gen.max_poison_configs = uint_flag(flags, "max-poison");
   const core::PeeringTestbed testbed(config);
 
-  core::GeneratorOptions gen;
-  gen.max_removals = static_cast<std::uint32_t>(
-      flags.get_u64("max-removals").value_or(3));
-  gen.max_poison_configs = flags.get_u64("max-poison").value_or(347);
   const core::ConfigGenerator generator = testbed.generator(gen);
   auto location = generator.location_phase();
   const auto prepends = generator.prepend_phase(location);
@@ -327,6 +363,7 @@ int cmd_clusters(const std::vector<std::string>& args) {
       .define("greedy", "also print an N-step greedy schedule", "0");
   if (int rc = run_with_help(flags, args, "clusters"); rc >= 0) return rc;
 
+  const auto greedy_steps = uint_flag(flags, "greedy");
   const auto artifact = core::load_artifact_file(flags.get("in"));
   const auto clustering = core::cluster_sources(artifact.matrix);
   const auto sizes = clustering.sizes();
@@ -363,7 +400,6 @@ int cmd_clusters(const std::vector<std::string>& args) {
     ccdf.print(std::cout);
   }
 
-  const auto greedy_steps = flags.get_u64("greedy").value_or(0);
   if (greedy_steps > 0) {
     const auto schedule = core::greedy_schedule(
         artifact.matrix, static_cast<std::size_t>(greedy_steps));
@@ -386,10 +422,11 @@ int cmd_attack(const std::vector<std::string>& args) {
   util::FlagSet flags;
   flags.define("in", "artifact path", "deployment.artifact")
       .define("attackers", "number of attacking ASes", "2")
-      .define("seed", "attacker placement seed", "7")
-      .define("pps", "per-attacker packets per second", "100");
+      .define("seed", "attacker placement seed", "7");
   if (int rc = run_with_help(flags, args, "attack"); rc >= 0) return rc;
 
+  const auto attacker_count = uint_flag(flags, "attackers");
+  util::Rng rng{uint_flag(flags, "seed")};
   const auto artifact = core::load_artifact_file(flags.get("in"));
   if (artifact.matrix.empty()) {
     std::cerr << "artifact has no catchment matrix\n";
@@ -398,7 +435,6 @@ int cmd_attack(const std::vector<std::string>& args) {
   // Attackers are distinct sources: more than the artifact has (any at all
   // on the zero-source artifact of an all-abandoned deploy) cannot be
   // placed.
-  const auto attacker_count = flags.get_u64("attackers").value_or(2);
   if (attacker_count > artifact.sources.size()) {
     std::cerr << "cannot place " << attacker_count
               << " distinct attackers among " << artifact.sources.size()
@@ -407,7 +443,6 @@ int cmd_attack(const std::vector<std::string>& args) {
   }
   const auto clustering = core::cluster_sources(artifact.matrix);
 
-  util::Rng rng{flags.get_u64("seed").value_or(7)};
   std::vector<std::size_t> attackers;
   while (attackers.size() < attacker_count) {
     const auto pick = rng.next_below(artifact.sources.size());
@@ -463,13 +498,12 @@ int cmd_predict(const std::vector<std::string>& args) {
       .define("holdout", "evaluate on every k-th configuration", "5");
   if (int rc = run_with_help(flags, args, "predict"); rc >= 0) return rc;
 
+  const auto holdout = std::max<std::uint64_t>(2, uint_flag(flags, "holdout"));
   const auto artifact = core::load_artifact_file(flags.get("in"));
   if (artifact.matrix.empty()) {
     std::cerr << "artifact has no catchment matrix\n";
     return 1;
   }
-  const auto holdout = std::max<std::uint64_t>(
-      2, flags.get_u64("holdout").value_or(5));
 
   core::CatchmentPredictor predictor(artifact.sources.size(),
                                      artifact.link_count);
@@ -516,11 +550,10 @@ int cmd_report(const std::vector<std::string>& args) {
       .define("tail-threshold", "cluster size counted as heavy tail", "5");
   if (int rc = run_with_help(flags, args, "report"); rc >= 0) return rc;
 
-  const auto artifact = core::load_artifact_file(flags.get("in"));
   core::ReportOptions options;
-  options.runbook_steps = flags.get_u64("runbook-steps").value_or(10);
-  options.tail_threshold = static_cast<std::uint32_t>(
-      flags.get_u64("tail-threshold").value_or(5));
+  options.runbook_steps = uint_flag(flags, "runbook-steps");
+  options.tail_threshold = u32_flag(flags, "tail-threshold");
+  const auto artifact = core::load_artifact_file(flags.get("in"));
 
   const std::string out_path = flags.get("out");
   if (out_path.empty()) {
@@ -547,17 +580,15 @@ int cmd_campaign(const std::vector<std::string>& args) {
       .define("deadline-days", "report prefixes needed for deadline", "0");
   if (int rc = run_with_help(flags, args, "campaign"); rc >= 0) return rc;
 
+  const auto configs = uint_flag(flags, "configs");
   core::CampaignModel model;
-  model.minutes_per_config =
-      flags.get_double("minutes").value_or(70.0);
-  model.concurrent_prefixes = static_cast<std::uint32_t>(
-      flags.get_u64("prefixes").value_or(1));
-  const auto configs = flags.get_u64("configs").value_or(705);
+  model.minutes_per_config = real_flag(flags, "minutes");
+  model.concurrent_prefixes = u32_flag(flags, "prefixes", 1);
+  const double deadline = real_flag(flags, "deadline-days");
 
   std::cout << model.describe(configs) << "\n";
   std::cout << "schedule feasible: " << (model.feasible() ? "yes" : "NO")
             << "\n";
-  const double deadline = flags.get_double("deadline-days").value_or(0.0);
   if (deadline > 0.0) {
     std::cout << "prefixes needed for " << deadline << " days: "
               << model.prefixes_for_deadline(configs, deadline) << "\n";
@@ -605,6 +636,9 @@ int main(int argc, char** argv) {
   int rc;
   try {
     rc = dispatch(command, args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const journal::JournalError& e) {
     // Corrupt journal or partial artifact on resume (docs/cli.md exit 5):
     // distinct from a generic failure so operators can tell "re-run with a
