@@ -37,10 +37,7 @@ int main(int argc, char** argv) {
     const auto& passive = deployment.measured[i];
     std::size_t agree = 0, resolved = 0;
     for (topology::AsId id = 0; id < testbed.graph().size(); ++id) {
-      if (!passive.observed[id] ||
-          passive.catchments.link_of[id] == bgp::kNoCatchment) {
-        continue;
-      }
+      if (passive.catchments.link_of[id] == bgp::kNoCatchment) continue;
       ++resolved;
       agree += passive.catchments.link_of[id] == truth.link_of[id];
     }
@@ -56,7 +53,7 @@ int main(int argc, char** argv) {
         prober.probe(outcome, configs[i], testbed.origin_id(), i);
     std::size_t a_agree = 0, a_resolved = 0;
     for (topology::AsId id = 0; id < testbed.graph().size(); ++id) {
-      if (!active.observed[id]) continue;
+      if (active.catchments.link_of[id] == bgp::kNoCatchment) continue;
       ++a_resolved;
       a_agree += active.catchments.link_of[id] == truth.link_of[id];
     }

@@ -225,40 +225,30 @@ journal::CampaignIdentity campaign_identity(
 
 }  // namespace
 
-/// Per-deploy journaling context: the writer, the records recovered on
-/// resume (validated against the re-derived plan), their loaded partial
-/// measurements, and each configuration's warm-chain coordinates.
+/// Per-deploy journaling context: the writer and, by configuration index,
+/// the records recovered on resume (validated against the re-derived plan).
 struct DeployJournal {
   DeployJournal(const journal::JournalOptions& options,
                 const journal::CampaignIdentity& identity,
                 const fault::FaultInjector* injector)
-      : writer(options, identity, injector),
-        dir(options.dir),
-        fsync(options.fsync) {}
+      : writer(options, identity, injector) {}
 
   journal::JournalWriter writer;
-  std::string dir;
-  bool fsync;
-  std::vector<char> completed;                       // per config index
-  std::vector<journal::ConfigRecord> records;        // valid when completed
-  std::vector<journal::PartialMeasurement> loaded;   // " and not abandoned
-  std::vector<std::uint32_t> chain_of;
-  std::vector<std::uint32_t> chain_pos;
+  std::vector<char> completed;                 // per config index
+  std::vector<journal::ConfigRecord> records;  // valid when completed
   std::uint64_t skipped = 0;
 
-  /// Commits configuration i: saves its partial measurement atomically,
-  /// then appends the journal record. No-op for configurations recovered
-  /// from the journal (idempotent resume). Called from the serialized
-  /// commit stage in ascending config order, so kill-point barrier
-  /// ordinals are invariant to workers and pipeline depth.
+  /// Commits configuration i: one record carrying its measured row. No-op
+  /// for configurations recovered from the journal (idempotent resume).
+  /// Called from the serialized commit stage in ascending config order, so
+  /// kill-point barrier ordinals are invariant to workers and pipeline
+  /// depth.
   void append_config(std::size_t i, const DeploymentResult& result,
                      const std::vector<char>& abandoned, bool faulty) {
     if (completed[i]) return;
     journal::ConfigRecord record;
     record.config_index = i;
     record.config_hash = journal::config_hash(result.configs[i]);
-    record.chain = chain_of[i];
-    record.chain_pos = chain_pos[i];
     if (faulty) {
       const fault::ConfigQuality& quality = result.quality[i];
       record.grade = quality.grade;
@@ -268,14 +258,13 @@ struct DeployJournal {
       record.traces = quality.traces;
       record.trace_faults = quality.trace_faults;
     }
+    const measure::InferenceResult& inferred = result.measured[i];
+    record.multi_catchment_fraction = inferred.multi_catchment_fraction;
     if (!abandoned[i]) {
-      journal::PartialMeasurement partial;
-      partial.inference = result.measured[i];
-      partial.feed_entries = record.feed_entries;
-      partial.feed_faults = record.feed_faults;
-      partial.traces = record.traces;
-      partial.trace_faults = record.trace_faults;
-      record.row_digest = journal::save_partial(dir, i, partial, fsync);
+      const std::vector<bgp::LinkId>& links = inferred.catchments.link_of;
+      record.row.resize(links.size());
+      std::transform(links.begin(), links.end(), record.row.begin(),
+                     measure::CatchmentStore::encode);
     }
     writer.append(record);
   }
@@ -372,16 +361,15 @@ DeploymentResult PeeringTestbed::deploy(
   }
 
   // The campaign plan (memoization, similarity order, chain partition) is
-  // built once per deploy: the journal records its chain coordinates and
-  // the schedule propagates along its chains.
+  // built once per deploy; the schedule propagates along its chains.
   const CampaignPlan plan = plan_campaign(result.configs);
 
   // Journal setup. A fresh journal just starts segment 0; a resume replays
-  // the directory, cross-checks every recovered record against the
+  // the directory and cross-checks every recovered record against the
   // re-derived plan (config hashes, abandonment, attempt counts — all
-  // stateless re-derivations), and loads the digest-verified partial
-  // measurement of every committed configuration. Any disagreement is a
-  // JournalError, never a silently different campaign.
+  // stateless re-derivations) and its row against the testbed (one byte per
+  // AS, each an origin link or kNoCatchment8; no row when abandoned). Any
+  // disagreement is a JournalError, never a silently different campaign.
   std::unique_ptr<DeployJournal> journal;
   if (journaling) {
     journal = std::make_unique<DeployJournal>(
@@ -389,8 +377,9 @@ DeploymentResult PeeringTestbed::deploy(
         &injector_);
     journal->completed.assign(n, 0);
     journal->records.resize(n);
-    journal->loaded.resize(n);
-    for (const journal::ConfigRecord& record : journal->writer.recovered()) {
+    const std::size_t as_count = topo_.graph.size();
+    const std::size_t link_count = origin_.links.size();
+    for (journal::ConfigRecord& record : journal->writer.recovered()) {
       const std::size_t i = record.config_index;  // < n (scan-validated)
       const bgp::Configuration& config = result.configs[i];
       if (record.config_hash != journal::config_hash(config)) {
@@ -407,40 +396,29 @@ DeploymentResult PeeringTestbed::deploy(
             "for configuration '" +
             config.label + "'");
       }
-      if (!record.abandoned()) {
-        journal->loaded[i] =
-            journal::load_partial(journal->dir, i, record.row_digest);
-        if (journal->loaded[i].feed_entries != record.feed_entries ||
-            journal->loaded[i].feed_faults != record.feed_faults ||
-            journal->loaded[i].traces != record.traces ||
-            journal->loaded[i].trace_faults != record.trace_faults) {
-          throw journal::JournalError(
-              "partial artifact quality counts disagree with the journal "
-              "record for configuration '" +
-              config.label + "'");
-        }
+      const bool row_fits =
+          record.abandoned()
+              ? record.row.empty()
+              : record.row.size() == as_count &&
+                    std::all_of(record.row.begin(), record.row.end(),
+                                [link_count](std::uint8_t cell) {
+                                  return cell < link_count ||
+                                         cell == bgp::kNoCatchment8;
+                                });
+      if (!row_fits) {
+        throw journal::JournalError(
+            "journal row does not fit the testbed for configuration '" +
+            config.label + "'");
       }
-      journal->records[i] = record;
+      journal->records[i] = std::move(record);
       journal->completed[i] = 1;
       ++journal->skipped;
     }
+    journal->writer.recovered().clear();
     result.resumed_configs = journal->skipped;
     if (config_.journal.resume) {
       OBS_COUNT("deploy.resume.runs", 1);
       OBS_COUNT("deploy.resume.skipped_configs", journal->skipped);
-    }
-
-    // Warm-chain coordinates for the records (recovery-runbook metadata:
-    // which chain, and how deep, each configuration committed from).
-    journal->chain_of.assign(n, 0);
-    journal->chain_pos.assign(n, 0);
-    for (std::size_t c = 0; c < plan.chains(); ++c) {
-      for (std::size_t pos = 0; pos < plan.chain_steps[c].size(); ++pos) {
-        for (const std::size_t idx : plan.fanout[plan.chain_steps[c][pos]]) {
-          journal->chain_of[idx] = static_cast<std::uint32_t>(c);
-          journal->chain_pos[idx] = static_cast<std::uint32_t>(pos);
-        }
-      }
     }
   }
 
@@ -469,9 +447,9 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
 
   // Configurations whose work stage (the measurement) does nothing: every
   // one under ground truth, abandoned ones, and — on a journal resume — the
-  // committed ones, whose recorded measurement is spliced back in at
-  // commit. Propagation and commits still cover every index, so chain
-  // state and commit order never depend on what is skipped.
+  // committed ones, whose recorded row is decoded back in at commit.
+  // Propagation and commits still cover every index, so chain state and
+  // commit order never depend on what is skipped.
   std::vector<char> skip(n, 1);
   if (measured) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -579,10 +557,7 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
   double multi = 0.0;
   double coverage = 0.0;
   measure::InferenceResult missing;  // shared template for abandoned rows
-  if (measured) {
-    missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
-    missing.observed.assign(as_count, 0);
-  }
+  if (measured) missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
 
   pipeline::Stages stages;
   stages.produce = [&](std::size_t chain, std::size_t) {
@@ -698,12 +673,22 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
       result.measured[i] = missing;
     } else {
       if (from_journal) {
-        // Splice the journaled measurement (and its recorded quality
-        // counts); the work stage never ran for this index.
-        result.measured[i] = std::move(journal->loaded[i].inference);
+        // Decode the journaled row (and its recorded quality counts), then
+        // release it; the work stage never ran for this index.
+        journal::ConfigRecord& record = journal->records[i];
+        measure::InferenceResult& inferred = result.measured[i];
+        inferred.catchments.link_of.resize(record.row.size());
+        std::transform(record.row.begin(), record.row.end(),
+                       inferred.catchments.link_of.begin(),
+                       measure::CatchmentStore::decode);
+        inferred.covered_count = static_cast<std::size_t>(
+            record.row.size() - std::count(record.row.begin(),
+                                           record.row.end(),
+                                           bgp::kNoCatchment8));
+        inferred.multi_catchment_fraction = record.multi_catchment_fraction;
+        record.row = {};
         if (faulty) {
           fault::ConfigQuality recorded;
-          const journal::ConfigRecord& record = journal->records[i];
           recorded.feed_entries = record.feed_entries;
           recorded.feed_faults = record.feed_faults;
           recorded.traces = record.traces;
@@ -722,10 +707,7 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
         result.matrix.assign(n, result.sources.size());
       }
       for (std::size_t s = 0; s < result.sources.size(); ++s) {
-        const topology::AsId id = result.sources[s];
-        if (inferred.observed[id]) {
-          result.matrix.set(i, s, inferred.catchments.link_of[id]);
-        }
+        result.matrix.set(i, s, inferred.catchments.link_of[result.sources[s]]);
       }
     }
     multi += result.measured[i].multi_catchment_fraction;

@@ -33,8 +33,8 @@
 
 namespace spooftrack::core {
 
-/// Per-deploy journaling context (journal writer, recovered records,
-/// chain coordinates); defined in experiment.cpp.
+/// Per-deploy journaling context (journal writer, recovered records);
+/// defined in experiment.cpp.
 struct DeployJournal;
 struct CampaignPlan;
 
@@ -89,12 +89,12 @@ struct TestbedConfig {
   fault::FaultPlan faults;
 
   /// Crash-consistent campaign journal (docs/checkpointing.md). An empty
-  /// dir disables journaling entirely. With a dir set, deploy() commits a
-  /// checksummed record (and a digest-verified partial artifact) per
-  /// configuration as its measurement completes; with journal.resume it
-  /// first replays the journal, skips committed configurations, and splices
-  /// their recorded measurements back in — byte-identical to an
-  /// uninterrupted run for any worker count and pipeline depth.
+  /// dir disables journaling entirely. With a dir set, deploy() commits one
+  /// checksummed record carrying the measured row per configuration as its
+  /// measurement completes; with journal.resume it first replays the
+  /// journal, skips committed configurations, and decodes their recorded
+  /// rows back in — byte-identical to an uninterrupted run for any worker
+  /// count and pipeline depth.
   /// Requires measured_catchments (ground-truth deployments have no
   /// per-configuration measurement to checkpoint; deploy() throws
   /// std::invalid_argument).

@@ -21,11 +21,11 @@ namespace spooftrack::journal {
 namespace {
 
 constexpr std::uint64_t kSegmentMagic = 0x4C4E4A464F4F5053ULL;  // "SPOOFJNL"
-constexpr std::uint64_t kPartialMagic = 0x545250464F4F5053ULL;  // "SPOOFPRT"
-constexpr std::uint32_t kVersion = 1;
+// Format 2: each record carries its configuration's measured row. Replay
+// rejects every other version.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 4;  // 36 bytes
-constexpr std::uint32_t kMaxRecordBytes = 4096;
-constexpr std::uint64_t kSaneCount = std::uint64_t{1} << 26;
+constexpr std::uint8_t kConfigRecordType = 2;
 
 // ---- little-endian-native byte packing (local cache format, like the
 // artifact serializer) ------------------------------------------------------
@@ -91,32 +91,11 @@ std::optional<std::uint32_t> parse_header(const std::string& bytes,
   return seq;
 }
 
-std::string record_payload(const ConfigRecord& record) {
-  std::string payload;
-  payload.reserve(64);
-  put<std::uint8_t>(payload, 2);  // record type: config completion
-  put(payload, record.config_index);
-  put(payload, record.config_hash);
-  put(payload, record.chain);
-  put(payload, record.chain_pos);
-  put(payload, record.row_digest);
-  put(payload, static_cast<std::uint8_t>(record.grade));
-  put(payload, record.deploy_attempts);
-  put(payload, record.feed_entries);
-  put(payload, record.feed_faults);
-  put(payload, record.traces);
-  put(payload, record.trace_faults);
-  return payload;
-}
-
-bool parse_record(Cursor& cur, ConfigRecord& record) noexcept {
+bool parse_record(Cursor& cur, ConfigRecord& record) {
   std::uint8_t type = 0, grade = 0;
-  if (!cur.take(type) || type != 2) return false;
+  if (!cur.take(type) || type != kConfigRecordType) return false;
   if (!cur.take(record.config_index)) return false;
   if (!cur.take(record.config_hash)) return false;
-  if (!cur.take(record.chain)) return false;
-  if (!cur.take(record.chain_pos)) return false;
-  if (!cur.take(record.row_digest)) return false;
   if (!cur.take(grade) || grade > 2) return false;
   record.grade = static_cast<fault::Grade>(grade);
   if (!cur.take(record.deploy_attempts)) return false;
@@ -124,22 +103,38 @@ bool parse_record(Cursor& cur, ConfigRecord& record) noexcept {
   if (!cur.take(record.feed_faults)) return false;
   if (!cur.take(record.traces)) return false;
   if (!cur.take(record.trace_faults)) return false;
-  return cur.n == 0;
+  if (!cur.take(record.multi_catchment_fraction)) return false;
+  // The row is the rest of the payload.
+  record.row.assign(cur.p, cur.p + cur.n);
+  return true;
 }
 
+/// Frame = u32 payload length, u32 CRC32C of the payload, payload.
 std::string frame_record(const ConfigRecord& record) {
-  const std::string payload = record_payload(record);
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  put<std::uint32_t>(frame, util::crc32c(payload.data(), payload.size()));
-  frame += payload;
+  std::string frame(8, '\0');  // length and CRC, filled in last
+  frame.reserve(64 + record.row.size());
+  put(frame, kConfigRecordType);
+  put(frame, record.config_index);
+  put(frame, record.config_hash);
+  put(frame, static_cast<std::uint8_t>(record.grade));
+  put(frame, record.deploy_attempts);
+  put(frame, record.feed_entries);
+  put(frame, record.feed_faults);
+  put(frame, record.traces);
+  put(frame, record.trace_faults);
+  put(frame, record.multi_catchment_fraction);
+  frame.append(reinterpret_cast<const char*>(record.row.data()),
+               record.row.size());
+  const auto len = static_cast<std::uint32_t>(frame.size() - 8);
+  const std::uint32_t crc = util::crc32c(frame.data() + 8, len);
+  std::memcpy(frame.data(), &len, 4);
+  std::memcpy(frame.data() + 4, &crc, 4);
   return frame;
 }
 
 /// Parses framed records from `bytes` starting after the header. Returns
-/// the byte offset one past the last valid record; `records` receives every
-/// valid record in order.
+/// the byte offset one past the last valid record; every valid record is
+/// appended to `records` in order.
 std::size_t parse_frames(const std::string& bytes,
                          std::vector<ConfigRecord>& records) {
   std::size_t offset = kHeaderSize;
@@ -147,14 +142,13 @@ std::size_t parse_frames(const std::string& bytes,
     std::uint32_t len = 0, crc = 0;
     std::memcpy(&len, bytes.data() + offset, 4);
     std::memcpy(&crc, bytes.data() + offset + 4, 4);
-    if (len == 0 || len > kMaxRecordBytes) break;
-    if (offset + 8 + len > bytes.size()) break;
+    if (len == 0 || len > bytes.size() - offset - 8) break;
     const char* payload = bytes.data() + offset + 8;
     if (util::crc32c(payload, len) != crc) break;
     Cursor cur{payload, len};
     ConfigRecord record;
     if (!parse_record(cur, record)) break;
-    records.push_back(record);
+    records.push_back(std::move(record));
     offset += 8 + len;
   }
   return offset;
@@ -230,12 +224,10 @@ Scan scan_journal(const std::string& dir, const CampaignIdentity& identity) {
       if (parse_header(bytes, identity, path) != seg.seq) {
         throw JournalError("corrupt sealed journal segment header: " + path);
       }
-      std::vector<ConfigRecord> records;
-      if (parse_frames(bytes, records) != bytes.size()) {
+      if (parse_frames(bytes, scan.records) != bytes.size()) {
         throw JournalError("corrupt record in sealed journal segment: " +
                            path);
       }
-      scan.records.insert(scan.records.end(), records.begin(), records.end());
       expect_seq = seg.seq + 1;
       scan.next_seq = expect_seq;
       continue;
@@ -251,11 +243,10 @@ Scan scan_journal(const std::string& dir, const CampaignIdentity& identity) {
       scan.stats.torn_bytes += bytes.size();
       continue;
     }
-    std::vector<ConfigRecord> records;
-    scan.active_valid_len = parse_frames(bytes, records);
+    const std::size_t before = scan.records.size();
+    scan.active_valid_len = parse_frames(bytes, scan.records);
     scan.stats.torn_bytes += bytes.size() - scan.active_valid_len;
-    scan.active_records = records.size();
-    scan.records.insert(scan.records.end(), records.begin(), records.end());
+    scan.active_records = scan.records.size() - before;
   }
 
   // Deduplicate (identical re-commits are harmless; diverging ones are
@@ -266,7 +257,7 @@ Scan scan_journal(const std::string& dir, const CampaignIdentity& identity) {
             });
   std::vector<ConfigRecord> unique;
   unique.reserve(scan.records.size());
-  for (const ConfigRecord& record : scan.records) {
+  for (ConfigRecord& record : scan.records) {
     if (!unique.empty() &&
         unique.back().config_index == record.config_index) {
       if (!(unique.back() == record)) {
@@ -279,7 +270,7 @@ Scan scan_journal(const std::string& dir, const CampaignIdentity& identity) {
       throw JournalError("journal record for out-of-plan config " +
                          std::to_string(record.config_index));
     }
-    unique.push_back(record);
+    unique.push_back(std::move(record));
   }
   scan.records = std::move(unique);
   scan.stats.records = scan.records.size();
@@ -303,13 +294,12 @@ JournalWriter::JournalWriter(const JournalOptions& options,
   util::ensure_directory(options_.dir);
 
   if (!options_.resume) {
-    // Fresh journal: sweep any previous campaign's segments and partials so
-    // a stale record can never alias into this run.
+    // Fresh journal: sweep any previous campaign's segments so a stale
+    // record can never alias into this run.
     if (DIR* d = ::opendir(options_.dir.c_str())) {
       std::vector<std::string> stale;
       while (const dirent* entry = ::readdir(d)) {
-        if (std::strncmp(entry->d_name, "seg-", 4) == 0 ||
-            std::strncmp(entry->d_name, "cfg-", 4) == 0) {
+        if (std::strncmp(entry->d_name, "seg-", 4) == 0) {
           stale.emplace_back(entry->d_name);
         }
       }
@@ -436,107 +426,6 @@ void JournalWriter::append(const ConfigRecord& record) {
 ReplayResult replay(const std::string& dir, const CampaignIdentity& expect) {
   Scan scan = scan_journal(dir, expect);
   return {std::move(scan.records), scan.stats};
-}
-
-// ---------------------------------------------------------------------------
-// Partial artifacts
-// ---------------------------------------------------------------------------
-
-std::string partial_path(const std::string& dir, std::uint64_t config_index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "cfg-%06llu.part",
-                static_cast<unsigned long long>(config_index));
-  return dir + "/" + name;
-}
-
-namespace {
-
-std::uint64_t bytes_digest(const std::string& bytes) noexcept {
-  return util::hash_combine(util::crc32c(bytes.data(), bytes.size()),
-                            bytes.size());
-}
-
-}  // namespace
-
-std::uint64_t save_partial(const std::string& dir, std::uint64_t config_index,
-                           const PartialMeasurement& partial, bool sync) {
-  const measure::InferenceResult& inferred = partial.inference;
-  std::string bytes;
-  bytes.reserve(64 + inferred.catchments.link_of.size() * 5);
-  put(bytes, kPartialMagic);
-  put(bytes, kVersion);
-  put(bytes, config_index);
-  put<std::uint64_t>(bytes, inferred.catchments.link_of.size());
-  for (const bgp::LinkId link : inferred.catchments.link_of) put(bytes, link);
-  put<std::uint64_t>(bytes, inferred.observed.size());
-  bytes.append(reinterpret_cast<const char*>(inferred.observed.data()),
-               inferred.observed.size());
-  put<std::uint64_t>(bytes, inferred.covered_count);
-  put(bytes, inferred.multi_catchment_fraction);
-  put(bytes, partial.feed_entries);
-  put(bytes, partial.feed_faults);
-  put(bytes, partial.traces);
-  put(bytes, partial.trace_faults);
-  put(bytes, util::crc32c(bytes.data(), bytes.size()));
-  util::atomic_write_file(partial_path(dir, config_index), bytes, sync);
-  return bytes_digest(bytes);
-}
-
-PartialMeasurement load_partial(const std::string& dir,
-                                std::uint64_t config_index,
-                                std::uint64_t expected_digest) {
-  const std::string path = partial_path(dir, config_index);
-  std::string bytes;
-  try {
-    bytes = util::read_file(path);
-  } catch (const std::runtime_error& e) {
-    throw JournalError(std::string("journaled partial missing: ") + e.what());
-  }
-  if (bytes_digest(bytes) != expected_digest) {
-    throw JournalError("partial artifact digest mismatch: " + path);
-  }
-  if (bytes.size() < 4 ||
-      util::crc32c(bytes.data(), bytes.size() - 4) !=
-          [&] {
-            std::uint32_t crc = 0;
-            std::memcpy(&crc, bytes.data() + bytes.size() - 4, 4);
-            return crc;
-          }()) {
-    throw JournalError("partial artifact checksum mismatch: " + path);
-  }
-
-  Cursor cur{bytes.data(), bytes.size() - 4};
-  const auto corrupt = [&path]() -> JournalError {
-    return JournalError("corrupt partial artifact: " + path);
-  };
-  std::uint64_t magic = 0, index = 0, count = 0;
-  std::uint32_t version = 0;
-  if (!cur.take(magic) || magic != kPartialMagic) throw corrupt();
-  if (!cur.take(version) || version != kVersion) throw corrupt();
-  if (!cur.take(index) || index != config_index) throw corrupt();
-
-  PartialMeasurement partial;
-  measure::InferenceResult& inferred = partial.inference;
-  if (!cur.take(count) || count > kSaneCount) throw corrupt();
-  inferred.catchments.link_of.resize(count);
-  for (bgp::LinkId& link : inferred.catchments.link_of) {
-    if (!cur.take(link)) throw corrupt();
-  }
-  if (!cur.take(count) || count > kSaneCount) throw corrupt();
-  if (cur.n < count) throw corrupt();
-  inferred.observed.assign(cur.p, cur.p + count);
-  cur.p += count;
-  cur.n -= count;
-  std::uint64_t covered = 0;
-  if (!cur.take(covered)) throw corrupt();
-  inferred.covered_count = covered;
-  if (!cur.take(inferred.multi_catchment_fraction)) throw corrupt();
-  if (!cur.take(partial.feed_entries)) throw corrupt();
-  if (!cur.take(partial.feed_faults)) throw corrupt();
-  if (!cur.take(partial.traces)) throw corrupt();
-  if (!cur.take(partial.trace_faults)) throw corrupt();
-  if (cur.n != 0) throw corrupt();
-  return partial;
 }
 
 std::uint64_t config_hash(const bgp::Configuration& config) noexcept {

@@ -5,29 +5,30 @@
 // hours; operator restarts and mid-campaign failures are the norm, and
 // losing the whole run to one crash is what this subsystem removes. The
 // journal is a segmented write-ahead log of per-configuration completion
-// records: once a configuration's measurement is durable (saved as a
-// digest-verified partial artifact), one CRC32C-framed record commits it.
-// `--resume` replays the journal, verifies every recorded digest against
-// its partial artifact, skips the committed configurations' measurements,
-// and re-seeds the warm-start propagation chains by re-propagating — so a
+// records: once a configuration's measurement completes, one CRC32C-framed
+// record carrying its measured row commits it with one append and one
+// fdatasync. `--resume` replays the journal, decodes every committed row
+// back into the deployment, skips those configurations' measurements, and
+// re-seeds the warm-start propagation chains by re-propagating — so a
 // resumed campaign is **byte-identical** to an uninterrupted one for any
 // worker count and pipeline depth (tests/test_journal.cpp pins this over
 // the full kill-point matrix).
 //
-// On-disk layout of a journal directory:
+// On-disk layout of a journal directory (nothing else is written there):
 //
 //   seg-NNNNNN.wal    sealed segments (immutable; any corruption is fatal)
 //   seg-NNNNNN.open   the active segment (torn tail truncated on recovery)
-//   cfg-NNNNNN.part   per-config partial artifacts (atomic temp+rename)
 //
 // Every segment starts with a fixed CRC-protected header carrying the
-// campaign identity hash, so a journal can never be replayed into a
-// different campaign. Records are length+CRC32C framed; recovery scans the
-// active segment and truncates the torn tail at the first bad frame.
-// Segment rotation is atomic: seal (fsync) -> rename .open to .wal ->
-// directory fsync. The fault::FaultInjector's kill-point sites
-// (fault.crash.*) put a deterministic crash barrier at each of those
-// steps; the recovery harness crashes at every one and pins equivalence.
+// format version and the campaign identity hash, so a journal can never be
+// replayed into a different campaign or read under another format. Records
+// are length+CRC32C framed, and the frame CRC is the one integrity check
+// on a row; recovery scans the active segment and truncates the torn tail
+// at the first bad frame. Segment rotation is atomic: seal (fsync) ->
+// rename .open to .wal -> directory fsync. The fault::FaultInjector's
+// kill-point sites (fault.crash.*) put a deterministic crash barrier at
+// each of those steps; the recovery harness crashes at every one and pins
+// equivalence.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +38,12 @@
 
 #include "bgp/announcement.hpp"
 #include "fault/fault.hpp"
-#include "measure/inference.hpp"
 
 namespace spooftrack::journal {
 
-/// Unrecoverable journal or partial-artifact corruption: a sealed segment
-/// that fails its CRC, a digest mismatch between a record and its partial,
-/// or a journal written by a different campaign. Distinct from
+/// Unrecoverable journal corruption: a sealed segment that fails its CRC, a
+/// segment of another format version, a recovered row that does not fit
+/// the testbed, or a journal written by a different campaign. Distinct from
 /// std::runtime_error so the CLI can map it to the documented exit code 5.
 class JournalError : public std::runtime_error {
  public:
@@ -60,24 +60,24 @@ struct CampaignIdentity {
   std::uint64_t config_count = 0;
 };
 
-/// One committed configuration. `row_digest` is the digest of the saved
-/// partial artifact (0 for abandoned configurations, which have none); the
-/// quality fields mirror the measured part of fault::ConfigQuality so a
-/// resume reproduces DeploymentResult::quality without re-measuring.
+/// One committed configuration. `row` is its measured row: one byte per AS
+/// in the measure::CatchmentStore encoding, bgp::kNoCatchment8 where the AS
+/// was not observed, and empty for an abandoned configuration, which has no
+/// measurement. `multi_catchment_fraction` is the measured value the row
+/// cannot give; the quality fields mirror the measured part of
+/// fault::ConfigQuality so a resume reproduces DeploymentResult::quality
+/// without re-measuring.
 struct ConfigRecord {
   std::uint64_t config_index = 0;
   std::uint64_t config_hash = 0;
-  /// Propagation-chain coordinates (metadata for the recovery runbook:
-  /// which warm chain, and how deep, the config committed from).
-  std::uint32_t chain = 0;
-  std::uint32_t chain_pos = 0;
-  std::uint64_t row_digest = 0;
   fault::Grade grade = fault::Grade::kGood;
   std::uint32_t deploy_attempts = 1;
   std::uint32_t feed_entries = 0;
   std::uint32_t feed_faults = 0;
   std::uint32_t traces = 0;
   std::uint32_t trace_faults = 0;
+  double multi_catchment_fraction = 0.0;
+  std::vector<std::uint8_t> row;
 
   bool abandoned() const noexcept { return grade == fault::Grade::kFailed; }
 
@@ -118,10 +118,9 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Records recovered at construction (empty unless options.resume).
-  const std::vector<ConfigRecord>& recovered() const noexcept {
-    return recovered_;
-  }
+  /// Records recovered at construction (empty unless options.resume), in
+  /// ascending config index. Mutable so a resume can move the rows out.
+  std::vector<ConfigRecord>& recovered() noexcept { return recovered_; }
   const RecoveryStats& recovery() const noexcept { return recovery_; }
 
   /// Commits one configuration. Crash barriers: kJournalPreWrite,
@@ -156,39 +155,6 @@ struct ReplayResult {
   RecoveryStats stats;
 };
 ReplayResult replay(const std::string& dir, const CampaignIdentity& expect);
-
-// ---------------------------------------------------------------------------
-// Partial artifacts: one configuration's measured result, saved atomically
-// before its journal record commits. The digest recorded in the journal is
-// recomputed from the file bytes on resume; any mismatch is JournalError.
-// ---------------------------------------------------------------------------
-
-struct PartialMeasurement {
-  measure::InferenceResult inference;
-  /// Measured-part quality accounting (feed/trace counts); deploy attempts
-  /// and the grade are re-derived on resume from the stateless fault draws.
-  std::uint32_t feed_entries = 0;
-  std::uint32_t feed_faults = 0;
-  std::uint32_t traces = 0;
-  std::uint32_t trace_faults = 0;
-
-  friend bool operator==(const PartialMeasurement&,
-                         const PartialMeasurement&) = default;
-};
-
-std::string partial_path(const std::string& dir, std::uint64_t config_index);
-
-/// Atomically writes the partial and returns its digest (the value to
-/// record in the config's journal record).
-std::uint64_t save_partial(const std::string& dir, std::uint64_t config_index,
-                           const PartialMeasurement& partial, bool sync = true);
-
-/// Loads a partial, verifying the whole-file digest against the journal
-/// record and the embedded CRC/identity. Throws JournalError on any
-/// mismatch, truncation or corruption.
-PartialMeasurement load_partial(const std::string& dir,
-                                std::uint64_t config_index,
-                                std::uint64_t expected_digest);
 
 /// Stable hash of one configuration (label + announcement specs); part of
 /// every ConfigRecord so replay can cross-check the plan.

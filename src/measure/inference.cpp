@@ -36,8 +36,6 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
   // Vote counts per AS: [link * 2 + type], type 0 = BGP, type 1 = trace.
   std::vector<std::uint16_t>& votes = scratch.votes;
   votes.assign(graph_.size() * link_count * 2, 0);
-  std::vector<std::uint8_t>& observed = scratch.observed;
-  observed.assign(graph_.size(), 0);
 
   auto add_votes = [&](std::span<const topology::Asn> path, int type) {
     const auto link = link_from_as_path(path, origin_);
@@ -47,7 +45,6 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
     for (std::ptrdiff_t i = 0; i < seed_start; ++i) {
       const auto id = graph_.id_of(path[i]);
       if (!id) continue;
-      observed[*id] = 1;
       auto& count =
           votes[(*id * link_count + *link) * 2 + static_cast<std::size_t>(type)];
       if (count < std::numeric_limits<std::uint16_t>::max()) {
@@ -66,15 +63,12 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
   }
 
   InferenceResult result;
-  result.observed = std::move(observed);
   result.catchments.link_of.assign(graph_.size(), bgp::kNoCatchment);
 
   std::size_t multi = 0;
   for (topology::AsId id = 0; id < graph_.size(); ++id) {
-    if (!result.observed[id]) continue;
-    ++result.covered_count;
-
-    // Count catchments named by any vote (for the multi-catchment stat).
+    // Count catchments named by any vote: none means the AS was not
+    // observed, more than one feeds the multi-catchment stat.
     std::size_t distinct = 0;
     bool has_bgp = false;
     for (std::size_t link = 0; link < link_count; ++link) {
@@ -83,6 +77,8 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
       if (bgp_votes + trace_votes > 0) ++distinct;
       if (bgp_votes > 0) has_bgp = true;
     }
+    if (distinct == 0) continue;
+    ++result.covered_count;
     if (distinct > 1) ++multi;
 
     // Resolution: majority among BGP votes when any exist, else among

@@ -28,10 +28,10 @@ std::optional<bgp::LinkId> link_from_as_path(
     std::span<const topology::Asn> path, const bgp::OriginSpec& origin);
 
 struct InferenceResult {
-  /// Measured catchments (kNoCatchment where the AS was not observed).
+  /// Measured catchments: kNoCatchment exactly where the AS was not
+  /// observed on any measured path.
   bgp::CatchmentMap catchments;
-  /// Per AsId: 1 when the AS was observed on any measured path.
-  std::vector<std::uint8_t> observed;
+  /// Number of observed ASes.
   std::size_t covered_count = 0;
   /// Fraction of observed ASes whose votes named more than one catchment
   /// (the paper reports 2.28% on the real Internet).
@@ -47,7 +47,6 @@ class CatchmentInference {
   /// infer() calls never changes results (each call resets the buffers).
   struct Scratch {
     std::vector<std::uint16_t> votes;
-    std::vector<std::uint8_t> observed;
   };
 
   CatchmentInference(const topology::AsGraph& graph,

@@ -71,7 +71,6 @@ InferenceResult VerfploeterProber::probe(const bgp::RoutingOutcome& outcome,
                                          topology::AsId origin,
                                          std::uint64_t salt) const {
   InferenceResult result;
-  result.observed.assign(graph_.size(), 0);
   result.catchments.link_of.assign(graph_.size(), bgp::kNoCatchment);
 
   for (topology::AsId target = 0; target < graph_.size(); ++target) {
@@ -92,7 +91,6 @@ InferenceResult VerfploeterProber::probe(const bgp::RoutingOutcome& outcome,
     }
     if (!heard) continue;
 
-    result.observed[target] = 1;
     ++result.covered_count;
     result.catchments.link_of[target] =
         config.announcements[route.ann].link;

@@ -9,11 +9,9 @@ namespace spooftrack::measure {
 
 std::vector<topology::AsId> baseline_sources(const InferenceResult& first) {
   std::vector<topology::AsId> sources;
-  for (topology::AsId id = 0; id < first.observed.size(); ++id) {
-    if (first.observed[id] &&
-        first.catchments.link_of[id] != bgp::kNoCatchment) {
-      sources.push_back(id);
-    }
+  const std::vector<bgp::LinkId>& links = first.catchments.link_of;
+  for (topology::AsId id = 0; id < links.size(); ++id) {
+    if (links[id] != bgp::kNoCatchment) sources.push_back(id);
   }
   return sources;
 }

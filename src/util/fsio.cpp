@@ -38,14 +38,13 @@ void write_all(int fd, const char* data, std::size_t size,
 
 }  // namespace
 
-void atomic_write_file(const std::string& path, std::string_view bytes,
-                       bool sync) {
+void atomic_write_file(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot open for writing", tmp);
   try {
     write_all(fd, bytes.data(), bytes.size(), tmp);
-    if (sync && ::fsync(fd) != 0) fail("cannot fsync", tmp);
+    if (::fsync(fd) != 0) fail("cannot fsync", tmp);
   } catch (...) {
     ::close(fd);
     ::unlink(tmp.c_str());
@@ -59,7 +58,7 @@ void atomic_write_file(const std::string& path, std::string_view bytes,
     ::unlink(tmp.c_str());
     fail("cannot rename over", path);
   }
-  fsync_directory(parent_dir(path), sync);
+  fsync_directory(parent_dir(path));
 }
 
 std::string read_file(const std::string& path) {

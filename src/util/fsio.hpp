@@ -15,11 +15,8 @@ namespace spooftrack::util {
 
 /// Atomically replaces `path` with `bytes` (temp write -> fsync -> rename ->
 /// directory fsync). Throws std::runtime_error on any I/O failure; on
-/// failure the destination is untouched. When `sync` is false the fsyncs
-/// are skipped (atomicity against concurrent readers is kept; durability
-/// against power loss is not — tests use this for speed).
-void atomic_write_file(const std::string& path, std::string_view bytes,
-                       bool sync = true);
+/// failure the destination is untouched.
+void atomic_write_file(const std::string& path, std::string_view bytes);
 
 /// Reads an entire file into a string. Throws std::runtime_error when the
 /// file cannot be opened or read.

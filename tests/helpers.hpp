@@ -1,5 +1,6 @@
 // Shared fixtures for spooftrack tests: a small hand-built topology with
-// known catchment behaviour, and convenience builders.
+// known catchment behaviour, convenience builders, and a guard for the
+// SPOOFTRACK_THREADS variable.
 //
 //     t1 ===peer=== t2            (tier-1 clique)
 //     |- p1, c                    (t1's customers)
@@ -8,6 +9,8 @@
 //     p2 |- b, d, origin          (origin 47065 is customer of p1 and p2)
 #pragma once
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bgp/announcement.hpp"
@@ -74,5 +77,30 @@ inline bgp::Configuration announce_all(std::size_t links) {
   }
   return config;
 }
+
+/// Saves and restores SPOOFTRACK_THREADS around a test.
+class ThreadsEnvGuard {
+ public:
+  ThreadsEnvGuard() {
+    if (const char* value = std::getenv(kName)) {
+      saved_ = value;
+      had_value_ = true;
+    }
+  }
+  ~ThreadsEnvGuard() {
+    if (had_value_) {
+      ::setenv(kName, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+  static void set(const char* value) { ::setenv(kName, value, 1); }
+  static void clear() { ::unsetenv(kName); }
+
+ private:
+  static constexpr const char* kName = "SPOOFTRACK_THREADS";
+  std::string saved_;
+  bool had_value_ = false;
+};
 
 }  // namespace spooftrack::test

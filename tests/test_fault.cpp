@@ -393,9 +393,9 @@ TEST(FaultDeploy, AbandonedConfigsAreMissingNotEmptyVotes) {
       ++failed;
       // Missing measurement: nothing observed, whole matrix row missing.
       EXPECT_EQ(result.measured[i].covered_count, 0u);
-      EXPECT_EQ(std::count(result.measured[i].observed.begin(),
-                           result.measured[i].observed.end(), 1),
-                0);
+      const auto& links = result.measured[i].catchments.link_of;
+      EXPECT_EQ(std::count(links.begin(), links.end(), bgp::kNoCatchment),
+                static_cast<std::ptrdiff_t>(links.size()));
       for (std::size_t s = 0; s < result.sources.size(); ++s) {
         EXPECT_EQ(result.matrix.cell(i, s), bgp::kNoCatchment8)
             << "config " << i << " source " << s;

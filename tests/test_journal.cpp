@@ -1,8 +1,12 @@
 // Recovery harness for spooftrack::journal (docs/checkpointing.md).
 //
-// Two layers. Unit tests pin the on-disk format: CRC32C framing, atomic
-// segment rotation, torn-tail truncation, identity binding, and the
-// partial-artifact digest chain. The crash matrix is the acceptance
+// Two layers. Unit tests pin the on-disk format: CRC32C frames that carry
+// each configuration's measured row, atomic segment rotation, identity and
+// format-version binding, and what damage means — any damage to a sealed
+// record is a JournalError, damage in the active segment is a torn tail
+// that recovery truncates and the deploy re-measures, and a CRC-valid row
+// that does not fit the testbed is a JournalError. The crash matrix is the
+// acceptance
 // contract: a deterministic kill-point at every journal barrier, crossed
 // with worker counts {1, 2, 8} and pipeline depths {1, 4} under an active
 // fault plan, must leave a journal from which --resume reproduces the
@@ -12,9 +16,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,16 +60,66 @@ ConfigRecord sample_record(std::uint64_t i) {
   ConfigRecord record;
   record.config_index = i;
   record.config_hash = 0x1234'5678 + i * 31;
-  record.chain = static_cast<std::uint32_t>(i % 3);
-  record.chain_pos = static_cast<std::uint32_t>(i / 3);
-  record.row_digest = 0xD16E57 + i;
   record.grade = i % 4 == 3 ? fault::Grade::kDegraded : fault::Grade::kGood;
   record.deploy_attempts = 1 + static_cast<std::uint32_t>(i % 2);
   record.feed_entries = 40 + static_cast<std::uint32_t>(i);
   record.feed_faults = static_cast<std::uint32_t>(i % 5);
   record.traces = 120;
   record.trace_faults = static_cast<std::uint32_t>(i % 7);
+  record.multi_catchment_fraction = 0.03125 * static_cast<double>(i);
+  record.row = {static_cast<std::uint8_t>(i % 7), bgp::kNoCatchment8, 3, 0,
+                6, bgp::kNoCatchment8};
   return record;
+}
+
+/// Replaces a file's bytes in place (no sync: the tests only need readers
+/// in this process to see them).
+void overwrite(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Offset of the last record frame in a segment's bytes.
+std::size_t last_frame(const std::string& segment) {
+  constexpr std::size_t kHeaderBytes = 36;
+  std::size_t last = kHeaderBytes;
+  for (std::size_t at = kHeaderBytes; at + 8 <= segment.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, segment.data() + at, sizeof len);
+    last = at;
+    at += 8 + len;
+  }
+  return last;
+}
+
+/// Every single-byte flip and every cut inside [begin, bytes.size()): the
+/// damage a record at `begin` that ends the file can suffer.
+void for_each_damage(
+    const std::string& bytes, std::size_t begin,
+    const std::function<void(const std::string&, const std::string&)>& check) {
+  for (std::size_t at = begin; at < bytes.size(); ++at) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x20);
+    check(flipped, "byte " + std::to_string(at) + " flipped");
+  }
+  for (std::size_t len = begin + 1; len < bytes.size(); ++len) {
+    check(bytes.substr(0, len), "cut to " + std::to_string(len) + " bytes");
+  }
+}
+
+/// The campaign identity in a segment header, after the u64 magic, u32
+/// version and u32 sequence.
+CampaignIdentity identity_of(const fs::path& segment) {
+  const std::string bytes = util::read_file(segment.string());
+  CampaignIdentity identity;
+  if (bytes.size() < 32) {
+    ADD_FAILURE() << segment << " has no segment header";
+    return identity;
+  }
+  std::memcpy(&identity.hash, bytes.data() + 16, sizeof identity.hash);
+  std::memcpy(&identity.config_count, bytes.data() + 24,
+              sizeof identity.config_count);
+  return identity;
 }
 
 TEST(Crc32c, MatchesKnownVector) {
@@ -191,7 +248,7 @@ TEST(JournalWriter, SealedSegmentCorruptionIsFatal) {
   const fs::path sealed = dir.path() / "seg-000001.wal";
   std::string bytes = util::read_file(sealed.string());
   bytes[bytes.size() / 2] ^= 0x01;
-  util::atomic_write_file(sealed.string(), bytes, false);
+  util::atomic_write_file(sealed.string(), bytes);
   JournalOptions resume = options;
   resume.resume = true;
   EXPECT_THROW(JournalWriter(resume, identity), JournalError);
@@ -221,41 +278,67 @@ TEST(JournalWriter, RecordOutsidePlanIsJournalError) {
   EXPECT_THROW(replay(dir.str(), identity), JournalError);
 }
 
-TEST(PartialArtifact, RoundTripAndDigestVerification) {
-  ScratchDir dir("partial");
-  PartialMeasurement partial;
-  partial.inference.catchments.link_of = {0, 1, 2, bgp::kNoCatchment, 1};
-  partial.inference.observed = {1, 1, 1, 0, 1};
-  partial.inference.covered_count = 4;
-  partial.inference.multi_catchment_fraction = 0.25;
-  partial.feed_entries = 17;
-  partial.feed_faults = 2;
-  partial.traces = 40;
-  partial.trace_faults = 3;
-
-  const std::uint64_t digest = save_partial(dir.str(), 5, partial, false);
-  EXPECT_EQ(load_partial(dir.str(), 5, digest), partial);
-
-  // Wrong digest, wrong index, missing file: all JournalError.
-  EXPECT_THROW(load_partial(dir.str(), 5, digest ^ 1), JournalError);
-  EXPECT_THROW(load_partial(dir.str(), 6, digest), JournalError);
-
-  // Every single-byte truncation and every single-byte flip is rejected.
-  const std::string path = partial_path(dir.str(), 5);
-  const std::string bytes = util::read_file(path);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    util::atomic_write_file(path, std::string_view(bytes).substr(0, len),
-                            false);
-    EXPECT_THROW(load_partial(dir.str(), 5, digest), JournalError)
-        << "truncated at " << len;
+TEST(JournalWriter, AnyDamageToASealedRecordIsJournalError) {
+  ScratchDir dir("sealed-damage");
+  const CampaignIdentity identity{9, 8};
+  JournalOptions options;
+  options.dir = dir.str();
+  options.segment_records = 2;
+  options.fsync = false;
+  {
+    JournalWriter writer(options, identity);
+    for (std::uint64_t i = 0; i < 3; ++i) writer.append(sample_record(i));
   }
-  for (std::size_t at = 0; at < bytes.size(); ++at) {
-    std::string flipped = bytes;
-    flipped[at] = static_cast<char>(flipped[at] ^ 0x20);
-    util::atomic_write_file(path, flipped, false);
-    EXPECT_THROW(load_partial(dir.str(), 5, digest), JournalError)
-        << "flipped at " << at;
+  // seg-000000.wal ends with record 1 and its row; the frame CRC is the
+  // only check that covers the row.
+  ASSERT_FALSE(sample_record(1).row.empty());
+  const fs::path sealed = dir.path() / "seg-000000.wal";
+  const std::string bytes = util::read_file(sealed.string());
+  JournalOptions resume = options;
+  resume.resume = true;
+  for_each_damage(bytes, last_frame(bytes),
+                  [&](const std::string& damaged, const std::string& what) {
+                    overwrite(sealed, damaged);
+                    EXPECT_THROW(replay(dir.str(), identity), JournalError)
+                        << what;
+                    EXPECT_THROW(JournalWriter(resume, identity),
+                                 JournalError)
+                        << what;
+                  });
+}
+
+TEST(JournalWriter, AnyDamageToAnActiveRecordIsATornTail) {
+  ScratchDir dir("active-damage");
+  const CampaignIdentity identity{9, 8};
+  JournalOptions options;
+  options.dir = dir.str();
+  options.fsync = false;
+  std::vector<ConfigRecord> written;
+  {
+    JournalWriter writer(options, identity);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      written.push_back(sample_record(i));
+      writer.append(written.back());
+    }
   }
+  const std::vector<ConfigRecord> kept(written.begin(), written.end() - 1);
+  const fs::path active = dir.path() / "seg-000000.open";
+  const std::string bytes = util::read_file(active.string());
+  const std::size_t begin = last_frame(bytes);
+  JournalOptions resume = options;
+  resume.resume = true;
+  for_each_damage(bytes, begin, [&](const std::string& damaged,
+                                    const std::string& what) {
+    SCOPED_TRACE(what);
+    overwrite(active, damaged);
+    JournalWriter writer(resume, identity);
+    EXPECT_EQ(writer.recovered(), kept);
+    EXPECT_EQ(writer.recovery().torn_bytes, damaged.size() - begin);
+    // Recovery truncated the damage: re-committing the record restores
+    // the whole journal.
+    writer.append(written.back());
+    EXPECT_EQ(replay(dir.str(), identity).records, written);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -396,6 +479,45 @@ TEST(CrashMatrix, DoubleResumeIsIdempotent) {
   expect_same_quality(first, second);
 }
 
+TEST(CrashMatrix, DamagedActiveRecordIsRemeasuredByteIdentical) {
+  const core::TestbedConfig base = crash_testbed();
+  const core::DeploymentArtifact reference = deploy_artifact(base);
+  ScratchDir dir("remeasure");
+
+  core::TestbedConfig journaled = base;
+  journaled.journal.dir = dir.str();
+  journaled.journal.segment_records = 4;
+  journaled.journal.fsync = false;
+  {
+    const core::PeeringTestbed testbed(journaled);
+    testbed.deploy(crash_plan(testbed));
+  }
+  // Ten records at four per segment: the active seg-000002.open holds
+  // records 8 and 9. Damage the last one, which carries a row.
+  const fs::path active = dir.path() / "seg-000002.open";
+  const auto committed =
+      replay(dir.str(), identity_of(active)).records;
+  ASSERT_EQ(committed.size(), 10u);
+  ASSERT_FALSE(committed.back().row.empty());
+  const std::string bytes = util::read_file(active.string());
+
+  core::TestbedConfig resumed = journaled;
+  resumed.journal.resume = true;
+  const core::PeeringTestbed testbed(resumed);
+  const auto plan = crash_plan(testbed);
+  for_each_damage(bytes, last_frame(bytes), [&](const std::string& damaged,
+                                                const std::string& what) {
+    SCOPED_TRACE(what);
+    overwrite(active, damaged);
+    const auto result = testbed.deploy(plan);
+    EXPECT_EQ(result.resumed_configs, plan.size() - 1);
+    EXPECT_EQ(core::make_artifact(result, resumed.seed,
+                                  testbed.graph().size(),
+                                  testbed.origin().links.size()),
+              reference);
+  });
+}
+
 TEST(CrashMatrix, ResumeAcrossDifferentParallelism) {
   // Crash under a single-worker barrier-ish run, resume with 8 workers and
   // a deep pipeline: identity excludes execution shape, results don't move.
@@ -446,7 +568,7 @@ TEST(Journal, ZeroRateCrashPlanWithJournalMatchesJournalOff) {
 
 #if SPOOFTRACK_OBS_ENABLED
 TEST(Journal, JournaledDeployPlansTheCampaignOnce) {
-  // The journal's chain coordinates and the schedule share one plan, so a
+  // Journal setup and the schedule share the deploy's one plan, so a
   // journaled deploy pays for one similarity ordering, not two.
   ScratchDir dir("plan-once");
   core::TestbedConfig config = crash_testbed();
@@ -481,30 +603,159 @@ TEST(Journal, GroundTruthDeploymentRejectsJournaling) {
   EXPECT_THROW(testbed.deploy(crash_plan(testbed)), std::invalid_argument);
 }
 
-TEST(Journal, CorruptPartialOnResumeIsJournalError) {
-  const core::TestbedConfig base = crash_testbed();
-  ScratchDir dir("badpart");
-
-  core::TestbedConfig crashed = base;
-  crashed.journal.dir = dir.str();
-  crashed.journal.fsync = false;
-  crashed.faults.crash_site = fault::Site::kJournalPreWrite;
-  crashed.faults.crash_at = 4;
+TEST(Journal, JournaledDeployWritesOnlySegments) {
+  // The measured rows travel inside the records: ten records at three per
+  // segment leave three sealed segments, the active one and nothing else.
+  ScratchDir dir("only-segments");
+  core::TestbedConfig config = crash_testbed();
+  config.journal.dir = dir.str();
+  config.journal.segment_records = 3;
+  config.journal.fsync = false;
   {
-    const core::PeeringTestbed testbed(crashed);
-    EXPECT_THROW(testbed.deploy(crash_plan(testbed)), fault::SimulatedCrash);
+    const core::PeeringTestbed testbed(config);
+    testbed.deploy(crash_plan(testbed));
   }
-  // Corrupt one committed partial: the recorded digest no longer matches.
-  const std::string partial = partial_path(dir.str(), 0);
-  std::string bytes = util::read_file(partial);
-  bytes[bytes.size() / 3] ^= 0x40;
-  util::atomic_write_file(partial, bytes, false);
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir.path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"seg-000000.wal",
+                                             "seg-000001.wal",
+                                             "seg-000002.wal",
+                                             "seg-000003.open"}));
+}
 
-  core::TestbedConfig resumed = crashed;
-  resumed.faults.crash_at = 0;
+template <typename T>
+void put(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+/// A segment as format 1 wrote it: the header at version 1, then one record
+/// in that format's layout (index, config hash, chain coordinates, the
+/// digest of a partial-artifact file, grade and quality counts).
+std::string format_one_segment(const CampaignIdentity& identity) {
+  std::string segment;
+  put<std::uint64_t>(segment, 0x4C4E4A464F4F5053ULL);  // "SPOOFJNL"
+  put<std::uint32_t>(segment, 1);                      // format version
+  put<std::uint32_t>(segment, 0);                      // segment sequence
+  put(segment, identity.hash);
+  put(segment, identity.config_count);
+  put(segment, util::crc32c(segment.data(), segment.size()));
+
+  std::string payload;
+  put<std::uint8_t>(payload, 2);  // record type
+  put<std::uint64_t>(payload, 0);
+  put<std::uint64_t>(payload, 0xC0FF'EE00);
+  put<std::uint32_t>(payload, 0);  // chain
+  put<std::uint32_t>(payload, 0);  // chain position
+  put<std::uint64_t>(payload, 0xD16E57);
+  put<std::uint8_t>(payload, 0);   // grade
+  for (const std::uint32_t count : {1u, 0u, 0u, 0u, 0u}) put(payload, count);
+  put(segment, static_cast<std::uint32_t>(payload.size()));
+  put(segment, util::crc32c(payload.data(), payload.size()));
+  return segment + payload;
+}
+
+/// Runs `resume` and expects the JournalError that names the format.
+void expect_version_error(const std::function<void()>& resume,
+                          const std::string& what) {
+  try {
+    resume();
+    ADD_FAILURE() << what << ": no JournalError";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(Journal, FormatOneJournalIsJournalErrorOnResume) {
+  // A format-1 journal of this very campaign: only the version differs.
+  ScratchDir dir("format-one");
+  core::TestbedConfig journaled = crash_testbed();
+  journaled.journal.dir = dir.str();
+  journaled.journal.fsync = false;
+  {
+    const core::PeeringTestbed testbed(journaled);
+    testbed.deploy(crash_plan(testbed));
+  }
+  const fs::path active = dir.path() / "seg-000000.open";
+  const CampaignIdentity identity = identity_of(active);
+  core::TestbedConfig resumed = journaled;
   resumed.journal.resume = true;
   const core::PeeringTestbed testbed(resumed);
-  EXPECT_THROW(testbed.deploy(crash_plan(testbed)), JournalError);
+
+  for (const char* name : {"seg-000000.open", "seg-000000.wal"}) {
+    SCOPED_TRACE(name);
+    fs::remove_all(dir.path());
+    fs::create_directories(dir.path());
+    overwrite(dir.path() / name, format_one_segment(identity));
+    expect_version_error([&] { replay(dir.str(), identity); }, "replay");
+    expect_version_error(
+        [&] { JournalWriter writer(resumed.journal, identity); },
+        "writer resume");
+    expect_version_error([&] { testbed.deploy(crash_plan(testbed)); },
+                         "deploy resume");
+  }
+}
+
+TEST(Journal, RecoveredRowThatDoesNotFitTheTestbedIsJournalError) {
+  // CRC-valid records whose row cannot belong to this testbed: the frame
+  // CRC passes, so the deploy's row check is what stops them.
+  core::TestbedConfig journaled = crash_testbed();
+  ScratchDir dir("bad-row");
+  journaled.journal.dir = dir.str();
+  journaled.journal.fsync = false;
+  {
+    const core::PeeringTestbed testbed(journaled);
+    testbed.deploy(crash_plan(testbed));
+  }
+  const CampaignIdentity identity =
+      identity_of(dir.path() / "seg-000000.open");
+  const std::vector<ConfigRecord> committed =
+      replay(dir.str(), identity).records;
+  const auto is_abandoned = [](const ConfigRecord& record) {
+    return record.abandoned();
+  };
+  const auto measured =
+      std::find_if_not(committed.begin(), committed.end(), is_abandoned);
+  const auto abandoned =
+      std::find_if(committed.begin(), committed.end(), is_abandoned);
+  ASSERT_NE(measured, committed.end());
+  ASSERT_NE(abandoned, committed.end());
+
+  core::TestbedConfig resumed = journaled;
+  resumed.journal.resume = true;
+  const core::PeeringTestbed testbed(resumed);
+  const auto plan = crash_plan(testbed);
+  const auto link_count =
+      static_cast<std::uint8_t>(testbed.origin().links.size());
+  using Tamper = std::function<void(std::vector<std::uint8_t>&)>;
+  const auto rewrite = [&](std::size_t i, const Tamper& tamper) {
+    std::vector<ConfigRecord> records = committed;
+    tamper(records[i].row);
+    JournalWriter writer(journaled.journal, identity);
+    for (const ConfigRecord& record : records) writer.append(record);
+  };
+  const std::size_t m = measured->config_index;
+  const std::size_t a = abandoned->config_index;
+
+  // The rewrite itself is sound: untouched records resume cleanly.
+  rewrite(m, [](std::vector<std::uint8_t>&) {});
+  EXPECT_EQ(testbed.deploy(plan).resumed_configs, plan.size());
+
+  rewrite(m, [](std::vector<std::uint8_t>& row) { row.pop_back(); });
+  EXPECT_THROW(testbed.deploy(plan), JournalError) << "short row";
+  rewrite(m, [](std::vector<std::uint8_t>& row) {
+    row.push_back(bgp::kNoCatchment8);
+  });
+  EXPECT_THROW(testbed.deploy(plan), JournalError) << "long row";
+  rewrite(m, [&](std::vector<std::uint8_t>& row) { row.back() = link_count; });
+  EXPECT_THROW(testbed.deploy(plan), JournalError) << "unknown link";
+  rewrite(a, [&](std::vector<std::uint8_t>& row) {
+    row.assign(testbed.graph().size(), bgp::kNoCatchment8);
+  });
+  EXPECT_THROW(testbed.deploy(plan), JournalError) << "abandoned with a row";
 }
 
 }  // namespace

@@ -11,33 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "helpers.hpp"
+
 namespace spooftrack::util {
 namespace {
 
-/// Saves and restores SPOOFTRACK_THREADS around a test.
-class ThreadsEnvGuard {
- public:
-  ThreadsEnvGuard() {
-    if (const char* value = std::getenv(kName)) {
-      saved_ = value;
-      had_value_ = true;
-    }
-  }
-  ~ThreadsEnvGuard() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-  static void set(const char* value) { ::setenv(kName, value, 1); }
-  static void clear() { ::unsetenv(kName); }
-
- private:
-  static constexpr const char* kName = "SPOOFTRACK_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
+using test::ThreadsEnvGuard;
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);

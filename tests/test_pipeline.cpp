@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -37,6 +38,7 @@
 #include "core/config_gen.hpp"
 #include "core/experiment.hpp"
 #include "core/io.hpp"
+#include "helpers.hpp"
 #include "obs/obs.hpp"
 #include "topology/metrics.hpp"
 
@@ -415,16 +417,33 @@ std::vector<bgp::Configuration> golden_plan(const core::PeeringTestbed& testbed,
   return plan;
 }
 
+/// 64-bit FNV-1a, printed as 16 hex digits.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001B3ULL;
+    }
+  }
+  std::string hex() const {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return hex;
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
 /// FNV-1a over the deployment's saved artifact, truth, measured and
 /// quality, as 16 hex digits.
 std::string deploy_digest(const core::PeeringTestbed& testbed,
                           const core::DeploymentResult& result) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto bytes = [&h](const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h = (h ^ p[i]) * 0x100000001B3ULL;
-    }
+  Fnv1a fnv;
+  const auto bytes = [&fnv](const void* data, std::size_t size) {
+    fnv.bytes(data, size);
   };
   const auto u64 = [&bytes](std::uint64_t v) { bytes(&v, sizeof v); };
   const auto vec = [&](const auto& v) {
@@ -444,8 +463,14 @@ std::string deploy_digest(const core::PeeringTestbed& testbed,
   for (const bgp::CatchmentMap& truth : result.truth) vec(truth.link_of);
   u64(result.measured.size());
   for (const measure::InferenceResult& inferred : result.measured) {
-    vec(inferred.catchments.link_of);
-    vec(inferred.observed);
+    const std::vector<bgp::LinkId>& links = inferred.catchments.link_of;
+    vec(links);
+    // The per-AS observed flags, which InferenceResult once stored and the
+    // pinned digests still cover: 1 exactly where the link is known.
+    std::vector<std::uint8_t> observed(links.size());
+    std::transform(links.begin(), links.end(), observed.begin(),
+                   [](bgp::LinkId link) { return link != bgp::kNoCatchment; });
+    vec(observed);
     u64(inferred.covered_count);
     bytes(&inferred.multi_catchment_fraction, sizeof(double));
   }
@@ -458,10 +483,7 @@ std::string deploy_digest(const core::PeeringTestbed& testbed,
       u64(count);
     }
   }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
-  return hex;
+  return fnv.hex();
 }
 
 TEST(DeployGolden, EveryScenarioMatchesItsPinnedDigest) {
@@ -501,9 +523,9 @@ TEST(DeployGolden, EmptyPlanYieldsAnEmptyDeployment) {
   }
 }
 
-/// The campaign identity hash a journaled deploy of `config` writes into its
-/// first segment header, after the u64 magic, u32 version and u32 sequence.
-std::uint64_t journal_identity(core::TestbedConfig config) {
+/// The bytes of the one segment a journaled deploy of `config` writes: its
+/// ten records fit the active segment.
+std::string journal_segment(core::TestbedConfig config) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("spooftrack-identity-" + std::to_string(::getpid()));
@@ -514,16 +536,22 @@ std::uint64_t journal_identity(core::TestbedConfig config) {
     const core::PeeringTestbed testbed(config);
     testbed.deploy(equivalence_plan(testbed));
   }
-  fs::path segment = dir / "seg-000000.wal";
-  if (!fs::exists(segment)) segment.replace_extension(".open");
-  std::ifstream in(segment, std::ios::binary);
-  char header[24] = {};
-  in.read(header, sizeof header);
+  std::ifstream in(dir / "seg-000000.open", std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
   fs::remove_all(dir);
-  EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(sizeof header))
-      << segment;
+  return bytes;
+}
+
+/// The campaign identity hash a journaled deploy of `config` writes into its
+/// segment header, after the u64 magic, u32 version and u32 sequence.
+std::uint64_t journal_identity(const core::TestbedConfig& config) {
+  const std::string segment = journal_segment(config);
   std::uint64_t identity = 0;
-  std::memcpy(&identity, header + 16, sizeof identity);
+  EXPECT_GE(segment.size(), 16 + sizeof identity);
+  if (segment.size() >= 16 + sizeof identity) {
+    std::memcpy(&identity, segment.data() + 16, sizeof identity);
+  }
   return identity;
 }
 
@@ -532,6 +560,21 @@ TEST(DeployGolden, JournalIdentityMatchesPinnedValue) {
   // campaign_identity strands every journal written before it.
   EXPECT_EQ(journal_identity(equivalence_testbed()),
             0xe54e26170d6ad96dULL);
+}
+
+TEST(DeployGolden, JournalBytesDoNotDependOnTheThreadCount) {
+  // SPOOFTRACK_THREADS sets the default worker count and with it the
+  // campaign plan's chain count; a journal records results, never the
+  // execution shape, so its bytes stay the same.
+  test::ThreadsEnvGuard guard;
+  test::ThreadsEnvGuard::set("1");
+  const std::string one = journal_segment(equivalence_testbed());
+  test::ThreadsEnvGuard::set("4");
+  const std::string four = journal_segment(equivalence_testbed());
+  EXPECT_TRUE(one == four) << one.size() << " vs " << four.size() << " bytes";
+  Fnv1a fnv;
+  fnv.bytes(one.data(), one.size());
+  EXPECT_EQ(fnv.hex(), "43769de99259d481");
 }
 
 // ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ TEST_F(VerfploeterTest, LosslessProbeMatchesGroundTruth) {
   EXPECT_EQ(result.multi_catchment_fraction, 0.0);
   for (topology::AsId id = 0; id < graph_.size(); ++id) {
     if (id == *graph_.id_of(test::kOrigin)) {
-      EXPECT_FALSE(result.observed[id]);
+      EXPECT_EQ(result.catchments.link_of[id], bgp::kNoCatchment);
       continue;
     }
-    EXPECT_TRUE(result.observed[id]);
+    EXPECT_NE(result.catchments.link_of[id], bgp::kNoCatchment);
     EXPECT_EQ(result.catchments.link_of[id], truth[id]);
   }
 }
@@ -129,7 +129,8 @@ TEST_F(VerfploeterTest, UnroutedTargetsCannotReply) {
   outcome.best[*graph_.id_of(test::kB)] = bgp::Route{};
   const auto result =
       prober.probe(outcome, config, *graph_.id_of(test::kOrigin), 0);
-  EXPECT_FALSE(result.observed[*graph_.id_of(test::kB)]);
+  EXPECT_EQ(result.catchments.link_of[*graph_.id_of(test::kB)],
+            bgp::kNoCatchment);
 }
 
 }  // namespace

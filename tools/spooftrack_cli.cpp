@@ -640,9 +640,11 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const journal::JournalError& e) {
-    // Corrupt journal or partial artifact on resume (docs/cli.md exit 5):
-    // distinct from a generic failure so operators can tell "re-run with a
-    // fresh journal" from "fix the invocation".
+    // Corrupt or unreadable journal on resume (docs/cli.md exit 5): a
+    // damaged sealed segment, a row that does not fit the testbed, another
+    // campaign's journal, or one of an older format. Distinct from a
+    // generic failure so operators can tell "re-run with a fresh journal"
+    // from "fix the invocation".
     std::cerr << "journal error: " << e.what() << "\n";
     return 5;
   } catch (const std::exception& e) {
