@@ -7,20 +7,20 @@
 //   * store build from LinkId rows, and the bit-sliced BitplaneStore
 //     mirror build (with a scalar-vs-wide dispatch gate),
 //   * cluster refinement: the reference u32 LinkId-row tracker vs
-//     ClusterTracker on encoded u8 rows vs the word-parallel bitplane
-//     refine,
-//   * greedy scheduling: the reference serial scan vs core::greedy_schedule
-//     single-threaded (the speedup_serial acceptance number), plus a worker
-//     sweep and a forced-scalar run,
+//     ClusterTracker on encoded u8 rows vs clustering from the decoded
+//     bit planes,
+//   * greedy scheduling: the reference serial rescan vs
+//     core::greedy_schedule's maintained counts single-threaded (the
+//     speedup_serial acceptance number), plus a worker sweep,
 //   * online cluster attribution on the store (tiled column gather).
 //
 // The references are the plain algorithms of tests/oracles.hpp (same
 // epoch-stamped bucket tables, same first-touch dense ids, same
 // lowest-index-max tie break) over std::vector<std::vector<bgp::LinkId>>,
-// without the u8 layout, the bit planes or the singleton word-skip — so
-// every speedup is attributable to the store and its kernels, and
-// equivalence can be asserted bit-for-bit: cluster ids, greedy orders,
-// parallel-vs-serial orders, forced-scalar orders and scalar-vs-wide plane
+// without the u8 layout, the bit planes, the singleton word-skip or the
+// maintained counts — so every speedup is attributable to the store and
+// its kernels, and equivalence can be asserted bit-for-bit: cluster ids,
+// greedy orders, parallel-vs-serial orders and scalar-vs-wide plane
 // builds must all match or the bench exits non-zero.
 //
 // Usage: perf_analysis [--seed=N] [--obs-report=PATH] [--quick]
@@ -245,18 +245,6 @@ int main(int argc, char** argv) {
     const double speedup_serial =
         serial_ms > 0.0 ? legacy_greedy_ms / serial_ms : 0.0;
     speedup_serial_last = speedup_serial;
-
-    {
-      // Greedy must not depend on the dispatch path either.
-      util::force_simd_level(util::SimdLevel::kScalar);
-      const auto scalar_trace = core::greedy_schedule(matrix, size.steps, 1);
-      util::force_simd_level(std::nullopt);
-      if (scalar_trace.order != serial_order) {
-        equivalent = false;
-        std::cerr << "FAIL[" << size.name
-                  << "]: forced-scalar greedy order diverges\n";
-      }
-    }
 
     // Attribution on the store (timed; equivalence with the legacy path is
     // covered bit-for-bit by tests/test_catchment_store.cpp).

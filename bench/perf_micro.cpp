@@ -11,7 +11,6 @@
 
 #include "bgp/catchment.hpp"
 #include "bgp/engine.hpp"
-#include "core/bitplane_kernels.hpp"
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "measure/bitplane_store.hpp"
@@ -20,7 +19,6 @@
 #include "netcore/lpm.hpp"
 #include "netcore/packet.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -99,33 +97,6 @@ measure::CatchmentStore micro_matrix(std::size_t configs,
   return store;
 }
 
-void BM_PopcountWords(benchmark::State& state) {
-  // Dispatched popcount reduction (wide path when the host supports it);
-  // compare against BM_PopcountWordsScalar for the SIMD ablation.
-  util::Rng rng{13};
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(state.range(0)));
-  for (auto& w : words) w = rng.next();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::popcount_words(words.data(), words.size()));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(words.size() * 8));
-}
-BENCHMARK(BM_PopcountWords)->Arg(1024)->Arg(65536);
-
-void BM_PopcountWordsScalar(benchmark::State& state) {
-  util::Rng rng{13};
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(state.range(0)));
-  for (auto& w : words) w = rng.next();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::popcount_words_scalar(words.data(), words.size()));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(words.size() * 8));
-}
-BENCHMARK(BM_PopcountWordsScalar)->Arg(1024)->Arg(65536);
-
 void BM_BitplaneBuild(benchmark::State& state) {
   // Byte store -> bit-sliced planes transpose (dispatched build kernel).
   const auto store = micro_matrix(128, static_cast<std::size_t>(state.range(0)));
@@ -137,55 +108,6 @@ void BM_BitplaneBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(store.size_bytes()));
 }
 BENCHMARK(BM_BitplaneBuild)->Arg(1000)->Arg(10000);
-
-void BM_BitplaneCountAfter(benchmark::State& state) {
-  // The greedy scheduler's inner loop: presence-bitmap distinct-slot count
-  // of one candidate row against a partially refined clustering. Compare
-  // against BM_ClusterRefine for the per-source stamp-table cost.
-  const auto sources = static_cast<std::size_t>(state.range(0));
-  const auto store = micro_matrix(64, sources);
-  const measure::BitplaneStore planes(store);
-  core::ClusterTracker tracker(sources);
-  for (std::size_t c = 0; c < store.configs(); c += 8) {
-    tracker.refine(store.row(c));
-  }
-  core::ClusterMasks masks;
-  masks.build(tracker.current().cluster_of, tracker.cluster_count(),
-              tracker.singleton_mask());
-  std::size_t config = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::count_after_bitplane(
-        masks, tracker.singleton_count(), store.row(config).data(),
-        planes.row_planes(config), planes.words(), 0));
-    config = (config + 1) % store.configs();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sources));
-}
-BENCHMARK(BM_BitplaneCountAfter)->Arg(1000)->Arg(10000);
-
-void BM_MemberCountAfter(benchmark::State& state) {
-  // Same count through the member-list kernel (the scheduler's pick once
-  // refinement scatters clusters across words).
-  const auto sources = static_cast<std::size_t>(state.range(0));
-  const auto store = micro_matrix(64, sources);
-  core::ClusterTracker tracker(sources);
-  for (std::size_t c = 0; c < store.configs(); c += 8) {
-    tracker.refine(store.row(c));
-  }
-  core::ClusterMasks masks;
-  masks.build(tracker.current().cluster_of, tracker.cluster_count(),
-              tracker.singleton_mask());
-  std::size_t config = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::count_after_members(
-        masks, tracker.singleton_count(), store.row(config).data(), 0));
-    config = (config + 1) % store.configs();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sources));
-}
-BENCHMARK(BM_MemberCountAfter)->Arg(1000)->Arg(10000);
 
 void BM_ColumnGather(benchmark::State& state) {
   // Tiled trajectory gather (attribution / prediction access pattern):

@@ -50,11 +50,8 @@ void ClusterTracker::rebuild_singletons() {
   const auto& cluster_of = clustering_.cluster_of;
   size_scratch_.assign(clustering_.cluster_count, 0);
   for (std::uint32_t c : cluster_of) ++size_scratch_[c];
-  singleton_count_ = 0;
   for (std::size_t s = 0; s < cluster_of.size(); ++s) {
-    const bool single = size_scratch_[cluster_of[s]] == 1;
-    singleton_mask_[s] = single ? 0xFF : 0x00;
-    singleton_count_ += single ? 1u : 0u;
+    singleton_mask_[s] = size_scratch_[cluster_of[s]] == 1 ? 0xFF : 0x00;
   }
   singletons_valid_ = true;
 }
@@ -131,20 +128,6 @@ std::uint32_t ClusterTracker::refine(
   return next_id;
 }
 
-std::uint32_t ClusterTracker::refine(const measure::BitplaneStore& planes,
-                                     std::size_t config) {
-  if (planes.sources() != clustering_.cluster_of.size()) {
-    throw std::invalid_argument(
-        "bitplane source count does not match tracker");
-  }
-  // Decode the row back to cell bytes word-parallel (8x8 bit transposes)
-  // and fold it through the byte refine — trivially bit-identical to
-  // refining the source CatchmentStore row.
-  decoded_.resize(planes.sources());
-  planes.decode_row(config, decoded_.data());
-  return refine(std::span<const std::uint8_t>(decoded_));
-}
-
 Clustering cluster_sources(const measure::CatchmentStore& matrix) {
   if (matrix.empty()) return Clustering{};
   ClusterTracker tracker(matrix.sources());
@@ -157,8 +140,10 @@ Clustering cluster_sources(const measure::CatchmentStore& matrix) {
 Clustering cluster_sources(const measure::BitplaneStore& planes) {
   if (planes.empty()) return Clustering{};
   ClusterTracker tracker(planes.sources());
+  std::vector<std::uint8_t> row(planes.sources());
   for (std::size_t c = 0; c < planes.configs(); ++c) {
-    tracker.refine(planes, c);
+    planes.decode_row(c, row.data());
+    tracker.refine(row);
   }
   return tracker.current();
 }

@@ -52,15 +52,6 @@ class ClusterTracker {
   /// cluster slots cannot represent. Returns the new cluster count.
   std::uint32_t refine(std::span<const std::uint8_t> catchment_row);
 
-  /// Same partition from a bit-sliced row: the row is decoded back to
-  /// cell bytes word-parallel (BitplaneStore::decode_row, 8x8 bit
-  /// transposes) and folded through the byte refine — ids are
-  /// bit-identical to refining the source CatchmentStore row. The greedy
-  /// scheduler refines its winners from the planes it already built, and
-  /// the bit-sliced cluster_sources below folds every row through here.
-  std::uint32_t refine(const measure::BitplaneStore& planes,
-                       std::size_t config);
-
   const Clustering& current() const noexcept { return clustering_; }
   std::uint32_t cluster_count() const noexcept {
     return clustering_.cluster_count;
@@ -70,21 +61,17 @@ class ClusterTracker {
   }
 
   /// Per-source saturation mask: 0xFF when the source's cluster has exactly
-  /// one member (it can never split again), 0x00 otherwise. Schedule
-  /// evaluation uses it to skip saturated stretches with 64-bit loads.
+  /// one member (it can never split again), 0x00 otherwise. Refines of a
+  /// tracker that asked for it skip saturated stretches with 64-bit loads.
   ///
   /// Maintained lazily: the first access switches the tracker into
   /// singleton-tracking mode for good (the mask is then rebuilt after
-  /// every refine); trackers that never ask — random schedules, one-shot
-  /// clusterings — skip the per-refine rebuild entirely.
+  /// every refine). Random schedules opt in because they saturate the
+  /// partition early; trackers that never ask — the greedy scheduler,
+  /// one-shot clusterings — skip the per-refine rebuild entirely.
   std::span<const std::uint8_t> singleton_mask() {
     ensure_singletons();
     return singleton_mask_;
-  }
-  /// Number of sources whose cluster is a singleton.
-  std::uint32_t singleton_count() {
-    ensure_singletons();
-    return singleton_count_;
   }
 
  private:
@@ -99,20 +86,21 @@ class ClusterTracker {
   std::vector<std::uint64_t> table_;
   std::uint64_t epoch_ = 0;
   std::vector<std::uint8_t> singleton_mask_;
-  std::uint32_t singleton_count_ = 0;
   bool track_singletons_ = false;
   bool singletons_valid_ = false;
   std::vector<std::uint32_t> size_scratch_;
-  std::vector<std::uint8_t> decoded_;  // bitplane-refine row scratch
 };
 
 /// Convenience: refine with every row of a catchment matrix
 /// (rows = configurations, columns = sources).
 Clustering cluster_sources(const measure::CatchmentStore& matrix);
 
-/// Same partition from the bit-sliced mirror (word-parallel refines).
-/// Callers that already hold the mirror — the end-to-end benchmark builds
-/// it once per analysis pass — cluster from it without the byte store.
+/// Same partition from the bit-sliced mirror: each row is decoded back to
+/// its cell bytes word-parallel (BitplaneStore::decode_row, 8x8 bit
+/// transposes) and folded through the byte refine, so ids are
+/// bit-identical to clustering the source CatchmentStore. Callers that
+/// already hold the mirror — the end-to-end benchmark builds it once per
+/// analysis pass — cluster from it without the byte store.
 Clustering cluster_sources(const measure::BitplaneStore& planes);
 
 }  // namespace spooftrack::core

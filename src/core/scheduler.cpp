@@ -1,15 +1,14 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 
-#include "core/bitplane_kernels.hpp"
 #include "core/cluster.hpp"
 #include "core/cluster_slots.hpp"
-#include "measure/bitplane_store.hpp"
 #include "obs/obs.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -19,25 +18,112 @@ namespace spooftrack::core {
 namespace {
 
 constexpr auto kNoConfig = std::numeric_limits<std::size_t>::max();
+constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
 
-struct Best {
-  std::size_t config = kNoConfig;
-  std::uint32_t count = 0;
-};
-
-/// Work-per-worker threshold: a step whose whole candidate scan is
-/// cheaper than ~kMinWorkPerChunk cell-visits runs on fewer chunks (down
-/// to inline on the caller — WorkerPool::run(1) wakes no thread), so tiny
-/// matrices stop paying thread wake latency per step. Chunk geometry only
-/// partitions the candidate range; the strictly-greater merge keeps the
-/// schedule bit-identical for any chunk count.
+/// Work-per-worker threshold: a count update cheaper than ~kMinWorkPerChunk
+/// cell visits per chunk runs on fewer chunks (down to inline on the
+/// caller — WorkerPool::run(1) wakes no thread), so tiny matrices stop
+/// paying thread wake latency per step. Every candidate writes only its
+/// own count, so the chunk geometry cannot change the schedule.
 constexpr std::size_t kMinWorkPerChunk = std::size_t{1} << 16;
 
-std::size_t effective_chunks(std::size_t chunks, std::size_t remaining,
-                             std::size_t active_sources) {
-  const std::size_t work = remaining * (active_sources + 64);
-  return std::clamp<std::size_t>(work / kMinWorkPerChunk, 1, chunks);
-}
+/// The clusters one refine split, laid out for the count update: split
+/// clusters in ascending old id, each one's parts (the new clusters it
+/// split into) in ascending new id, each part's members in ascending
+/// source index. Clusters the refine left whole are omitted: no
+/// candidate's count changes there.
+class SplitParts {
+ public:
+  /// Rebuilds from the partition before one refine (`before`, holding
+  /// `before_count` clusters) and the partition after it, in
+  /// O(sources + clusters).
+  void build(std::span<const std::uint32_t> before,
+             std::uint32_t before_count, const Clustering& after) {
+    const auto& now = after.cluster_of;
+    // Every new cluster lies inside one old cluster, its parent.
+    parent_.assign(after.cluster_count, 0);
+    size_.assign(after.cluster_count, 0);
+    for (std::size_t s = 0; s < now.size(); ++s) {
+      parent_[now[s]] = before[s];
+      ++size_[now[s]];
+    }
+    // next_[k]: the layout slot of old cluster k's next part, or kNone
+    // when k kept all its members in one part.
+    next_.assign(before_count, 0);
+    for (const std::uint32_t k : parent_) ++next_[k];
+    cluster_end_.clear();
+    std::uint32_t slots = 0;
+    for (auto& next : next_) {
+      if (next < 2) {
+        next = kNone;
+        continue;
+      }
+      const std::uint32_t first = slots;
+      slots += next;
+      next = first;
+      cluster_end_.push_back(slots);
+    }
+    // part_end_ holds each slot's begin offset while the members are
+    // placed, and its end offset afterwards.
+    slot_.assign(after.cluster_count, kNone);
+    part_end_.assign(slots, 0);
+    for (std::uint32_t p = 0; p < after.cluster_count; ++p) {
+      const std::uint32_t k = parent_[p];
+      if (next_[k] == kNone) continue;
+      slot_[p] = next_[k]++;
+      part_end_[slot_[p]] = size_[p];
+    }
+    std::uint32_t offset = 0;
+    for (auto& begin : part_end_) {
+      const std::uint32_t size = begin;
+      begin = offset;
+      offset += size;
+    }
+    members_.resize(offset);
+    for (std::uint32_t s = 0; s < now.size(); ++s) {
+      const std::uint32_t slot = slot_[now[s]];
+      if (slot != kNone) members_[part_end_[slot]++] = s;
+    }
+  }
+
+  /// Members of the split clusters.
+  std::size_t member_count() const noexcept { return members_.size(); }
+
+  /// Clusters the split adds to a refinement by `row`: per split cluster
+  /// K with parts K1..Km, the sum of distinct(row, Kj) less
+  /// distinct(row, K). Each distinct is the popcount of a slot-presence
+  /// bitmap, and K's bitmap is the OR of its parts'. `row` must hold
+  /// validated cells: missing cells (0xFF) fold to slot 63 via `& 63`,
+  /// exactly core::slot_of, and link ids (< 62) pass through unchanged.
+  std::uint32_t gain(const std::uint8_t* row) const noexcept {
+    std::uint32_t gain = 0;
+    std::size_t part = 0;
+    std::size_t m = 0;
+    for (const std::uint32_t parts_end : cluster_end_) {
+      std::uint64_t whole = 0;
+      for (; part < parts_end; ++part) {
+        std::uint64_t bits = 0;
+        for (; m < part_end_[part]; ++m) {
+          bits |= std::uint64_t{1} << (row[members_[m]] & 63);
+        }
+        gain += static_cast<std::uint32_t>(std::popcount(bits));
+        whole |= bits;
+      }
+      gain -= static_cast<std::uint32_t>(std::popcount(whole));
+    }
+    return gain;
+  }
+
+ private:
+  std::vector<std::uint32_t> members_;      // source indices, part by part
+  std::vector<std::uint32_t> part_end_;     // per part: end in members_
+  std::vector<std::uint32_t> cluster_end_;  // per split cluster: end part
+  // Build scratch, reused across steps.
+  std::vector<std::uint32_t> parent_;  // per new cluster: its old cluster
+  std::vector<std::uint32_t> size_;    // per new cluster: its members
+  std::vector<std::uint32_t> next_;    // per old cluster: next part slot
+  std::vector<std::uint32_t> slot_;    // per new cluster: its part slot
+};
 
 }  // namespace
 
@@ -71,100 +157,70 @@ ScheduleTrace greedy_schedule(const measure::CatchmentStore& matrix,
   if (workers == 0) workers = util::default_worker_count();
   const std::size_t chunks = std::max<std::size_t>(1, std::min(workers, n));
   OBS_GAUGE("analysis.schedule_workers", chunks);
+  util::WorkerPool pool(chunks - 1);
+  std::vector<bool> used(n, false);
 
-  // Built once per schedule; candidate scans then count distinct slots
-  // through per-cluster presence bitmaps — plane-word DFS for dense mask
-  // words, direct byte reads for sparse ones — so no per-candidate
-  // (cluster, slot) table is ever cleared or probed.
-  const measure::BitplaneStore planes(matrix);
-  const std::size_t words = planes.words();
+  // Runs fn(c) once for every unused candidate, chunk w owning the
+  // ascending config range [w·n/eff, (w+1)·n/eff). `visits` is the cells
+  // one candidate reads; it sizes the fan-out.
+  auto for_each_unused = [&](std::size_t visits, const auto& fn) {
+    const std::size_t work = (n - trace.order.size()) * visits;
+    const std::size_t eff =
+        std::clamp<std::size_t>(work / kMinWorkPerChunk, 1, chunks);
+    OBS_HIST("analysis.kernel.fanout", "chunks", eff);
+    pool.run(eff, [&](std::size_t w) {
+      for (std::size_t c = w * n / eff; c < (w + 1) * n / eff; ++c) {
+        if (!used[c]) fn(c);
+      }
+    });
+  };
+
+  // count[c]: clusters after refining the current partition by c. One
+  // full scan sets it; folding every cell through slot_of, it also
+  // rejects cells the 6-bit slots cannot represent.
+  std::vector<std::uint32_t> count(n, 0);
+  for_each_unused(matrix.sources(), [&](std::size_t c) {
+    std::uint64_t bits = 0;
+    for (const std::uint8_t cell : matrix.row(c)) {
+      bits |= std::uint64_t{1} << slot_of(cell);
+    }
+    count[c] = static_cast<std::uint32_t>(std::popcount(bits));
+  });
 
   ClusterTracker tracker(matrix.sources());
-  std::vector<bool> used(n, false);
-  std::vector<Best> best(chunks);
-  std::vector<std::vector<std::uint32_t>> order(chunks);
-  ClusterMasks masks;
-  util::WorkerPool pool(chunks - 1);
-
-  // Best-first candidate ordering: refinement only ever splits clusters,
-  // so a candidate's count from an earlier step is a lower bound on its
-  // count now. Scanning each chunk in descending last-known count puts a
-  // near-maximal bound in place after the first candidate, and losers
-  // abort after a fraction of their sources. Aborted scans still return
-  // valid lower bounds, so they update the ordering too.
-  std::vector<std::uint32_t> last_count(n, 0);
-
-  for (std::size_t step = 0; step < steps; ++step) {
-    const auto& cluster_of = tracker.current().cluster_of;
-    const auto mask = tracker.singleton_mask();
-    const std::uint32_t singles = tracker.singleton_count();
-    masks.build(cluster_of, tracker.cluster_count(), mask);
-
-    Best winner;
-    if (masks.cluster_count() == 0) {
-      // Fully saturated partition: every candidate refines to exactly
-      // `singles` clusters; take the lowest-index unused config directly.
-      for (std::size_t c = 0; c < n; ++c) {
-        if (!used[c]) {
-          winner = {c, singles};
-          break;
-        }
-      }
-    } else {
-      const std::size_t eff =
-          effective_chunks(chunks, n - step, masks.active_sources());
-      OBS_HIST("analysis.kernel.fanout", "chunks", eff);
-      const bool plane_partition = masks.prefer_plane_partition();
-      pool.run(eff, [&](std::size_t w) {
-        Best b;
-        auto& ord = order[w];
-        ord.clear();
-        const std::size_t begin = w * n / eff;
-        const std::size_t end = (w + 1) * n / eff;
-        for (std::size_t c = begin; c < end; ++c) {
-          if (!used[c]) ord.push_back(static_cast<std::uint32_t>(c));
-        }
-        std::stable_sort(ord.begin(), ord.end(),
-                         [&](std::uint32_t a, std::uint32_t c) {
-                           return last_count[a] > last_count[c];
-                         });
-        for (const std::uint32_t c : ord) {
-          // Out-of-index-order scanning: a lower-index candidate beats the
-          // incumbent already on a tie, so it may only abort against
-          // bound - 1 (b.count >= 1 whenever b is set: every retained
-          // cluster contributes at least one bucket).
-          const std::uint32_t bound =
-              b.config == kNoConfig ? 0 : b.count - (c < b.config ? 1 : 0);
-          const std::uint32_t count =
-              plane_partition
-                  ? count_after_bitplane(masks, singles, matrix.row(c).data(),
-                                         planes.row_planes(c), words, bound)
-                  : count_after_members(masks, singles, matrix.row(c).data(),
-                                        bound);
-          if (b.config == kNoConfig || count > b.count ||
-              (count == b.count && c < b.config)) {
-            b = {c, count};
-          }
-          if (count > last_count[c]) last_count[c] = count;
-        }
-        best[w] = b;
-      });
-
-      // Deterministic reduction: chunks cover ascending contiguous config
-      // ranges and each worker's best is its chunk's lowest-index max, so
-      // the strictly-greater merge yields the lowest-index config with
-      // the maximum count — exactly what one serial scan would pick.
-      for (std::size_t w = 0; w < eff; ++w) {
-        const Best& b = best[w];
-        if (b.config == kNoConfig) continue;
-        if (winner.config == kNoConfig || b.count > winner.count) winner = b;
+  std::vector<std::uint32_t> before;
+  SplitParts split;
+  while (trace.order.size() < steps) {
+    // Lowest-index argmax: the serial rescan's tie-break.
+    std::size_t best = kNoConfig;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (!used[c] && (best == kNoConfig || count[c] > count[best])) {
+        best = c;
       }
     }
-    if (winner.config == kNoConfig) break;
-    used[winner.config] = true;
-    tracker.refine(planes, winner.config);
-    trace.order.push_back(winner.config);
+    // A refine never merges clusters, so no count is below the current
+    // cluster count; a best count equal to it means nothing can split.
+    if (count[best] == tracker.cluster_count()) break;
+    used[best] = true;
+    before = tracker.current().cluster_of;
+    const std::uint32_t before_count = tracker.cluster_count();
+    tracker.refine(matrix.row(best));
+    trace.order.push_back(best);
     trace.mean_cluster_size.push_back(tracker.mean_cluster_size());
+    if (trace.order.size() == steps) break;
+    // Only the clusters the winner split can change a candidate's count.
+    split.build(before, before_count, tracker.current());
+    for_each_unused(split.member_count(), [&](std::size_t c) {
+      count[c] += split.gain(matrix.row(c).data());
+    });
+  }
+  // Saturated: every remaining count ties at the current cluster count,
+  // so the tie-break deploys the rest in ascending order at this mean.
+  const double mean = tracker.mean_cluster_size();
+  for (std::size_t c = 0; c < n && trace.order.size() < steps; ++c) {
+    if (used[c]) continue;
+    trace.order.push_back(c);
+    trace.mean_cluster_size.push_back(mean);
   }
   return trace;
 }

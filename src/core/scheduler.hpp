@@ -4,10 +4,11 @@
 // deploys the configuration minimising the resulting mean cluster size.
 //
 // All schedulers consume the columnar measure::CatchmentStore.
-// greedy_schedule evaluates candidates on the bit-sliced BitplaneStore
-// mirror and parallelises each step's candidate scan across workers with a
-// deterministic lowest-index-max reduction, so its output is bit-identical
-// for any worker count.
+// greedy_schedule keeps every candidate's refined cluster count: one full
+// scan sets the counts, and each step updates them only over the clusters
+// its winner split. The updates fan out across workers, each candidate
+// writing only its own count, and the winner is a serial lowest-index
+// argmax, so the output is bit-identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +32,13 @@ ScheduleTrace random_schedule(const measure::CatchmentStore& matrix,
 
 /// Greedy schedule: at each step deploy the configuration that minimises
 /// the mean cluster size of the refined partition (ties: lowest index).
-/// Stops after `steps` configurations (0 = all). The candidate scan of each
-/// step runs on `workers` threads (0 = util::default_worker_count()),
-/// scaled down per step by a work-per-worker threshold so tiny matrices
-/// skip thread wake overhead; the schedule is bit-identical for every
-/// worker count.
+/// Stops after `steps` configurations (0 = all). Once no configuration can
+/// split a cluster, the rest follow in ascending index at a constant mean.
+/// The count updates run on `workers` threads (0 =
+/// util::default_worker_count()), scaled down per step by a
+/// work-per-worker threshold so tiny matrices skip thread wake overhead;
+/// the schedule is bit-identical for every worker count. Throws
+/// std::out_of_range on cells the 6-bit cluster slots cannot represent.
 ScheduleTrace greedy_schedule(const measure::CatchmentStore& matrix,
                               std::size_t steps = 0,
                               std::size_t workers = 0);

@@ -239,14 +239,6 @@ BitplaneStore::BitplaneStore(const CatchmentStore& store)
   OBS_GAUGE("analysis.kernel.wide_simd", wide ? 1 : 0);
 }
 
-std::uint64_t BitplaneStore::missing_cells() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    total += util::popcount_words(plane(r, kMissingPlane), words_);
-  }
-  return total;
-}
-
 void BitplaneStore::decode_row(std::size_t config,
                                std::uint8_t* out) const noexcept {
   const std::uint64_t* planes = row_planes(config);

@@ -1,18 +1,17 @@
 // Bit-sliced mirror of the catchment matrix.
 //
 // CatchmentStore proves every cell fits 6 bits (62 link ids + the 0xFF
-// missing sentinel), yet the analysis kernels used to read cells one byte
-// at a time. BitplaneStore transposes each row into bit planes: plane b
-// holds bit b of every cell's 6-bit slot, packed 64 sources per 64-bit
-// word, so word-parallel kernels (cluster partition, greedy count_after)
-// touch 64 cells per instruction instead of one. A seventh plane marks the
-// missing sentinel explicitly; missing cells additionally read as slot 63
-// (all six value bits set) in the value planes — exactly the slot
-// core::slot_of assigns them — so partition kernels need no special case.
+// missing sentinel). BitplaneStore transposes each row into bit planes:
+// plane b holds bit b of every cell's 6-bit slot, packed 64 sources per
+// 64-bit word, so a row decodes back to its cell bytes with 8x8 bit
+// transposes (decode_row) — the word-parallel path of
+// core::cluster_sources. A seventh plane marks the missing sentinel
+// explicitly; missing cells additionally read as slot 63 (all six value
+// bits set) in the value planes — exactly the slot core::slot_of assigns
+// them.
 //
 // Layout: row-major blocks of kPlanes contiguous plane arrays, each
-// words() u64s — one candidate row's planes (7 × ceil(sources/64) words)
-// stay cache-resident for the whole scan of that row. Built once from a
+// words() u64s (7 × ceil(sources/64) words per row). Built once from a
 // CatchmentStore with full validation (cells other than 0..61 / 0xFF
 // throw) and a validated round trip back (to_store()).
 //
@@ -92,9 +91,6 @@ class BitplaneStore {
     if (missing_at(config, source)) return kNoCatchment8;
     return static_cast<std::uint8_t>(slot_at(config, source));
   }
-
-  /// Total missing cells (popcount of the missing plane).
-  std::uint64_t missing_cells() const noexcept;
 
   /// Word-parallel decode of one configuration row back to its encoded
   /// cell bytes (0xFF missing), via 8x8 bit transposes — the exact byte

@@ -1,16 +1,13 @@
 #include "util/simd.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define SPOOFTRACK_SIMD_X86 1
-#include <immintrin.h>
 #elif defined(__aarch64__)
 #define SPOOFTRACK_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace spooftrack::util {
@@ -76,72 +73,6 @@ void force_simd_level(std::optional<SimdLevel> level) noexcept {
     clamped = SimdLevel::kScalar;
   }
   g_forced.store(static_cast<int>(clamped), std::memory_order_relaxed);
-}
-
-std::uint64_t popcount_words_scalar(const std::uint64_t* words,
-                                    std::size_t count) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-#if defined(SPOOFTRACK_SIMD_X86)
-
-__attribute__((target("avx2"))) static std::uint64_t popcount_words_avx2(
-    const std::uint64_t* words, std::size_t count) noexcept {
-  // Nibble-LUT popcount (pshufb), accumulated with sad against zero so the
-  // per-byte counts widen to u64 lanes without overflow.
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0F);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + i));
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                        _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-  }
-  std::uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < count; ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-#elif defined(SPOOFTRACK_SIMD_NEON)
-
-static std::uint64_t popcount_words_neon(const std::uint64_t* words,
-                                         std::size_t count) noexcept {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint8x16_t v =
-        vld1q_u8(reinterpret_cast<const std::uint8_t*>(words + i));
-    total += vaddvq_u8(vcntq_u8(v));
-  }
-  for (; i < count; ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-#endif
-
-std::uint64_t popcount_words(const std::uint64_t* words,
-                             std::size_t count) noexcept {
-#if defined(SPOOFTRACK_SIMD_X86)
-  if (active_simd_level() == SimdLevel::kWide) {
-    return popcount_words_avx2(words, count);
-  }
-#elif defined(SPOOFTRACK_SIMD_NEON)
-  if (active_simd_level() == SimdLevel::kWide) {
-    return popcount_words_neon(words, count);
-  }
-#endif
-  return popcount_words_scalar(words, count);
 }
 
 }  // namespace spooftrack::util

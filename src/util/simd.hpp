@@ -1,10 +1,10 @@
-// Runtime SIMD dispatch for the bit-sliced analysis kernels.
+// Runtime SIMD dispatch for the bit-plane build (measure::BitplaneStore).
 //
-// Every kernel ships a portable std::popcount/u64 baseline; hosts with a
-// wide vector unit (AVX2 on x86-64, NEON on aarch64) get an optional wide
-// path selected once at startup. Both paths are bit-identical by contract
-// (enforced by tests/test_bitplane_store.cpp and the perf_analysis
-// equivalence gate), so dispatch is purely a throughput decision.
+// The build ships a portable u64 baseline; hosts with a wide vector unit
+// (AVX2 on x86-64, NEON on aarch64) get an optional wide path selected
+// once at startup. Both paths are bit-identical by contract (enforced by
+// tests/test_bitplane_store.cpp and the perf_analysis equivalence gate),
+// so dispatch is purely a throughput decision.
 //
 // The resolved level honours the environment variable SPOOFTRACK_SIMD:
 //   "scalar" forces the portable path, "wide" requests the vector path
@@ -20,14 +20,14 @@
 namespace spooftrack::util {
 
 enum class SimdLevel : std::uint8_t {
-  kScalar = 0,  // portable u64 + std::popcount kernels
-  kWide = 1,    // AVX2 / NEON kernels
+  kScalar = 0,  // portable u64 kernel
+  kWide = 1,    // AVX2 / NEON kernel
 };
 
 /// Widest level this binary + CPU can execute (independent of overrides).
 SimdLevel detected_simd_level() noexcept;
 
-/// The level kernels dispatch on: detected level clamped by the
+/// The level the build dispatches on: detected level clamped by the
 /// SPOOFTRACK_SIMD override (or force_simd_level). Cached after the first
 /// call; cheap enough for per-call dispatch.
 SimdLevel active_simd_level() noexcept;
@@ -38,14 +38,5 @@ std::string_view simd_level_name(SimdLevel level) noexcept;
 /// Test/bench hook: pin the active level (clamped to the detected level),
 /// or std::nullopt to restore SPOOFTRACK_SIMD/auto resolution.
 void force_simd_level(std::optional<SimdLevel> level) noexcept;
-
-/// Total set bits over `count` words. Portable std::popcount baseline with
-/// a wide path behind active_simd_level(); bit-identical results.
-std::uint64_t popcount_words(const std::uint64_t* words,
-                             std::size_t count) noexcept;
-
-/// The baseline implementation, callable directly for ablation benches.
-std::uint64_t popcount_words_scalar(const std::uint64_t* words,
-                                    std::size_t count) noexcept;
 
 }  // namespace spooftrack::util

@@ -1,13 +1,15 @@
 // Independent reference implementations for the analysis kernels.
 //
-// The production cluster refinement and greedy scheduler run on encoded
-// CatchmentStore bytes and bit-sliced planes, with singleton word-skips,
-// early-abort bounds and a parallel best-first candidate scan. The oracles
-// below are the plain algorithms the paper describes — §III-B refinement
-// and the §V-C greedy schedule — over decoded LinkId rows: one
+// The production cluster refinement runs on encoded CatchmentStore bytes
+// (or rows decoded from the bit-sliced planes) with singleton word-skips,
+// and the production greedy scheduler keeps every candidate's cluster
+// count, updating it across workers only where each winner splits. The
+// oracles below are the plain algorithms the paper describes — §III-B
+// refinement and the §V-C greedy schedule — over decoded LinkId rows: one
 // epoch-stamped (cluster, catchment) bucket table, first-touch dense ids,
-// a serial lowest-index-max scan. The tests and the perf_analysis bench
-// require the production kernels to match them bit for bit.
+// a serial lowest-index-max rescan of every candidate at every step. The
+// tests and the perf_analysis bench require the production code to match
+// them bit for bit.
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,8 @@
-// Equivalence suite for the bit-sliced analysis kernels: the BitplaneStore
-// mirror and every kernel running on it — plane-partition refinement, the
-// bitplane greedy scheduler, the tiled column gather — must be
-// bit-identical to the byte-store refine, the reference greedy in
-// oracles.hpp and plain cell reads, for every worker count and for both
-// SIMD dispatch paths.
+// Equivalence suite for the bit-sliced catchment mirror: the BitplaneStore
+// build, the clustering decoded from its planes, the greedy scheduler and
+// the tiled column gather must be bit-identical to the byte store, the
+// byte-store refine, the reference greedy in oracles.hpp and plain cell
+// reads, for every worker count and for both SIMD dispatch paths.
 #include "measure/bitplane_store.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "bgp/catchment.hpp"
-#include "core/bitplane_kernels.hpp"
 #include "core/cluster.hpp"
 #include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
@@ -133,7 +131,6 @@ TEST_P(SimdLevels, MissingCellsReadAsMissingSlotInValuePlanes) {
   EXPECT_TRUE(planes.missing_at(0, 69));
   EXPECT_FALSE(planes.missing_at(0, 1));
   EXPECT_EQ(planes.slot_at(0, 1), 5u);
-  EXPECT_EQ(planes.missing_cells(), 2u);
 }
 
 TEST_P(SimdLevels, PaddingLanesAreZeroInEveryPlane) {
@@ -178,7 +175,6 @@ TEST(BitplaneStoreTest, EmptyAndZeroSourceMatrices) {
   const measure::CatchmentStore empty;
   const measure::BitplaneStore planes(empty);
   EXPECT_TRUE(planes.empty());
-  EXPECT_EQ(planes.missing_cells(), 0u);
   EXPECT_EQ(planes.to_store(), empty);
 
   // Rows with zero columns: words() is 0 and every kernel is a no-op.
@@ -186,41 +182,9 @@ TEST(BitplaneStoreTest, EmptyAndZeroSourceMatrices) {
   const measure::BitplaneStore no_cols(rows_only);
   EXPECT_EQ(no_cols.configs(), 3u);
   EXPECT_EQ(no_cols.words(), 0u);
-  EXPECT_EQ(no_cols.missing_cells(), 0u);
 }
 
-TEST(BitplaneStoreTest, MissingCellsMatchesByteScan) {
-  const auto store = full_range_store(23, 131, 42);
-  const measure::BitplaneStore planes(store);
-  std::uint64_t expected = 0;
-  for (std::size_t c = 0; c < store.configs(); ++c) {
-    for (const std::uint8_t cell : store.row(c)) {
-      expected += cell == measure::kNoCatchment8 ? 1 : 0;
-    }
-  }
-  EXPECT_EQ(planes.missing_cells(), expected);
-}
-
-// --- Popcount dispatch ----------------------------------------------------
-
-TEST(SimdDispatch, PopcountMatchesScalarOnBothPaths) {
-  util::Rng rng(0xC0DE);
-  std::vector<std::uint64_t> words(137);
-  for (auto& w : words) {
-    w = rng.next_below(~std::uint64_t{0});
-    if (rng.chance(0.1)) w = 0;
-    if (rng.chance(0.1)) w = ~std::uint64_t{0};
-  }
-  const std::uint64_t expected =
-      util::popcount_words_scalar(words.data(), words.size());
-  for (const auto level :
-       {util::SimdLevel::kScalar, util::SimdLevel::kWide}) {
-    util::force_simd_level(level);
-    EXPECT_EQ(util::popcount_words(words.data(), words.size()), expected)
-        << util::simd_level_name(level);
-  }
-  util::force_simd_level(std::nullopt);
-}
+// --- SIMD dispatch --------------------------------------------------------
 
 TEST(SimdDispatch, ForcedWideClampsToHardware) {
   util::force_simd_level(util::SimdLevel::kWide);
@@ -235,17 +199,20 @@ TEST(SimdDispatch, ForcedWideClampsToHardware) {
 // --- Cluster refinement equivalence ---------------------------------------
 
 TEST_P(SimdLevels, BitplaneRefineMatchesByteRefine) {
+  // Clustering from the planes decodes every row and folds it through the
+  // byte refine: after each prefix of configurations its ids must be the
+  // byte tracker's.
   for (const std::size_t sources : {13u, 65u, 190u}) {
     const auto store = random_store(31, sources, 11 * sources);
-    const measure::BitplaneStore planes(store);
+    measure::CatchmentStore prefix(0, sources);
     core::ClusterTracker byte_tracker(sources);
-    core::ClusterTracker plane_tracker(sources);
     for (std::size_t c = 0; c < store.configs(); ++c) {
+      prefix.append_row(store.row(c));
       const auto byte_count = byte_tracker.refine(store.row(c));
-      const auto plane_count = plane_tracker.refine(planes, c);
-      ASSERT_EQ(plane_count, byte_count) << "config " << c;
-      ASSERT_EQ(plane_tracker.current().cluster_of,
-                byte_tracker.current().cluster_of)
+      const auto from_planes =
+          core::cluster_sources(measure::BitplaneStore(prefix));
+      ASSERT_EQ(from_planes.cluster_count, byte_count) << "config " << c;
+      ASSERT_EQ(from_planes.cluster_of, byte_tracker.current().cluster_of)
           << "config " << c;
     }
   }
@@ -267,71 +234,22 @@ TEST(BitplaneKernels, SingletonLazinessSurvivesInterleavedAccess) {
   core::ClusterTracker eager(50);
   eager.singleton_mask();
   core::ClusterTracker lazy(50);
+  const auto masks_agree = [&] {
+    const auto lazy_mask = lazy.singleton_mask();
+    const auto eager_mask = eager.singleton_mask();
+    return std::equal(lazy_mask.begin(), lazy_mask.end(), eager_mask.begin(),
+                      eager_mask.end());
+  };
   for (std::size_t c = 0; c < store.configs(); ++c) {
     eager.refine(store.row(c));
     lazy.refine(store.row(c));
     if (c == 7) {
       // First access flips lazy into tracking mode.
-      ASSERT_EQ(lazy.singleton_count(), eager.singleton_count());
+      ASSERT_TRUE(masks_agree());
     }
   }
-  const auto lazy_mask = lazy.singleton_mask();
-  const auto eager_mask = eager.singleton_mask();
-  ASSERT_TRUE(std::equal(lazy_mask.begin(), lazy_mask.end(),
-                         eager_mask.begin(), eager_mask.end()));
-  EXPECT_EQ(lazy.singleton_count(), eager.singleton_count());
+  ASSERT_TRUE(masks_agree());
   EXPECT_EQ(lazy.current().cluster_of, eager.current().cluster_of);
-}
-
-// --- count_after equivalence ---------------------------------------------
-
-TEST_P(SimdLevels, CountAfterMatchesStampReference) {
-  const std::size_t sources = 130;
-  const auto store = random_store(40, sources, 123);
-  const measure::BitplaneStore planes(store);
-
-  core::ClusterTracker tracker(sources);
-  // Partially refine so clusters of several sizes exist.
-  for (std::size_t c = 0; c < 3; ++c) tracker.refine(store.row(c));
-
-  const auto mask = tracker.singleton_mask();
-  const std::uint32_t singles = tracker.singleton_count();
-  core::ClusterMasks masks;
-  masks.build(tracker.current().cluster_of, tracker.cluster_count(), mask);
-
-  for (std::size_t c = 0; c < store.configs(); ++c) {
-    // Stamp-table reference: distinct (cluster, slot) buckets.
-    std::vector<std::uint8_t> seen(
-        std::size_t{tracker.cluster_count()} * core::kSlots, 0);
-    std::uint32_t expected = singles;
-    const auto& cluster_of = tracker.current().cluster_of;
-    for (std::size_t s = 0; s < sources; ++s) {
-      if (mask[s] != 0) continue;
-      const std::size_t key = std::size_t{cluster_of[s]} * core::kSlots +
-                              core::slot_of(store.cell(c, s));
-      if (seen[key] == 0) {
-        seen[key] = 1;
-        ++expected;
-      }
-    }
-    const std::uint32_t counted = core::count_after_bitplane(
-        masks, singles, store.row(c).data(), planes.row_planes(c),
-        planes.words(), /*bound=*/0);
-    ASSERT_EQ(counted, expected) << "config " << c;
-    const std::uint32_t by_members = core::count_after_members(
-        masks, singles, store.row(c).data(), /*bound=*/0);
-    ASSERT_EQ(by_members, expected) << "config " << c;
-
-    // With bound == the exact count, the abort may fire but must never
-    // report more than the true count.
-    const std::uint32_t bounded = core::count_after_bitplane(
-        masks, singles, store.row(c).data(), planes.row_planes(c),
-        planes.words(), expected);
-    ASSERT_LE(bounded, expected);
-    ASSERT_LE(core::count_after_members(masks, singles, store.row(c).data(),
-                                        expected),
-              expected);
-  }
 }
 
 // --- Scheduler equivalence ------------------------------------------------

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/cluster.hpp"
+#include "core/experiment.hpp"
 #include "oracles.hpp"
 
 namespace spooftrack::core {
@@ -31,6 +36,20 @@ measure::CatchmentStore skewed_matrix() {
       {0, 1, 2, 3, 4, 5},  // fully separates
       {0, 0, 0, 0, 0, 1},  // weak
   });
+}
+
+/// greedy_schedule at workers {1, 2, 8} must equal the serial rescan of
+/// tests/oracles.hpp in order and means.
+void expect_matches_legacy(const measure::CatchmentStore& store,
+                           std::size_t steps, const std::string& what) {
+  const auto reference = test::legacy_greedy(test::rows_of(store), steps);
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    const auto trace = greedy_schedule(store, steps, workers);
+    EXPECT_EQ(trace.order, reference.order)
+        << what << ", steps " << steps << ", workers " << workers;
+    EXPECT_EQ(trace.mean_cluster_size, reference.mean_cluster_size)
+        << what << ", steps " << steps << ", workers " << workers;
+  }
 }
 
 TEST(RandomSchedule, UsesEveryConfigOnce) {
@@ -62,6 +81,97 @@ TEST(GreedySchedule, StepLimitRespected) {
   const auto trace = greedy_schedule(matrix, 2);
   EXPECT_EQ(trace.order.size(), 2u);
   EXPECT_EQ(trace.mean_cluster_size.size(), 2u);
+}
+
+TEST(GreedySchedule, MatchesLegacyAfterTheLastSplit) {
+  // Eight informative rows, then copies and coarsenings of them: no row
+  // after the eighth can split what the first eight leave, so the
+  // schedule stops splitting before the horizon. 5,000 sources make the
+  // count updates of the first steps fan out over two chunks.
+  auto rows = test::random_matrix(8, 5000, 5);
+  for (std::size_t k = 0; k < 24; ++k) {
+    auto row = rows[k % 8];
+    if (k % 3 == 0) {
+      for (auto& link : row) {
+        if (link != bgp::kNoCatchment) link %= 2;
+      }
+    }
+    rows.push_back(row);
+  }
+  const std::pair<const char*, measure::CatchmentStore> cases[] = {
+      {"copies", test::store_of(rows)}, {"skewed", skewed_matrix()}};
+  for (const auto& [what, store] : cases) {
+    // The number of steps after which no winner splits a cluster.
+    const auto full = test::legacy_greedy(test::rows_of(store), 0);
+    const auto& means = full.mean_cluster_size;
+    const auto stop = static_cast<std::size_t>(
+        std::find(means.begin(), means.end(), means.back()) - means.begin() +
+        1);
+    ASSERT_LT(stop, store.configs()) << what;
+    for (const std::size_t steps :
+         {stop - 1, stop, stop + 1, store.configs(), store.configs() + 5}) {
+      expect_matches_legacy(store, steps, what);
+    }
+  }
+}
+
+TEST(GreedySchedule, ZeroSourceStoreIsAscendingAtMeanZero) {
+  // The artifact shape of a deploy that abandoned every configuration.
+  const measure::CatchmentStore store(5, 0);
+  const auto trace = greedy_schedule(store);
+  EXPECT_EQ(trace.order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(trace.mean_cluster_size, std::vector<double>(5, 0.0));
+  for (const std::size_t steps : {0u, 3u}) {
+    expect_matches_legacy(store, steps, "zero sources");
+  }
+}
+
+TEST(GreedySchedule, OneSourceStoreMatchesLegacy) {
+  const auto store = test::store_of({{3}, {bgp::kNoCatchment}, {0}, {3}});
+  for (const std::size_t steps : {0u, 2u}) {
+    expect_matches_legacy(store, steps, "one source");
+  }
+}
+
+TEST(GreedySchedule, MatchesLegacyOnMeasuredDeploy) {
+  TestbedConfig config;
+  config.seed = 11;
+  config.tier1_count = 5;
+  config.transit_count = 40;
+  config.stub_count = 400;
+  config.probe_count = 150;
+  config.feed.peer_count = 60;
+  const PeeringTestbed testbed(config);
+  GeneratorOptions gen_options;
+  gen_options.max_removals = 2;
+  const auto result =
+      testbed.deploy(testbed.generator(gen_options).location_phase());
+  ASSERT_GT(result.matrix.configs(), 8u);
+  ASSERT_GT(result.matrix.sources(), 100u);
+  expect_matches_legacy(result.matrix, 0, "measured deploy");
+}
+
+TEST(GreedySchedule, InvalidCellsThrowAtEveryWorkerCount) {
+  // CatchmentStore validates on ingest, so smuggle the bytes in through
+  // the mutable buffer. A one-step schedule refines one row only, so the
+  // initial count scan must catch the rest; 8,000 sources make that scan
+  // fan out over two chunks.
+  for (const std::uint8_t bad : {std::uint8_t{62}, std::uint8_t{0x80},
+                                 std::uint8_t{0xFE}}) {
+    for (const bool last_row : {false, true}) {
+      auto store = test::store_of(test::random_matrix(20, 8000, 9));
+      const std::size_t row = last_row ? store.configs() - 1 : 0;
+      store.data()[row * store.sources() + 4321] = bad;
+      for (const std::size_t steps : {1u, 0u}) {
+        for (const std::size_t workers : {1u, 2u, 8u}) {
+          EXPECT_THROW(greedy_schedule(store, steps, workers),
+                       std::out_of_range)
+              << "bad " << int{bad} << ", row " << row << ", steps "
+              << steps << ", workers " << workers;
+        }
+      }
+    }
+  }
 }
 
 TEST(GreedySchedule, NeverWorseThanRandomAtEachStep) {
