@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <thread>
-
-#include "util/parallel.hpp"
 
 #include "core/config_gen.hpp"
 #include "core/io.hpp"
 #include "obs/obs.hpp"
+#include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::bench {
@@ -21,56 +23,71 @@ namespace {
 // whole process, which is what you want to compare across bench runs.
 const obs::Stopwatch process_watch;
 
-[[noreturn]] void usage_and_exit(const char* flag) {
-  std::cerr << "unknown or malformed flag: " << flag << "\n"
-            << "flags: --seed=N --tier1=N --transit=N --stubs=N --probes=N\n"
-            << "       --rounds=N --sequences=N --placements=N\n"
-            << "       --greedy-steps=N --ground-truth --cache-dir=PATH\n"
-            << "       --no-cache --obs-report=PATH --quick\n";
+[[noreturn]] void usage_error(const std::string& message,
+                              const util::FlagSet& flags) {
+  std::cerr << message << "\nflags:\n" << flags.usage();
   std::exit(2);
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    return used == text.size();
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace
 
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    std::uint64_t parsed = 0;
-    auto want_num = [&]() {
-      if (!parse_u64(value, parsed)) usage_and_exit(argv[i]);
-      return parsed;
-    };
-    if (key == "--seed") options.seed = want_num();
-    else if (key == "--tier1") options.tier1 = static_cast<std::uint32_t>(want_num());
-    else if (key == "--transit") options.transit = static_cast<std::uint32_t>(want_num());
-    else if (key == "--stubs") options.stubs = static_cast<std::uint32_t>(want_num());
-    else if (key == "--probes") options.probes = static_cast<std::uint32_t>(want_num());
-    else if (key == "--rounds") options.rounds = static_cast<std::uint32_t>(want_num());
-    else if (key == "--sequences") options.sequences = static_cast<std::uint32_t>(want_num());
-    else if (key == "--placements") options.placements = static_cast<std::uint32_t>(want_num());
-    else if (key == "--greedy-steps") options.greedy_steps = static_cast<std::uint32_t>(want_num());
-    else if (key == "--ground-truth") options.measured = false;
-    else if (key == "--cache-dir") options.cache_dir = value;
-    else if (key == "--no-cache") options.no_cache = true;
-    else if (key == "--obs-report") options.obs_report = value;
-    else if (key == "--quick") options.quick = true;
-    else usage_and_exit(argv[i]);
+  util::FlagSet flags;
+  flags.define("seed", "deterministic seed", std::to_string(options.seed))
+      .define("tier1", "tier-1 clique size", std::to_string(options.tier1))
+      .define("transit", "transit AS count", std::to_string(options.transit))
+      .define("stubs", "stub AS count", std::to_string(options.stubs))
+      .define("probes", "RIPE-Atlas-style probe ASes",
+              std::to_string(options.probes))
+      .define("rounds", "traceroute rounds per configuration",
+              std::to_string(options.rounds))
+      .define("sequences", "Figure 8 random schedules",
+              std::to_string(options.sequences))
+      .define("placements", "Figure 10 source placements",
+              std::to_string(options.placements))
+      .define("greedy-steps", "Figure 8 greedy horizon",
+              std::to_string(options.greedy_steps))
+      .define_switch("ground-truth",
+                     "use routing ground truth instead of the measured "
+                     "pipeline")
+      .define("cache-dir", "standard deployment cache directory",
+              options.cache_dir)
+      .define_switch("no-cache", "neither load nor write the cache")
+      .define("obs-report", "write a JSON RunReport here", "")
+      .define_switch("quick", "smoke-test sizes, single worker");
+  if (!flags.parse(argc, argv)) usage_error(flags.error(), flags);
+  if (!flags.positionals().empty()) {
+    usage_error("unexpected argument: " + flags.positionals().front(), flags);
   }
+  const auto number = [&flags](const char* name, std::uint64_t hi) {
+    const auto value = flags.get_u64(name, 0, hi);
+    if (!value) {
+      usage_error(std::string("--") + name + "=" + flags.get(name) +
+                      ": expected an integer in [0, " + std::to_string(hi) +
+                      "]",
+                  flags);
+    }
+    return *value;
+  };
+  const auto u32 = [&number](const char* name) {
+    return static_cast<std::uint32_t>(
+        number(name, std::numeric_limits<std::uint32_t>::max()));
+  };
+  options.seed = number("seed", std::numeric_limits<std::uint64_t>::max());
+  options.tier1 = u32("tier1");
+  options.transit = u32("transit");
+  options.stubs = u32("stubs");
+  options.probes = u32("probes");
+  options.rounds = u32("rounds");
+  options.sequences = u32("sequences");
+  options.placements = u32("placements");
+  options.greedy_steps = u32("greedy-steps");
+  options.measured = !flags.get_switch("ground-truth");
+  options.cache_dir = flags.get("cache-dir");
+  options.no_cache = flags.get_switch("no-cache");
+  options.obs_report = flags.get("obs-report");
+  options.quick = flags.get_switch("quick");
   return options;
 }
 
@@ -87,8 +104,8 @@ int finish(const BenchOptions& options, std::string_view bench_name,
                static_cast<double>(util::default_worker_count()));
   if (hardware <= 1) {
     // Parallel speedups measured here are meaningless; flag the report so
-    // downstream comparisons (CI trend lines, BENCH_*.json readers) can
-    // discount them instead of mistaking contention for regression.
+    // downstream comparisons can discount them instead of mistaking
+    // contention for regression.
     report.label("single_core", "true");
     std::cerr << "[bench] WARNING: single-core host "
               << "(hardware_concurrency <= 1); parallel speedups are not "

@@ -38,7 +38,9 @@ struct BenchOptions {
   std::string obs_report;  // --obs-report=PATH: write a JSON RunReport here
   bool quick = false;      // --quick: smoke-test sizes, single worker
 
-  /// Parses --key=value flags; exits with usage on unknown flags.
+  /// Parses the flags with util::FlagSet. An unknown flag, a non-flag
+  /// argument or a malformed or out-of-range value prints usage and exits
+  /// 2.
   static BenchOptions parse(int argc, char** argv);
 
   core::TestbedConfig testbed_config() const;

@@ -53,8 +53,8 @@ class CatchmentInference {
                      const bgp::OriginSpec& origin);
 
   /// Infers catchments for one configuration from its measurements.
-  /// Allocating form: the serial reference pipelines (tests, perf_measure)
-  /// compose it without the driver's scratch reuse.
+  /// Allocating form: the tests' serial reference pipeline composes it
+  /// without the driver's scratch reuse.
   InferenceResult infer(std::span<const FeedEntry> feeds,
                         std::span<const AsLevelPath> traces) const;
 

@@ -67,8 +67,8 @@ class PathRepair {
 
   /// Repairs a batch of traceroutes measured under the same configuration,
   /// using the batch itself for step 2 and the feed snapshot for step 4.
-  /// Allocating form: the tests' serial reference pipeline and repair
-  /// checks compose it without the driver's scratch reuse.
+  /// Allocating form: the tests' repair checks call it without the
+  /// driver's scratch reuse.
   std::vector<AsLevelPath> repair(
       std::span<const Traceroute> traces,
       std::span<const FeedEntry> feeds) const;

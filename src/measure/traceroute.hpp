@@ -62,9 +62,9 @@ class TracerouteSim {
   /// transient effects between measurement rounds while keeping the
   /// simulation deterministic; persistent effects (silent ASes, border
   /// numbering) depend only on the seed. Thread-safe. The deploy measures
-  /// through run_on_path; this form walks the outcome itself, so the serial
-  /// reference pipelines (tests, perf_measure) check the driver's
-  /// ProbePathSet extraction instead of sharing it.
+  /// through run_on_path; this form walks the outcome itself, so the tests'
+  /// serial reference pipeline checks the driver's ProbePathSet extraction
+  /// instead of sharing it.
   Traceroute run(const bgp::RoutingOutcome& outcome, topology::AsId probe,
                  topology::AsId origin, std::uint64_t salt) const;
 

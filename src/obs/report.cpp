@@ -1,12 +1,10 @@
 #include "obs/report.hpp"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace spooftrack::obs {
@@ -41,7 +39,7 @@ std::string escape(std::string_view text) {
 
 /// Shortest decimal representation that parses back to the same double —
 /// keeps the JSON human-readable ("12.5", not "12.500000000000000") while
-/// making write → parse → write byte-identical.
+/// losing no precision.
 std::string fmt_number(double value) {
   char buf[64];
   for (int precision = 15; precision <= 17; ++precision) {
@@ -83,277 +81,6 @@ void write_metric(std::ostream& out, const MetricSnapshot& metric) {
     out << ", \"value\": " << fmt_u64(metric.value);
   }
   out << "}";
-}
-
-// ---- JSON parsing (strict subset) ---------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::uint64_t integer = 0;
-  bool is_integer = false;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* get(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("obs report JSON, offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't':
-      case 'f': return parse_bool();
-      case 'n': return parse_null();
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      value.object.emplace_back(std::move(key.string), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return value;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return value;
-    }
-  }
-
-  JsonValue parse_string() {
-    expect('"');
-    JsonValue value;
-    value.type = JsonValue::Type::kString;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': value.string += '"'; break;
-        case '\\': value.string += '\\'; break;
-        case '/': value.string += '/'; break;
-        case 'n': value.string += '\n'; break;
-        case 't': value.string += '\t'; break;
-        case 'r': value.string += '\r'; break;
-        case 'b': value.string += '\b'; break;
-        case 'f': value.string += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Minimal UTF-8 encoding (BMP only — all we ever emit).
-          if (code < 0x80) {
-            value.string += static_cast<char>(code);
-          } else if (code < 0x800) {
-            value.string += static_cast<char>(0xC0 | (code >> 6));
-            value.string += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            value.string += static_cast<char>(0xE0 | (code >> 12));
-            value.string += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            value.string += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("expected boolean");
-    }
-    return value;
-  }
-
-  JsonValue parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0) fail("expected null");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    bool floating = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        floating = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected number");
-    const std::string token = text_.substr(start, pos_ - start);
-    JsonValue value;
-    value.type = JsonValue::Type::kNumber;
-    value.number = std::strtod(token.c_str(), nullptr);
-    if (!floating && token[0] != '-') {
-      value.integer = std::strtoull(token.c_str(), nullptr, 10);
-      value.is_integer = true;
-    }
-    return value;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t as_u64(const JsonValue* value, std::string_view what) {
-  if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-    throw std::runtime_error("obs report: missing numeric field '" +
-                             std::string(what) + "'");
-  }
-  if (value->is_integer) return value->integer;
-  return static_cast<std::uint64_t>(value->number);
-}
-
-std::string as_string(const JsonValue* value, std::string_view what) {
-  if (value == nullptr || value->type != JsonValue::Type::kString) {
-    throw std::runtime_error("obs report: missing string field '" +
-                             std::string(what) + "'");
-  }
-  return value->string;
-}
-
-Kind kind_from_name(std::string_view name) {
-  for (const Kind kind :
-       {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
-    if (kind_name(kind) == name) return kind;
-  }
-  throw std::runtime_error("obs report: unknown metric kind '" +
-                           std::string(name) + "'");
-}
-
-MetricSnapshot metric_from_json(const JsonValue& json) {
-  if (json.type != JsonValue::Type::kObject) {
-    throw std::runtime_error("obs report: metric entry is not an object");
-  }
-  MetricSnapshot metric;
-  metric.name = as_string(json.get("name"), "name");
-  metric.unit = as_string(json.get("unit"), "unit");
-  metric.kind = kind_from_name(as_string(json.get("kind"), "kind"));
-  if (metric.kind == Kind::kHistogram) {
-    metric.count = as_u64(json.get("count"), "count");
-    metric.sum = as_u64(json.get("sum"), "sum");
-    metric.min = as_u64(json.get("min"), "min");
-    metric.max = as_u64(json.get("max"), "max");
-    const JsonValue* bins = json.get("bins");
-    if (bins == nullptr || bins->type != JsonValue::Type::kArray) {
-      throw std::runtime_error("obs report: histogram without bins");
-    }
-    for (const JsonValue& pair : bins->array) {
-      if (pair.type != JsonValue::Type::kArray || pair.array.size() != 2) {
-        throw std::runtime_error("obs report: malformed bin entry");
-      }
-      const std::uint64_t bin = as_u64(&pair.array[0], "bin index");
-      if (bin >= kHistogramBins) {
-        throw std::runtime_error("obs report: bin index out of range");
-      }
-      metric.bins[bin] = as_u64(&pair.array[1], "bin count");
-    }
-  } else {
-    metric.value = as_u64(json.get("value"), "value");
-  }
-  return metric;
 }
 
 }  // namespace
@@ -404,77 +131,12 @@ void RunReport::write_json(std::ostream& out) const {
   out << "}\n";
 }
 
-void RunReport::write_csv(std::ostream& out) const {
-  out << "name,kind,unit,count,value,sum,min,max,mean,p50,p90,p99\n";
-  for (const MetricSnapshot& metric : metrics.metrics) {
-    out << metric.name << "," << kind_name(metric.kind) << "," << metric.unit
-        << "," << metric.count << "," << metric.value << "," << metric.sum
-        << "," << metric.min << "," << metric.max << ","
-        << fmt_number(metric.mean()) << ","
-        << fmt_number(metric.percentile(50.0)) << ","
-        << fmt_number(metric.percentile(90.0)) << ","
-        << fmt_number(metric.percentile(99.0)) << "\n";
-  }
-}
-
 void RunReport::save_json_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path + " for writing");
   write_json(out);
   out.flush();
   if (!out) throw std::runtime_error("write to " + path + " failed");
-}
-
-RunReport RunReport::parse_json(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  JsonParser parser(std::move(buffer).str());
-  const JsonValue root = parser.parse();
-  if (root.type != JsonValue::Type::kObject) {
-    throw std::runtime_error("obs report: top level is not an object");
-  }
-
-  RunReport report;
-  report.schema = as_string(root.get("schema"), "schema");
-  if (report.schema != kReportSchema) {
-    throw std::runtime_error("obs report: unsupported schema '" +
-                             report.schema + "'");
-  }
-  report.name = as_string(root.get("name"), "name");
-  const JsonValue* enabled = root.get("obs_enabled");
-  if (enabled == nullptr || enabled->type != JsonValue::Type::kBool) {
-    throw std::runtime_error("obs report: missing obs_enabled");
-  }
-  report.obs_enabled = enabled->boolean;
-
-  if (const JsonValue* labels = root.get("labels"); labels != nullptr) {
-    for (const auto& [key, value] : labels->object) {
-      report.labels.emplace_back(key, as_string(&value, key));
-    }
-  }
-  if (const JsonValue* values = root.get("values"); values != nullptr) {
-    for (const auto& [key, value] : values->object) {
-      if (value.type != JsonValue::Type::kNumber) {
-        throw std::runtime_error("obs report: value '" + key +
-                                 "' is not a number");
-      }
-      report.values.emplace_back(key, value.number);
-    }
-  }
-  const JsonValue* metrics = root.get("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::kArray) {
-    throw std::runtime_error("obs report: missing metrics array");
-  }
-  for (const JsonValue& metric : metrics->array) {
-    report.metrics.metrics.push_back(metric_from_json(metric));
-  }
-  return report;
-}
-
-RunReport RunReport::parse_json_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return parse_json(in);
 }
 
 }  // namespace spooftrack::obs

@@ -2,10 +2,10 @@
 // and the CLI can emit next to their results.
 //
 // The JSON schema ("spooftrack.obs.v1") is documented in
-// docs/observability.md; write_json's output is deterministic (fixed key
-// order, round-trippable number formatting), so
-// write_json → parse_json → write_json is byte-identical — the property
-// tests/test_obs.cpp locks down and CI validates against a real bench run.
+// docs/observability.md. write_json's output is deterministic: fixed key
+// order and shortest round-trip number formatting. tests/test_obs.cpp pins
+// it byte for byte. The library only writes reports; CI reads real CLI and
+// bench reports from Python and validates them against the schema.
 #pragma once
 
 #include <iosfwd>
@@ -22,7 +22,7 @@ inline constexpr std::string_view kReportSchema = "spooftrack.obs.v1";
 
 struct RunReport {
   std::string schema = std::string(kReportSchema);
-  /// Which binary/run produced the report, e.g. "perf_campaign_warm".
+  /// Which binary/run produced the report, e.g. "spooftrack-deploy".
   std::string name;
   /// Whether the producing binary was compiled with SPOOFTRACK_OBS=ON —
   /// lets consumers distinguish "no work happened" from "not recorded".
@@ -42,19 +42,8 @@ struct RunReport {
   RunReport& value(std::string_view key, double v);
 
   void write_json(std::ostream& out) const;
-  /// One row per metric: name,kind,unit,count,value,sum,min,max,mean,
-  /// p50,p90,p99.
-  void write_csv(std::ostream& out) const;
   /// Throws std::runtime_error on write failure.
   void save_json_file(const std::string& path) const;
-
-  /// Strict parser for the subset of JSON write_json emits (any key order,
-  /// unknown keys ignored). Throws std::runtime_error on malformed input
-  /// or a schema string other than kReportSchema.
-  static RunReport parse_json(std::istream& in);
-  static RunReport parse_json_file(const std::string& path);
-
-  friend bool operator==(const RunReport&, const RunReport&) = default;
 };
 
 }  // namespace spooftrack::obs

@@ -84,13 +84,15 @@ bool FlagSet::get_switch(const std::string& name) const {
   return it != flags_.end() && it->second.set;
 }
 
-std::optional<std::uint64_t> FlagSet::get_u64(const std::string& name) const {
+std::optional<std::uint64_t> FlagSet::get_u64(const std::string& name,
+                                              std::uint64_t lo,
+                                              std::uint64_t hi) const {
   const std::string text = get(name);
   std::uint64_t value = 0;
   const auto [next, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || next != text.data() + text.size() ||
-      text.empty()) {
+      text.empty() || value < lo || value > hi) {
     return std::nullopt;
   }
   return value;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,7 +28,11 @@ class FlagSet {
 
   std::string get(const std::string& name) const;
   bool get_switch(const std::string& name) const;
-  std::optional<std::uint64_t> get_u64(const std::string& name) const;
+  /// The value as a whole decimal number in [lo, hi]; nullopt when it is
+  /// malformed or out of range.
+  std::optional<std::uint64_t> get_u64(
+      const std::string& name, std::uint64_t lo = 0,
+      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) const;
   std::optional<double> get_double(const std::string& name) const;
 
   const std::vector<std::string>& positionals() const noexcept {

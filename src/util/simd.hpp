@@ -3,8 +3,8 @@
 // The build ships a portable u64 baseline; hosts with a wide vector unit
 // (AVX2 on x86-64, NEON on aarch64) get an optional wide path selected
 // once at startup. Both paths are bit-identical by contract (enforced by
-// tests/test_bitplane_store.cpp and the perf_analysis equivalence gate),
-// so dispatch is purely a throughput decision.
+// the SimdLevels gates in tests/test_bitplane_store.cpp), so dispatch is
+// purely a throughput decision.
 //
 // The resolved level honours the environment variable SPOOFTRACK_SIMD:
 //   "scalar" forces the portable path, "wide" requests the vector path

@@ -1,4 +1,5 @@
-// Independent reference implementations for the analysis kernels.
+// Independent reference implementations for the analysis kernels and the
+// §IV-b traceroute repair.
 //
 // The production cluster refinement runs on encoded CatchmentStore bytes
 // (or rows decoded from the bit-sliced planes) with singleton word-skips,
@@ -7,20 +8,32 @@
 // oracles below are the plain algorithms the paper describes — §III-B
 // refinement and the §V-C greedy schedule — over decoded LinkId rows: one
 // epoch-stamped (cluster, catchment) bucket table, first-touch dense ids,
-// a serial lowest-index-max rescan of every candidate at every step. The
-// tests and the perf_analysis bench require the production code to match
-// them bit for bit.
+// a serial lowest-index-max rescan of every candidate at every step.
+//
+// legacy_repair is the pre-optimization §IV-b repair pipeline, verbatim:
+// owned-vector substitution indexes and fresh per-trace buffers, where
+// measure::PathRepair uses slice-pooled indexes and reusable scratch.
+//
+// The tests require the production code to match every oracle bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/catchment.hpp"
 #include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
 #include "measure/catchment_store.hpp"
+#include "measure/feed.hpp"
+#include "measure/ip2as.hpp"
+#include "measure/ixp_table.hpp"
+#include "measure/repair.hpp"
+#include "measure/traceroute.hpp"
+#include "topology/as_graph.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::test {
@@ -174,6 +187,187 @@ inline LinkRows random_matrix(std::size_t configs, std::size_t sources,
     }
   }
   return matrix;
+}
+
+namespace legacy_repair_detail {
+
+constexpr std::size_t kWindow = measure::PathRepair::kSubstitutionWindow;
+
+inline std::uint64_t pack(std::uint64_t a, std::uint64_t b) {
+  return (a << 32) | (b & 0xFFFFFFFFULL);
+}
+
+template <typename T>
+struct SeqEntry {
+  std::vector<T> seq;
+  bool conflict = false;
+};
+
+template <typename T>
+void record(std::unordered_map<std::uint64_t, SeqEntry<T>>& map,
+            std::uint64_t key, const std::vector<T>& interior) {
+  const auto it = map.find(key);
+  if (it == map.end()) {
+    map.emplace(key, SeqEntry<T>{interior});
+    return;
+  }
+  if (!it->second.conflict && it->second.seq != interior) {
+    it->second.conflict = true;
+  }
+}
+
+using AddrSeqMap =
+    std::unordered_map<std::uint64_t, SeqEntry<netcore::Ipv4Addr>>;
+using AsnSeqMap = std::unordered_map<std::uint64_t, SeqEntry<topology::Asn>>;
+
+inline AddrSeqMap build_address_index(
+    std::span<const measure::Traceroute> traces) {
+  AddrSeqMap map;
+  for (const measure::Traceroute& trace : traces) {
+    const auto& hops = trace.hops;
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      if (!hops[i].responsive()) continue;
+      std::vector<netcore::Ipv4Addr> interior;
+      for (std::size_t j = i + 1; j < hops.size() && j - i <= kWindow + 1;
+           ++j) {
+        if (!hops[j].responsive()) break;
+        record(map, pack(hops[i].address->value(), hops[j].address->value()),
+               interior);
+        interior.push_back(*hops[j].address);
+      }
+    }
+  }
+  return map;
+}
+
+inline AsnSeqMap build_feed_index(std::span<const measure::FeedEntry> feeds,
+                                  topology::Asn origin_asn) {
+  AsnSeqMap map;
+  for (const measure::FeedEntry& feed : feeds) {
+    std::vector<topology::Asn> path;
+    for (topology::Asn asn : feed.as_path) {
+      if (path.empty() || path.back() != asn) path.push_back(asn);
+    }
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      std::vector<topology::Asn> interior;
+      for (std::size_t j = i + 1; j < path.size() && j - i <= kWindow + 1;
+           ++j) {
+        if (j - i >= 2 && path[j - 1] == origin_asn) break;
+        record(map, pack(path[i], path[j]), interior);
+        interior.push_back(path[j]);
+      }
+    }
+  }
+  return map;
+}
+
+inline std::vector<measure::TracerouteHop> substitute_unresponsive(
+    const std::vector<measure::TracerouteHop>& hops, const AddrSeqMap& index) {
+  std::vector<measure::TracerouteHop> out;
+  out.reserve(hops.size());
+  std::size_t i = 0;
+  while (i < hops.size()) {
+    if (hops[i].responsive()) {
+      out.push_back(hops[i]);
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < hops.size() && !hops[j].responsive()) ++j;
+    const bool has_left = !out.empty() && out.back().responsive();
+    const bool has_right = j < hops.size();
+    bool substituted = false;
+    if (has_left && has_right && j - i <= kWindow) {
+      const auto it = index.find(pack(out.back().address->value(),
+                                      hops[j].address->value()));
+      if (it != index.end() && !it->second.conflict) {
+        for (netcore::Ipv4Addr addr : it->second.seq) out.push_back({addr});
+        substituted = true;
+      }
+    }
+    if (!substituted) {
+      for (std::size_t k = i; k < j; ++k) out.push_back(hops[k]);
+    }
+    i = j;
+  }
+  return out;
+}
+
+inline measure::AsLevelPath finish_mapping(
+    const topology::AsGraph& graph, const measure::Ip2AsMap& ip2as,
+    const measure::IxpTable& ixps, topology::Asn origin_asn,
+    topology::AsId probe, const std::vector<measure::TracerouteHop>& hops,
+    const AsnSeqMap* feed_index) {
+  std::vector<std::optional<topology::Asn>> mapped;
+  mapped.reserve(hops.size());
+  for (const measure::TracerouteHop& hop : hops) {
+    if (!hop.responsive()) {
+      mapped.push_back(std::nullopt);
+      continue;
+    }
+    if (ixps.is_ixp_address(*hop.address)) continue;
+    mapped.push_back(ip2as.lookup(*hop.address));
+  }
+
+  std::vector<topology::Asn> as_hops;
+  std::size_t i = 0;
+  while (i < mapped.size()) {
+    if (mapped[i]) {
+      as_hops.push_back(*mapped[i]);
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < mapped.size() && !mapped[j]) ++j;
+    const bool has_left = !as_hops.empty();
+    const bool has_right = j < mapped.size();
+    if (has_left && has_right) {
+      const topology::Asn left = as_hops.back();
+      const topology::Asn right = *mapped[j];
+      if (left == right) {
+        // Gap internal to one AS.
+      } else if (feed_index != nullptr && j - i <= kWindow) {
+        const auto it = feed_index->find(pack(left, right));
+        if (it != feed_index->end() && !it->second.conflict) {
+          for (topology::Asn asn : it->second.seq) as_hops.push_back(asn);
+        }
+      }
+    }
+    i = j;
+  }
+
+  measure::AsLevelPath result;
+  result.probe = probe;
+  result.path.push_back(graph.asn_of(probe));
+  for (topology::Asn asn : as_hops) {
+    if (result.path.back() != asn) result.path.push_back(asn);
+  }
+  result.complete = result.path.back() == origin_asn;
+  return result;
+}
+
+}  // namespace legacy_repair_detail
+
+/// The §IV-b repair of one configuration's traceroute batch, as the library
+/// ran it before PathRepair pooled its indexes: step 2 from the batch's own
+/// traces, step 4 from the feed snapshot. measure::PathRepair::repair must
+/// return exactly this for any batch.
+inline std::vector<measure::AsLevelPath> legacy_repair(
+    const topology::AsGraph& graph, const measure::Ip2AsMap& ip2as,
+    const measure::IxpTable& ixps, topology::Asn origin_asn,
+    std::span<const measure::Traceroute> traces,
+    std::span<const measure::FeedEntry> feeds) {
+  using namespace legacy_repair_detail;
+  const AddrSeqMap address_index = build_address_index(traces);
+  const AsnSeqMap feed_index = build_feed_index(feeds, origin_asn);
+  std::vector<measure::AsLevelPath> out;
+  out.reserve(traces.size());
+  for (const measure::Traceroute& trace : traces) {
+    const auto hops = substitute_unresponsive(trace.hops, address_index);
+    out.push_back(finish_mapping(graph, ip2as, ixps, origin_asn, trace.probe,
+                                 hops, &feed_index));
+  }
+  return out;
 }
 
 }  // namespace spooftrack::test

@@ -56,10 +56,14 @@ TEST(Flags, RejectsValuelessFlagAndValuedSwitch) {
 
 TEST(Flags, NumericParsingIsStrict) {
   FlagSet flags = make_flags();
-  ASSERT_TRUE(flags.parse({"--name=12x", "--rate=oops"}));
+  ASSERT_TRUE(flags.parse({"--name=12x", "--rate=oops", "--seed=4294967296"}));
   EXPECT_FALSE(flags.get_u64("name").has_value());
   EXPECT_FALSE(flags.get_double("rate").has_value());
   EXPECT_FALSE(flags.get_u64("unknown-flag").has_value());
+  // Range bounds are inclusive.
+  EXPECT_EQ(flags.get_u64("seed", 0, 4294967296u), 4294967296u);
+  EXPECT_FALSE(flags.get_u64("seed", 0, 4294967295u).has_value());
+  EXPECT_FALSE(flags.get_u64("seed", 4294967297u).has_value());
 }
 
 TEST(Flags, EmptyValueAllowedForStrings) {

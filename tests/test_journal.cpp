@@ -564,6 +564,16 @@ TEST(Journal, ZeroRateCrashPlanWithJournalMatchesJournalOff) {
   journaled.faults.crash_site = fault::Site::kJournalPreWrite;
   journaled.faults.crash_at = 1u << 20;  // armed, never reached
   EXPECT_EQ(deploy_artifact(journaled), reference);
+
+  // The durable form: an fdatasync per record and five records per
+  // segment, so the ten commits also cross two atomic rotations.
+  ScratchDir durable_dir("zero-fsync");
+  core::TestbedConfig durable = journaled;
+  durable.journal.dir = durable_dir.str();
+  durable.journal.fsync = true;
+  durable.journal.segment_records = 5;
+  EXPECT_EQ(deploy_artifact(durable), reference);
+  EXPECT_TRUE(fs::exists(durable_dir.path() / "seg-000001.wal"));
 }
 
 #if SPOOFTRACK_OBS_ENABLED

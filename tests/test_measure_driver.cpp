@@ -1,15 +1,18 @@
 // Pinned equivalence of MeasurementDriver::measure_one: per configuration
 // it must produce byte-identical InferenceResults equal to a
 // straightforward serial composition of the pipeline stages (feed collect
-// -> per-round traceroutes -> repair -> inference), whatever the scratch it
-// runs on measured before. Worker-count invariance of the deploy that fans
-// measure_one out is pinned by MeasureDriverDeploy below and by the
+// -> per-round traceroutes -> the legacy repair oracle -> inference),
+// whatever the scratch it runs on measured before. The reference shares no
+// repair code with the driver, so a change to PathRepair that alters a
+// repaired path fails here too. Worker-count invariance of the deploy that
+// fans measure_one out is pinned by MeasureDriverDeploy below and by the
 // PipelineEquivalence suite.
 #include "measure/driver.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::measure {
@@ -62,7 +65,7 @@ class MeasureDriverTest : public ::testing::Test {
 
   /// The pre-driver inline pipeline, verbatim: per config, feeds +
   /// probe-major round-minor traceroutes salted with (config index, round),
-  /// batch repair, inference.
+  /// batch repair by test::legacy_repair, inference.
   std::vector<InferenceResult> serial_reference(
       const std::vector<bgp::Configuration>& configs) const {
     std::vector<InferenceResult> results(configs.size());
@@ -78,7 +81,9 @@ class MeasureDriverTest : public ::testing::Test {
                                        util::hash_combine(i, round)));
         }
       }
-      const auto paths = repair_.repair(traces, feed_entries);
+      const auto paths =
+          test::legacy_repair(testbed_.graph(), ip2as_, ixps_,
+                              core::kPeeringAsn, traces, feed_entries);
       results[i] = inference_.infer(feed_entries, paths);
     }
     return results;

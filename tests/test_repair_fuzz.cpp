@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "bgp/catchment.hpp"
@@ -13,6 +12,7 @@
 #include "measure/feed.hpp"
 #include "measure/repair.hpp"
 #include "measure/traceroute.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 
 namespace spooftrack::measure {
@@ -27,184 +27,6 @@ struct FuzzParam {
 };
 
 class RepairFuzz : public ::testing::TestWithParam<FuzzParam> {};
-
-// The pre-optimization §IV-b repair pipeline, reimplemented verbatim with
-// owned-vector indexes: the library's slice-pooled PathRepair must stay
-// bit-equivalent to it on arbitrary noisy batches.
-namespace legacy {
-
-constexpr std::size_t kWindow = PathRepair::kSubstitutionWindow;
-
-std::uint64_t pack(std::uint64_t a, std::uint64_t b) {
-  return (a << 32) | (b & 0xFFFFFFFFULL);
-}
-
-template <typename T>
-struct SeqEntry {
-  std::vector<T> seq;
-  bool conflict = false;
-};
-
-template <typename T>
-void record(std::unordered_map<std::uint64_t, SeqEntry<T>>& map,
-            std::uint64_t key, const std::vector<T>& interior) {
-  const auto it = map.find(key);
-  if (it == map.end()) {
-    map.emplace(key, SeqEntry<T>{interior});
-    return;
-  }
-  if (!it->second.conflict && it->second.seq != interior) {
-    it->second.conflict = true;
-  }
-}
-
-using AddrSeqMap =
-    std::unordered_map<std::uint64_t, SeqEntry<netcore::Ipv4Addr>>;
-using AsnSeqMap = std::unordered_map<std::uint64_t, SeqEntry<topology::Asn>>;
-
-AddrSeqMap build_address_index(std::span<const Traceroute> traces) {
-  AddrSeqMap map;
-  for (const Traceroute& trace : traces) {
-    const auto& hops = trace.hops;
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-      if (!hops[i].responsive()) continue;
-      std::vector<netcore::Ipv4Addr> interior;
-      for (std::size_t j = i + 1; j < hops.size() && j - i <= kWindow + 1;
-           ++j) {
-        if (!hops[j].responsive()) break;
-        record(map, pack(hops[i].address->value(), hops[j].address->value()),
-               interior);
-        interior.push_back(*hops[j].address);
-      }
-    }
-  }
-  return map;
-}
-
-AsnSeqMap build_feed_index(std::span<const FeedEntry> feeds,
-                           topology::Asn origin_asn) {
-  AsnSeqMap map;
-  for (const FeedEntry& feed : feeds) {
-    std::vector<topology::Asn> path;
-    for (topology::Asn asn : feed.as_path) {
-      if (path.empty() || path.back() != asn) path.push_back(asn);
-    }
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      std::vector<topology::Asn> interior;
-      for (std::size_t j = i + 1; j < path.size() && j - i <= kWindow + 1;
-           ++j) {
-        if (j - i >= 2 && path[j - 1] == origin_asn) break;
-        record(map, pack(path[i], path[j]), interior);
-        interior.push_back(path[j]);
-      }
-    }
-  }
-  return map;
-}
-
-std::vector<TracerouteHop> substitute_unresponsive(
-    const std::vector<TracerouteHop>& hops, const AddrSeqMap& index) {
-  std::vector<TracerouteHop> out;
-  out.reserve(hops.size());
-  std::size_t i = 0;
-  while (i < hops.size()) {
-    if (hops[i].responsive()) {
-      out.push_back(hops[i]);
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < hops.size() && !hops[j].responsive()) ++j;
-    const bool has_left = !out.empty() && out.back().responsive();
-    const bool has_right = j < hops.size();
-    bool substituted = false;
-    if (has_left && has_right && j - i <= kWindow) {
-      const auto it = index.find(pack(out.back().address->value(),
-                                      hops[j].address->value()));
-      if (it != index.end() && !it->second.conflict) {
-        for (netcore::Ipv4Addr addr : it->second.seq) out.push_back({addr});
-        substituted = true;
-      }
-    }
-    if (!substituted) {
-      for (std::size_t k = i; k < j; ++k) out.push_back(hops[k]);
-    }
-    i = j;
-  }
-  return out;
-}
-
-AsLevelPath finish_mapping(const topology::AsGraph& graph,
-                           const Ip2AsMap& ip2as, const IxpTable& ixps,
-                           topology::Asn origin_asn, topology::AsId probe,
-                           const std::vector<TracerouteHop>& hops,
-                           const AsnSeqMap* feed_index) {
-  std::vector<std::optional<topology::Asn>> mapped;
-  mapped.reserve(hops.size());
-  for (const TracerouteHop& hop : hops) {
-    if (!hop.responsive()) {
-      mapped.push_back(std::nullopt);
-      continue;
-    }
-    if (ixps.is_ixp_address(*hop.address)) continue;
-    mapped.push_back(ip2as.lookup(*hop.address));
-  }
-
-  std::vector<topology::Asn> as_hops;
-  std::size_t i = 0;
-  while (i < mapped.size()) {
-    if (mapped[i]) {
-      as_hops.push_back(*mapped[i]);
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < mapped.size() && !mapped[j]) ++j;
-    const bool has_left = !as_hops.empty();
-    const bool has_right = j < mapped.size();
-    if (has_left && has_right) {
-      const topology::Asn left = as_hops.back();
-      const topology::Asn right = *mapped[j];
-      if (left == right) {
-        // Gap internal to one AS.
-      } else if (feed_index != nullptr && j - i <= kWindow) {
-        const auto it = feed_index->find(pack(left, right));
-        if (it != feed_index->end() && !it->second.conflict) {
-          for (topology::Asn asn : it->second.seq) as_hops.push_back(asn);
-        }
-      }
-    }
-    i = j;
-  }
-
-  AsLevelPath result;
-  result.probe = probe;
-  result.path.push_back(graph.asn_of(probe));
-  for (topology::Asn asn : as_hops) {
-    if (result.path.back() != asn) result.path.push_back(asn);
-  }
-  result.complete = result.path.back() == origin_asn;
-  return result;
-}
-
-std::vector<AsLevelPath> repair(const topology::AsGraph& graph,
-                                const Ip2AsMap& ip2as, const IxpTable& ixps,
-                                topology::Asn origin_asn,
-                                std::span<const Traceroute> traces,
-                                std::span<const FeedEntry> feeds) {
-  const AddrSeqMap address_index = build_address_index(traces);
-  const AsnSeqMap feed_index = build_feed_index(feeds, origin_asn);
-  std::vector<AsLevelPath> out;
-  out.reserve(traces.size());
-  for (const Traceroute& trace : traces) {
-    const auto hops = substitute_unresponsive(trace.hops, address_index);
-    out.push_back(finish_mapping(graph, ip2as, ixps, origin_asn, trace.probe,
-                                 hops, &feed_index));
-  }
-  return out;
-}
-
-}  // namespace legacy
 
 TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
   const FuzzParam param = GetParam();
@@ -252,8 +74,8 @@ TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
   ASSERT_EQ(repaired.size(), traces.size());
 
   // Bit-equivalence with the pre-optimization pipeline on the same batch.
-  const auto reference = legacy::repair(graph, ip2as, ixps, core::kPeeringAsn,
-                                        traces, feeds);
+  const auto reference = test::legacy_repair(graph, ip2as, ixps,
+                                             core::kPeeringAsn, traces, feeds);
   ASSERT_EQ(repaired, reference);
 
   std::unordered_set<topology::Asn> known_asns;

@@ -79,8 +79,8 @@ struct UsageError : std::invalid_argument {
 std::uint64_t uint_flag(
     const util::FlagSet& flags, const std::string& name, std::uint64_t lo = 0,
     std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
-  const auto value = flags.get_u64(name);
-  if (!value || *value < lo || *value > hi) {
+  const auto value = flags.get_u64(name, lo, hi);
+  if (!value) {
     throw UsageError("--" + name + "=" + flags.get(name) +
                      ": expected an integer in [" + std::to_string(lo) +
                      ", " + std::to_string(hi) + "]");
