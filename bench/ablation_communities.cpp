@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
       }
       if (const auto id = testbed.graph().id_of(target)) {
         ++total;
-        moved += result.truth[i].link_of[*id] != link &&
-                 result.truth[i].link_of[*id] != bgp::kNoCatchment;
+        moved += result.truth[i][*id] != link &&
+                 result.truth[i][*id] != bgp::kNoCatchment;
       }
       // Refine the baseline partition with the steering row.
+      const auto cells = result.truth[i].cells();
       std::vector<std::uint8_t> row(base_result.sources.size());
       for (std::size_t s = 0; s < base_result.sources.size(); ++s) {
-        row[s] = measure::CatchmentStore::encode(
-            result.truth[i].link_of[base_result.sources[s]]);
+        row[s] = cells[base_result.sources[s]];
       }
       tracker.refine(row);
     }

@@ -92,10 +92,10 @@ int main(int argc, char** argv) {
     for (const auto& row : base.matrix) tracker.refine(row);
     const auto result = testbed.deploy(std::move(extra));
     for (const auto& truth : result.truth) {
+      const auto cells = truth.cells();
       std::vector<std::uint8_t> row(base.sources.size());
       for (std::size_t s = 0; s < base.sources.size(); ++s) {
-        row[s] = measure::CatchmentStore::encode(
-            truth.link_of[base.sources[s]]);
+        row[s] = cells[base.sources[s]];
       }
       tracker.refine(row);
     }

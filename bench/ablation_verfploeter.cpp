@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
     const auto& passive = deployment.measured[i];
     std::size_t agree = 0, resolved = 0;
     for (topology::AsId id = 0; id < testbed.graph().size(); ++id) {
-      if (passive.catchments.link_of[id] == bgp::kNoCatchment) continue;
+      if (passive.catchments[id] == bgp::kNoCatchment) continue;
       ++resolved;
-      agree += passive.catchments.link_of[id] == truth.link_of[id];
+      agree += passive.catchments[id] == truth[id];
     }
     passive_cov.add(static_cast<double>(resolved) /
                     static_cast<double>(routed));
@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
         prober.probe(outcome, configs[i], testbed.origin_id(), i);
     std::size_t a_agree = 0, a_resolved = 0;
     for (topology::AsId id = 0; id < testbed.graph().size(); ++id) {
-      if (active.catchments.link_of[id] == bgp::kNoCatchment) continue;
+      if (active.catchments[id] == bgp::kNoCatchment) continue;
       ++a_resolved;
-      a_agree += active.catchments.link_of[id] == truth.link_of[id];
+      a_agree += active.catchments[id] == truth[id];
     }
     active_cov.add(static_cast<double>(a_resolved) /
                    static_cast<double>(routed));

@@ -56,7 +56,7 @@ int main() {
   std::vector<std::vector<double>> volumes;
   for (const auto& truth : deployment.truth) {
     std::vector<double> per_link(testbed.origin().links.size(), 0.0);
-    const auto link = truth.link_of[deployment.sources[spoofer]];
+    const auto link = truth[deployment.sources[spoofer]];
     if (link != bgp::kNoCatchment) per_link[link] = 1.0;
     volumes.push_back(std::move(per_link));
   }

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "bgp/catchment.hpp"
 
@@ -22,17 +20,10 @@ inline constexpr std::uint32_t kMissingSlot = kSlots - 1;  // 63
 static_assert(bgp::kMaxCatchmentLinks < kMissingSlot,
               "valid links plus the missing sentinel must fit the slots");
 
-[[noreturn]] inline void throw_slot_out_of_range(std::uint32_t link) {
-  throw std::out_of_range(
-      "link id " + std::to_string(link) + " exceeds the " +
-      std::to_string(bgp::kMaxCatchmentLinks) +
-      "-link analysis limit (would alias in the 6-bit cluster slots)");
-}
-
 /// Slot of an encoded CatchmentStore cell (byte, 0xFF missing).
 inline std::uint32_t slot_of(std::uint8_t cell) {
   if (cell == bgp::kNoCatchment8) return kMissingSlot;
-  if (cell >= bgp::kMaxCatchmentLinks) throw_slot_out_of_range(cell);
+  if (cell >= bgp::kMaxCatchmentLinks) bgp::throw_link_out_of_range(cell);
   return cell;
 }
 

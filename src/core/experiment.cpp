@@ -261,10 +261,8 @@ struct DeployJournal {
     const measure::InferenceResult& inferred = result.measured[i];
     record.multi_catchment_fraction = inferred.multi_catchment_fraction;
     if (!abandoned[i]) {
-      const std::vector<bgp::LinkId>& links = inferred.catchments.link_of;
-      record.row.resize(links.size());
-      std::transform(links.begin(), links.end(), record.row.begin(),
-                     measure::CatchmentStore::encode);
+      const auto cells = inferred.catchments.cells();
+      record.row.assign(cells.begin(), cells.end());
     }
     writer.append(record);
   }
@@ -557,7 +555,7 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
   double multi = 0.0;
   double coverage = 0.0;
   measure::InferenceResult missing;  // shared template for abandoned rows
-  if (measured) missing.catchments.link_of.assign(as_count, bgp::kNoCatchment);
+  if (measured) missing.catchments = bgp::CatchmentMap(as_count);
 
   pipeline::Stages stages;
   stages.produce = [&](std::size_t chain, std::size_t) {
@@ -646,6 +644,15 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
     }
   };
 
+  // Matrix cells use the map's encoding, so a row is a gather of its cells.
+  const auto fill_row = [&](std::size_t i, const bgp::CatchmentMap& map) {
+    const auto cells = map.cells();
+    const auto row = result.matrix.row(i);
+    for (std::size_t s = 0; s < result.sources.size(); ++s) {
+      row[s] = cells[result.sources[s]];
+    }
+  };
+
   stages.commit = [&](std::size_t i) {
     if (!measured) {
       // Ground truth: faults never touch routing, so configuration 0
@@ -655,15 +662,13 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
       if (!anchored) {
         anchored = true;
         for (topology::AsId id = 0; id < as_count; ++id) {
-          if (id != origin_id_ && truth.link_of[id] != bgp::kNoCatchment) {
+          if (id != origin_id_ && truth[id] != bgp::kNoCatchment) {
             result.sources.push_back(id);
           }
         }
         result.matrix.assign(n, result.sources.size());
       }
-      for (std::size_t s = 0; s < result.sources.size(); ++s) {
-        result.matrix.set(i, s, truth.link_of[result.sources[s]]);
-      }
+      fill_row(i, truth);
       return;
     }
     const bool from_journal =
@@ -673,20 +678,13 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
       result.measured[i] = missing;
     } else {
       if (from_journal) {
-        // Decode the journaled row (and its recorded quality counts), then
-        // release it; the work stage never ran for this index.
+        // Adopt the journaled row (and its recorded quality counts); the
+        // work stage never ran for this index.
         journal::ConfigRecord& record = journal->records[i];
         measure::InferenceResult& inferred = result.measured[i];
-        inferred.catchments.link_of.resize(record.row.size());
-        std::transform(record.row.begin(), record.row.end(),
-                       inferred.catchments.link_of.begin(),
-                       measure::CatchmentStore::decode);
-        inferred.covered_count = static_cast<std::size_t>(
-            record.row.size() - std::count(record.row.begin(),
-                                           record.row.end(),
-                                           bgp::kNoCatchment8));
+        inferred.catchments = bgp::CatchmentMap(std::move(record.row));
+        inferred.covered_count = inferred.catchments.routed_count();
         inferred.multi_catchment_fraction = record.multi_catchment_fraction;
-        record.row = {};
         if (faulty) {
           fault::ConfigQuality recorded;
           recorded.feed_entries = record.feed_entries;
@@ -706,9 +704,7 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
         result.sources = measure::baseline_sources(inferred);
         result.matrix.assign(n, result.sources.size());
       }
-      for (std::size_t s = 0; s < result.sources.size(); ++s) {
-        result.matrix.set(i, s, inferred.catchments.link_of[result.sources[s]]);
-      }
+      fill_row(i, inferred.catchments);
     }
     multi += result.measured[i].multi_catchment_fraction;
     coverage += static_cast<double>(result.measured[i].covered_count);

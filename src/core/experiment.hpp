@@ -67,7 +67,8 @@ struct TestbedConfig {
   /// Attraction bonus for the Table I providers. Large enough to secure a
   /// rich poison-target neighbourhood (paper: 347), small enough that the
   /// providers stay regional networks rather than mega-hubs whose shared
-  /// customers would form unsplittable clusters.
+  /// customers would form unsplittable clusters. A whole number in
+  /// [0, 2^32] (topology::SynthConfig::reserved_attract_bonus).
   double provider_attract_bonus = 8.0;
   /// Table I providers enter the transit build order at this fraction:
   /// mid-pack regional networks, not global hubs (see synth.hpp).

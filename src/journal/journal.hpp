@@ -60,9 +60,10 @@ struct CampaignIdentity {
   std::uint64_t config_count = 0;
 };
 
-/// One committed configuration. `row` is its measured row: one byte per AS
-/// in the measure::CatchmentStore encoding, bgp::kNoCatchment8 where the AS
-/// was not observed, and empty for an abandoned configuration, which has no
+/// One committed configuration. `row` is its measured row, the bytes of its
+/// measured bgp::CatchmentMap: one byte per AS in the
+/// measure::CatchmentStore encoding, bgp::kNoCatchment8 where the AS was not
+/// observed, and empty for an abandoned configuration, which has no
 /// measurement. `multi_catchment_fraction` is the measured value the row
 /// cannot give; the quality fields mirror the measured part of
 /// fault::ConfigQuality so a resume reproduces DeploymentResult::quality

@@ -3,33 +3,15 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "obs/obs.hpp"
 
 namespace spooftrack::measure {
 
-namespace {
-
-[[noreturn]] void throw_out_of_range(std::uint32_t link) {
-  throw std::out_of_range(
-      "link id " + std::to_string(link) + " exceeds the " +
-      std::to_string(bgp::kMaxCatchmentLinks) +
-      "-link analysis limit (would alias in the 6-bit cluster slots)");
-}
-
-}  // namespace
-
 CatchmentStore::CatchmentStore(std::size_t configs, std::size_t sources)
     : rows_(configs),
       cols_(sources),
       cells_(configs * sources, kNoCatchment8) {}
-
-std::uint8_t CatchmentStore::encode(bgp::LinkId link) {
-  if (link == bgp::kNoCatchment) return kNoCatchment8;
-  if (link >= bgp::kMaxCatchmentLinks) throw_out_of_range(link);
-  return static_cast<std::uint8_t>(link);
-}
 
 void CatchmentStore::append_row(std::span<const bgp::LinkId> links) {
   if (rows_ == 0) {
@@ -47,12 +29,8 @@ void CatchmentStore::append_row(std::span<const std::uint8_t> cells) {
   } else if (cells.size() != cols_) {
     throw std::invalid_argument("catchment row width does not match matrix");
   }
-  for (std::uint8_t cell : cells) {
-    if (cell != kNoCatchment8 && cell >= bgp::kMaxCatchmentLinks) {
-      throw_out_of_range(cell);
-    }
-    cells_.push_back(cell);
-  }
+  // Re-encoding validates: a byte no link id encodes to throws.
+  for (std::uint8_t cell : cells) cells_.push_back(encode(decode(cell)));
   ++rows_;
 }
 

@@ -55,12 +55,15 @@ class CatchmentStore {
   /// configs x sources matrix with every cell missing.
   CatchmentStore(std::size_t configs, std::size_t sources);
 
-  /// Encodes one LinkId into a cell byte; throws std::out_of_range for
-  /// links >= bgp::kMaxCatchmentLinks (other than kNoCatchment).
-  static std::uint8_t encode(bgp::LinkId link);
+  /// Encodes one LinkId into a cell byte (bgp::encode_catchment); throws
+  /// std::out_of_range for links >= bgp::kMaxCatchmentLinks (other than
+  /// kNoCatchment).
+  static std::uint8_t encode(bgp::LinkId link) {
+    return bgp::encode_catchment(link);
+  }
   /// Decodes one cell byte back into a LinkId.
   static bgp::LinkId decode(std::uint8_t cell) noexcept {
-    return cell == kNoCatchment8 ? bgp::kNoCatchment : cell;
+    return bgp::decode_catchment(cell);
   }
 
   /// Number of rows (configurations). `size()` mirrors the legacy

@@ -63,7 +63,7 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
   }
 
   InferenceResult result;
-  result.catchments.link_of.assign(graph_.size(), bgp::kNoCatchment);
+  result.catchments = bgp::CatchmentMap(graph_.size());
 
   std::size_t multi = 0;
   for (topology::AsId id = 0; id < graph_.size(); ++id) {
@@ -94,7 +94,7 @@ InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
         best_link = static_cast<bgp::LinkId>(link);
       }
     }
-    result.catchments.link_of[id] = best_link;
+    result.catchments.set(id, best_link);
   }
 
   result.multi_catchment_fraction =

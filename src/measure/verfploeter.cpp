@@ -71,7 +71,7 @@ InferenceResult VerfploeterProber::probe(const bgp::RoutingOutcome& outcome,
                                          topology::AsId origin,
                                          std::uint64_t salt) const {
   InferenceResult result;
-  result.catchments.link_of.assign(graph_.size(), bgp::kNoCatchment);
+  result.catchments = bgp::CatchmentMap(graph_.size());
 
   for (topology::AsId target = 0; target < graph_.size(); ++target) {
     if (target == origin || !responsive(target)) continue;
@@ -92,8 +92,7 @@ InferenceResult VerfploeterProber::probe(const bgp::RoutingOutcome& outcome,
     if (!heard) continue;
 
     ++result.covered_count;
-    result.catchments.link_of[target] =
-        config.announcements[route.ann].link;
+    result.catchments.set(target, config.announcements[route.ann].link);
   }
   // Active probing assigns exactly one catchment per responder: the
   // multi-catchment ambiguity of path-based inference does not arise.

@@ -9,9 +9,8 @@ namespace spooftrack::measure {
 
 std::vector<topology::AsId> baseline_sources(const InferenceResult& first) {
   std::vector<topology::AsId> sources;
-  const std::vector<bgp::LinkId>& links = first.catchments.link_of;
-  for (topology::AsId id = 0; id < links.size(); ++id) {
-    if (links[id] != bgp::kNoCatchment) sources.push_back(id);
+  for (topology::AsId id = 0; id < first.catchments.size(); ++id) {
+    if (first.catchments[id] != bgp::kNoCatchment) sources.push_back(id);
   }
   return sources;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <stdexcept>
 
 namespace spooftrack::topology {
@@ -76,38 +77,33 @@ bool connected(const AsGraph& graph) {
 }
 
 std::vector<std::uint32_t> customer_cone_sizes(const AsGraph& graph) {
-  const auto order = provider_first_order(graph);
-  if (graph.size() != 0 && order.empty()) {
+  if (!p2c_acyclic(graph)) {
     throw std::invalid_argument("customer cones require an acyclic p2c graph");
   }
 
-  // Bitset DP: cone(p) = {p} | union of cone(c) for customers c. Processing
-  // in reverse provider-first order guarantees customers are done first.
-  const std::size_t words = (graph.size() + 63) / 64;
-  std::vector<std::uint64_t> cones(graph.size() * words, 0);
-  auto cone = [&](AsId id) {
-    return std::span<std::uint64_t>(cones.data() + std::size_t{id} * words,
-                                    words);
-  };
-
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const AsId id = *it;
-    auto self = cone(id);
-    self[id / 64] |= std::uint64_t{1} << (id % 64);
-    for (const Neighbor& n : graph.neighbors(id)) {
-      if (n.rel != Rel::kCustomer) continue;
-      const auto child = cone(n.id);
-      for (std::size_t w = 0; w < words; ++w) self[w] |= child[w];
-    }
-  }
-
+  // One DFS over customer edges per AS. seen[id] == root + 1 marks an AS
+  // already counted in root's cone, so no per-root reset is needed and an AS
+  // reached along two paths counts once.
   std::vector<std::uint32_t> sizes(graph.size(), 0);
-  for (AsId id = 0; id < graph.size(); ++id) {
+  std::vector<AsId> seen(graph.size(), 0);
+  std::vector<AsId> stack;
+  for (AsId root = 0; root < graph.size(); ++root) {
+    const AsId stamp = root + 1;
+    seen[root] = stamp;
+    stack.push_back(root);
     std::uint32_t count = 0;
-    for (std::uint64_t word : cone(id)) {
-      count += static_cast<std::uint32_t>(__builtin_popcountll(word));
+    while (!stack.empty()) {
+      const AsId id = stack.back();
+      stack.pop_back();
+      ++count;
+      for (const Neighbor& n : graph.neighbors(id)) {
+        if (n.rel == Rel::kCustomer && seen[n.id] != stamp) {
+          seen[n.id] = stamp;
+          stack.push_back(n.id);
+        }
+      }
     }
-    sizes[id] = count;
+    sizes[root] = count;
   }
   return sizes;
 }
@@ -118,13 +114,17 @@ std::vector<AsId> tier1_set(const AsGraph& graph) {
     if (graph.is_provider_free(id)) out.push_back(id);
   }
   // Provider-free stubs (disconnected oddities in real data) are not
-  // tier-1: a tier-1 must actually transit for someone (cone >= 2).
+  // tier-1: a tier-1 must actually transit for someone.
   if (out.size() <= 1) return out;
-  const auto cones = customer_cone_sizes(graph);
+  const auto has_customer = [&graph](AsId id) {
+    const auto adjacency = graph.neighbors(id);
+    return std::any_of(
+        adjacency.begin(), adjacency.end(),
+        [](const Neighbor& n) { return n.rel == Rel::kCustomer; });
+  };
   std::vector<AsId> filtered;
-  for (AsId id : out) {
-    if (cones[id] >= 2) filtered.push_back(id);
-  }
+  std::copy_if(out.begin(), out.end(), std::back_inserter(filtered),
+               has_customer);
   return filtered.empty() ? out : filtered;
 }
 

@@ -1,6 +1,8 @@
 #include "topology/synth.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -14,6 +16,10 @@ namespace {
 // when more tier-1s are requested than listed here.
 constexpr Asn kTier1Pool[] = {3356, 174,  3257, 1299, 2914,
                               6762, 6939, 701,  7018, 3320};
+
+// Largest reserved_attract_bonus: 2^32 keeps every sum of whole-number
+// attachment weights below 2^53, where doubles add them exactly.
+constexpr double kMaxAttractBonus = 0x1p32;
 
 std::uint64_t edge_key(Asn a, Asn b) noexcept {
   if (a > b) std::swap(a, b);
@@ -37,6 +43,12 @@ SynthTopology synthesize(const SynthConfig& config) {
   }
   if (config.reserved_transit_asns.size() > config.transit_count) {
     throw std::invalid_argument("more reserved ASNs than transit slots");
+  }
+  const double bonus = config.reserved_attract_bonus;
+  if (!(bonus >= 0.0 && bonus <= kMaxAttractBonus) ||
+      bonus != std::floor(bonus)) {
+    throw std::invalid_argument(
+        "reserved_attract_bonus must be a whole number in [0, 2^32]");
   }
 
   util::Rng rng{config.seed};
@@ -72,12 +84,10 @@ SynthTopology synthesize(const SynthConfig& config) {
     }
   }
 
-  // Preferential-attachment weights over candidate providers.
+  // Preferential-attachment weights over candidate providers: 1, plus the
+  // reserved bonus, plus 1 per customer, so always whole numbers.
   std::vector<Asn> provider_pool = topo.tier1;
   std::vector<double> provider_weight(provider_pool.size(), 1.0);
-  auto bump_weight = [&](std::size_t index, double amount) {
-    provider_weight[index] += amount;
-  };
 
   auto pick_providers = [&](Asn self, std::size_t count,
                             std::size_t pool_limit) {
@@ -93,7 +103,7 @@ SynthTopology synthesize(const SynthConfig& config) {
       chosen.push_back(provider);
       edges.insert(provider, self);
       weights[index] = 0.0;  // no duplicate providers
-      bump_weight(index, 1.0);
+      provider_weight[index] += 1.0;
     }
     return chosen;
   };
@@ -127,8 +137,7 @@ SynthTopology synthesize(const SynthConfig& config) {
     for (Asn provider : providers) topo.graph.add_p2c(provider, asn);
 
     provider_pool.push_back(asn);
-    provider_weight.push_back(
-        1.0 + (is_reserved ? config.reserved_attract_bonus : 0.0));
+    provider_weight.push_back(1.0 + (is_reserved ? bonus : 0.0));
   }
 
   // Guarantee every tier-1 transits for someone: a tier-1 without
@@ -136,7 +145,6 @@ SynthTopology synthesize(const SynthConfig& config) {
   {
     std::size_t next_transit = 0;
     for (std::size_t i = 0; i < topo.tier1.size(); ++i) {
-      const AsId t1_id = *topo.graph.id_of(topo.tier1[i]);
       bool has_customer = false;
       // Adjacency is not frozen yet; scan the transit list instead.
       for (Asn transit : topo.transit) {
@@ -147,7 +155,6 @@ SynthTopology synthesize(const SynthConfig& config) {
           break;
         }
       }
-      (void)t1_id;
       if (!has_customer && !topo.transit.empty()) {
         const Asn customer = topo.transit[next_transit++ % topo.transit.size()];
         if (!edges.contains(topo.tier1[i], customer)) {
@@ -172,7 +179,11 @@ SynthTopology synthesize(const SynthConfig& config) {
 
   // --- Stub edge -----------------------------------------------------------
   // Stubs prefer transit providers; occasionally buy from tier-1 directly.
+  // Transit weights move to a Fenwick tree, so each stub's draw is
+  // O(log transit_count); tier-1 weights are never drawn again.
   const std::size_t transit_pool_begin = topo.tier1.size();
+  util::WeightTree transit_weights(
+      std::span<const double>(provider_weight).subspan(transit_pool_begin));
   for (std::uint32_t i = 0; i < config.stub_count; ++i) {
     const Asn asn = fresh_asn();
     topo.stubs.push_back(asn);
@@ -190,11 +201,7 @@ SynthTopology synthesize(const SynthConfig& config) {
         index = static_cast<std::size_t>(rng.next_below(topo.tier1.size()));
       } else {
         // Weighted pick among transit ASes only.
-        std::vector<double> weights(
-            provider_weight.begin() +
-                static_cast<std::ptrdiff_t>(transit_pool_begin),
-            provider_weight.end());
-        index = transit_pool_begin + rng.weighted_index(weights);
+        index = transit_pool_begin + transit_weights.draw(rng);
       }
       const Asn provider = provider_pool[index];
       if (provider == asn || edges.contains(provider, asn)) continue;
@@ -203,7 +210,9 @@ SynthTopology synthesize(const SynthConfig& config) {
       }
       chosen.push_back(provider);
       edges.insert(provider, asn);
-      bump_weight(index, 1.0);
+      if (index >= transit_pool_begin) {
+        transit_weights.add(index - transit_pool_begin, 1.0);
+      }
     }
     if (chosen.empty()) {
       const Asn fallback = topo.transit[rng.next_below(topo.transit.size())];

@@ -39,6 +39,8 @@ struct SynthConfig {
   std::vector<Asn> reserved_transit_asns;
   /// Extra preferential-attachment weight for reserved ASes so they end up
   /// with many customers (they model large regional transit providers).
+  /// Must be a whole number in [0, 2^32]: attachment weights stay whole
+  /// numbers, so the provider draw's sums are exact.
   double reserved_attract_bonus = 40.0;
 
   /// Where in the transit creation sequence the reserved ASes appear, as a
@@ -60,9 +62,13 @@ struct SynthTopology {
   std::vector<Asn> stubs;
 };
 
-/// Generates a frozen topology. Deterministic in config.seed.
-/// Throws std::invalid_argument when reserved ASNs exceed transit_count or
-/// collide with generated ASNs.
+/// Generates a frozen topology. Deterministic in config.seed. Each stub's
+/// provider draws take O(log transit_count) through a Fenwick tree over the
+/// transit weights.
+/// Generated ASNs skip the reserved ones and the origin. Throws
+/// std::invalid_argument when tier1_count is 0, when reserved ASNs exceed
+/// transit_count, or when reserved_attract_bonus is not a whole number in
+/// [0, 2^32].
 SynthTopology synthesize(const SynthConfig& config);
 
 }  // namespace spooftrack::topology

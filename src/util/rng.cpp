@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -110,5 +111,31 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
 }
 
 Rng Rng::fork() noexcept { return Rng{next()}; }
+
+WeightTree::WeightTree(std::span<const double> weights)
+    : tree_(weights.size() + 1, 0.0) {
+  for (std::size_t i = 0; i < weights.size(); ++i) add(i, weights[i]);
+}
+
+void WeightTree::add(std::size_t index, double amount) noexcept {
+  total_ += amount;
+  for (std::size_t k = index + 1; k < tree_.size(); k += k & -k) {
+    tree_[k] += amount;
+  }
+}
+
+std::size_t WeightTree::find(double point) const noexcept {
+  // Descend to the longest prefix whose sum is <= point; the remainder
+  // stays exact because every partial sum is a whole number below 2^53.
+  const std::size_t n = tree_.size() - 1;
+  std::size_t pos = 0;
+  for (std::size_t step = std::bit_floor(n); step > 0; step >>= 1) {
+    if (pos + step <= n && tree_[pos + step] <= point) {
+      pos += step;
+      point -= tree_[pos];
+    }
+  }
+  return pos < n ? pos : n - 1;
+}
 
 }  // namespace spooftrack::util

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace spooftrack::util {
@@ -80,6 +81,31 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
+};
+
+/// Non-negative whole-number weights in a Fenwick tree: O(log n) updates
+/// and draws where Rng::weighted_index scans all n. While every sum stays
+/// below 2^53 the tree's partial sums, the running remainder and the total
+/// are exact, so draw() returns the index weighted_index returns over the
+/// same weights, from the same stream, consuming the same one uniform01().
+class WeightTree {
+ public:
+  explicit WeightTree(std::span<const double> weights);
+
+  /// Adds `amount` to the weight at `index`.
+  void add(std::size_t index, double amount) noexcept;
+  /// The first index whose prefix sum exceeds `point`, the last index when
+  /// none does: weighted_index's linear scan for that point.
+  std::size_t find(double point) const noexcept;
+  /// find(uniform01() * total()).
+  std::size_t draw(Rng& rng) const noexcept {
+    return find(rng.uniform01() * total_);
+  }
+  double total() const noexcept { return total_; }
+
+ private:
+  std::vector<double> tree_;  // 1-based partial sums
+  double total_ = 0.0;
 };
 
 }  // namespace spooftrack::util

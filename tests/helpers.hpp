@@ -1,6 +1,6 @@
 // Shared fixtures for spooftrack tests: a small hand-built topology with
-// known catchment behaviour, convenience builders, and a guard for the
-// SPOOFTRACK_THREADS variable.
+// known catchment behaviour, convenience builders, an FNV-1a digest for
+// pinned outputs, and a guard for the SPOOFTRACK_THREADS variable.
 //
 //     t1 ===peer=== t2            (tier-1 clique)
 //     |- p1, c                    (t1's customers)
@@ -9,11 +9,14 @@
 //     p2 |- b, d, origin          (origin 47065 is customer of p1 and p2)
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bgp/announcement.hpp"
+#include "bgp/catchment.hpp"
 #include "bgp/engine.hpp"
 #include "bgp/policy.hpp"
 #include "topology/as_graph.hpp"
@@ -77,6 +80,33 @@ inline bgp::Configuration announce_all(std::size_t links) {
   }
   return config;
 }
+
+/// The map routing AS i to links[i] (bgp::kNoCatchment: no route).
+inline bgp::CatchmentMap catchment_map(const std::vector<bgp::LinkId>& links) {
+  bgp::CatchmentMap map(links.size());
+  for (topology::AsId id = 0; id < links.size(); ++id) map.set(id, links[id]);
+  return map;
+}
+
+/// 64-bit FNV-1a, printed as 16 hex digits.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001B3ULL;
+    }
+  }
+  std::string hex() const {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return hex;
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
 
 /// Saves and restores SPOOFTRACK_THREADS around a test.
 class ThreadsEnvGuard {

@@ -14,14 +14,25 @@
 // owned-vector substitution indexes and fresh per-trace buffers, where
 // measure::PathRepair uses slice-pooled indexes and reusable scratch.
 //
+// legacy_cone_sizes is the customer-cone bitset DP, verbatim: one N-bit
+// set per AS, unioned over customers in reverse topological order. It
+// takes N^2 / 8 bytes, so the tests run it on graphs of at most about 10k
+// ASes; topology::customer_cone_sizes counts each cone with a DFS in O(N)
+// memory. legacy_tier1_set and legacy_feed_peers are the tier-1 filter and
+// the collector-peer ranking on top of those cones.
+//
 // The tests require the production code to match every oracle bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <numeric>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bgp/catchment.hpp"
@@ -187,6 +198,134 @@ inline LinkRows random_matrix(std::size_t configs, std::size_t sources,
     }
   }
   return matrix;
+}
+
+namespace legacy_cone_detail {
+
+/// Kahn topological order of the p2c DAG with providers before customers.
+/// Returns an empty vector when a cycle exists.
+inline std::vector<topology::AsId> provider_first_order(
+    const topology::AsGraph& graph) {
+  using topology::AsId;
+  using topology::Neighbor;
+  using topology::Rel;
+  std::vector<std::uint32_t> pending_providers(graph.size(), 0);
+  for (AsId id = 0; id < graph.size(); ++id) {
+    for (const Neighbor& n : graph.neighbors(id)) {
+      if (n.rel == Rel::kProvider) ++pending_providers[id];
+    }
+  }
+  std::vector<AsId> order;
+  order.reserve(graph.size());
+  std::deque<AsId> ready;
+  for (AsId id = 0; id < graph.size(); ++id) {
+    if (pending_providers[id] == 0) ready.push_back(id);
+  }
+  while (!ready.empty()) {
+    const AsId u = ready.front();
+    ready.pop_front();
+    order.push_back(u);
+    for (const Neighbor& n : graph.neighbors(u)) {
+      if (n.rel == Rel::kCustomer && --pending_providers[n.id] == 0) {
+        ready.push_back(n.id);
+      }
+    }
+  }
+  if (order.size() != graph.size()) order.clear();
+  return order;
+}
+
+}  // namespace legacy_cone_detail
+
+/// Customer-cone sizes by the bitset DP: cone(p) = {p} | union of cone(c)
+/// for customers c. Throws std::invalid_argument on a p2c cycle.
+inline std::vector<std::uint32_t> legacy_cone_sizes(
+    const topology::AsGraph& graph) {
+  using topology::AsId;
+  using topology::Neighbor;
+  using topology::Rel;
+  const auto order = legacy_cone_detail::provider_first_order(graph);
+  if (graph.size() != 0 && order.empty()) {
+    throw std::invalid_argument("customer cones require an acyclic p2c graph");
+  }
+
+  // Bitset DP: cone(p) = {p} | union of cone(c) for customers c. Processing
+  // in reverse provider-first order guarantees customers are done first.
+  const std::size_t words = (graph.size() + 63) / 64;
+  std::vector<std::uint64_t> cones(graph.size() * words, 0);
+  auto cone = [&](AsId id) {
+    return std::span<std::uint64_t>(cones.data() + std::size_t{id} * words,
+                                    words);
+  };
+
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const AsId id = *it;
+    auto self = cone(id);
+    self[id / 64] |= std::uint64_t{1} << (id % 64);
+    for (const Neighbor& n : graph.neighbors(id)) {
+      if (n.rel != Rel::kCustomer) continue;
+      const auto child = cone(n.id);
+      for (std::size_t w = 0; w < words; ++w) self[w] |= child[w];
+    }
+  }
+
+  std::vector<std::uint32_t> sizes(graph.size(), 0);
+  for (AsId id = 0; id < graph.size(); ++id) {
+    std::uint32_t count = 0;
+    for (std::uint64_t word : cone(id)) {
+      count += static_cast<std::uint32_t>(__builtin_popcountll(word));
+    }
+    sizes[id] = count;
+  }
+  return sizes;
+}
+
+/// Provider-free ASes whose cone is at least 2; every provider-free AS when
+/// at most one is provider-free or none passes.
+inline std::vector<topology::AsId> legacy_tier1_set(
+    const topology::AsGraph& graph) {
+  std::vector<topology::AsId> out;
+  for (topology::AsId id = 0; id < graph.size(); ++id) {
+    if (graph.is_provider_free(id)) out.push_back(id);
+  }
+  if (out.size() <= 1) return out;
+  const auto cones = legacy_cone_sizes(graph);
+  std::vector<topology::AsId> filtered;
+  for (topology::AsId id : out) {
+    if (cones[id] >= 2) filtered.push_back(id);
+  }
+  return filtered.empty() ? out : filtered;
+}
+
+/// Collector peers as FeedSimulator chooses them, ranked by legacy cones:
+/// the top `peer_count * large_cone_bias` of a stable descending cone sort,
+/// then uniform draws until `peer_count` are chosen; sorted ascending.
+inline std::vector<topology::AsId> legacy_feed_peers(
+    const topology::AsGraph& graph, const measure::FeedOptions& options) {
+  util::Rng rng{options.seed};
+  std::vector<topology::AsId> by_cone(graph.size());
+  std::iota(by_cone.begin(), by_cone.end(), 0);
+  const auto cones = legacy_cone_sizes(graph);
+  std::stable_sort(by_cone.begin(), by_cone.end(),
+                   [&](topology::AsId a, topology::AsId b) {
+                     return cones[a] > cones[b];
+                   });
+  const std::uint32_t want =
+      std::min<std::uint32_t>(options.peer_count,
+                              static_cast<std::uint32_t>(graph.size()));
+  const auto biased =
+      static_cast<std::uint32_t>(want * options.large_cone_bias);
+  std::unordered_set<topology::AsId> chosen;
+  for (std::uint32_t i = 0; i < biased && i < by_cone.size(); ++i) {
+    chosen.insert(by_cone[i]);
+  }
+  while (chosen.size() < want) {
+    chosen.insert(
+        static_cast<topology::AsId>(rng.next_below(graph.size())));
+  }
+  std::vector<topology::AsId> peers(chosen.begin(), chosen.end());
+  std::sort(peers.begin(), peers.end());
+  return peers;
 }
 
 namespace legacy_repair_detail {

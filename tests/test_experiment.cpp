@@ -78,7 +78,7 @@ TEST_F(TestbedTest, DeployGroundTruthPipeline) {
   // Matrix rows match truth catchments.
   for (std::size_t s = 0; s < result.sources.size(); ++s) {
     EXPECT_EQ(result.matrix.link_at(0, s),
-              result.truth[0].link_of[result.sources[s]]);
+              result.truth[0][result.sources[s]]);
   }
   // Refining over the location phase produces multiple clusters.
   const auto clustering = cluster_sources(result.matrix);
@@ -99,7 +99,7 @@ TEST_F(TestbedTest, DeployMeasuredPipeline) {
   // majority of baseline sources in the all-links configuration.
   std::size_t agree = 0, resolved = 0;
   for (std::size_t s = 0; s < result.sources.size(); ++s) {
-    const auto truth = result.truth[0].link_of[result.sources[s]];
+    const auto truth = result.truth[0][result.sources[s]];
     const bgp::LinkId measured = result.matrix.link_at(0, s);
     if (measured == bgp::kNoCatchment) continue;
     ++resolved;

@@ -393,9 +393,7 @@ TEST(FaultDeploy, AbandonedConfigsAreMissingNotEmptyVotes) {
       ++failed;
       // Missing measurement: nothing observed, whole matrix row missing.
       EXPECT_EQ(result.measured[i].covered_count, 0u);
-      const auto& links = result.measured[i].catchments.link_of;
-      EXPECT_EQ(std::count(links.begin(), links.end(), bgp::kNoCatchment),
-                static_cast<std::ptrdiff_t>(links.size()));
+      EXPECT_EQ(result.measured[i].catchments.routed_count(), 0u);
       for (std::size_t s = 0; s < result.sources.size(); ++s) {
         EXPECT_EQ(result.matrix.cell(i, s), bgp::kNoCatchment8)
             << "config " << i << " source " << s;
@@ -414,7 +412,7 @@ TEST(FaultDeploy, AbandonedConfigsAreMissingNotEmptyVotes) {
   // Ground truth is untouched by measurement-plane faults.
   EXPECT_EQ(result.truth.size(), plan.size());
   for (const auto& truth : result.truth) {
-    EXPECT_EQ(truth.link_of.size(), testbed.graph().size());
+    EXPECT_EQ(truth.size(), testbed.graph().size());
   }
 }
 

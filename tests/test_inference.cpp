@@ -58,10 +58,10 @@ TEST_F(InferenceTest, FeedVotesCoverIntermediateAses) {
   const auto result = inference_.infer(std::vector<FeedEntry>{feed}, {});
   // c, t1 and p1 are all observed and assigned to link 0.
   for (topology::Asn asn : {test::kC, test::kT1, test::kP1}) {
-    EXPECT_EQ(result.catchments.link_of[id(asn)], 0u) << asn;
+    EXPECT_EQ(result.catchments[id(asn)], 0u) << asn;
   }
   EXPECT_EQ(result.covered_count, 3u);
-  EXPECT_EQ(result.catchments.link_of[id(test::kB)], bgp::kNoCatchment);
+  EXPECT_EQ(result.catchments[id(test::kB)], bgp::kNoCatchment);
 }
 
 TEST_F(InferenceTest, BgpVotesOutrankTraceroutes) {
@@ -77,7 +77,7 @@ TEST_F(InferenceTest, BgpVotesOutrankTraceroutes) {
 
   const auto result = inference_.infer(
       std::vector<FeedEntry>{feed}, std::vector<AsLevelPath>{trace, trace});
-  EXPECT_EQ(result.catchments.link_of[id(test::kC)], 0u);
+  EXPECT_EQ(result.catchments[id(test::kC)], 0u);
   // The conflict is recorded in the multi-catchment statistic.
   EXPECT_GT(result.multi_catchment_fraction, 0.0);
 }
@@ -92,7 +92,7 @@ TEST_F(InferenceTest, MajorityWithinTypeWins) {
 
   const auto result = inference_.infer(
       {}, std::vector<AsLevelPath>{via_p2, via_p1, via_p2});
-  EXPECT_EQ(result.catchments.link_of[id(test::kC)], 1u);
+  EXPECT_EQ(result.catchments[id(test::kC)], 1u);
 }
 
 TEST_F(InferenceTest, IncompleteTraceroutesIgnored) {

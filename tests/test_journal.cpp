@@ -636,6 +636,51 @@ TEST(Journal, JournaledDeployWritesOnlySegments) {
                                              "seg-000003.open"}));
 }
 
+TEST(Journal, RecordRowIsTheMeasuredMapsBytes) {
+  // A committed record's row is a copy of its measured map's cells, and a
+  // resume adopts those bytes back into maps equal to the measured ones.
+  ScratchDir dir("row-bytes");
+  core::TestbedConfig config = crash_testbed();
+  config.journal.dir = dir.str();
+  config.journal.fsync = false;
+  std::vector<bgp::Configuration> plan;
+  core::DeploymentResult measured;
+  {
+    const core::PeeringTestbed testbed(config);
+    plan = crash_plan(testbed);
+    measured = testbed.deploy(plan);
+  }
+  const std::vector<ConfigRecord> committed =
+      replay(dir.str(), identity_of(dir.path() / "seg-000000.open")).records;
+  ASSERT_EQ(committed.size(), plan.size());
+  std::size_t rows = 0;
+  for (const ConfigRecord& record : committed) {
+    SCOPED_TRACE(record.config_index);
+    if (record.abandoned()) {
+      EXPECT_TRUE(record.row.empty());
+      continue;
+    }
+    ++rows;
+    const auto cells =
+        measured.measured[record.config_index].catchments.cells();
+    EXPECT_TRUE(std::equal(record.row.begin(), record.row.end(),
+                           cells.begin(), cells.end()));
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, committed.size());  // the fault plan abandons some
+
+  config.journal.resume = true;
+  const core::PeeringTestbed testbed(config);
+  const core::DeploymentResult resumed = testbed.deploy(plan);
+  EXPECT_EQ(resumed.resumed_configs, plan.size());
+  ASSERT_EQ(resumed.measured.size(), measured.measured.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_TRUE(resumed.measured[i].catchments ==
+                measured.measured[i].catchments)
+        << "config " << i;
+  }
+}
+
 template <typename T>
 void put(std::string& out, T value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof value);

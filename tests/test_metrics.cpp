@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
 #include "helpers.hpp"
+#include "measure/feed.hpp"
+#include "oracles.hpp"
 #include "topology/synth.hpp"
 
 namespace spooftrack::topology {
@@ -111,6 +114,111 @@ TEST(Metrics, Tier1SetOnSynth) {
   const auto topo = synthesize(config);
   const auto tier1 = tier1_set(topo.graph);
   EXPECT_EQ(tier1.size(), topo.tier1.size());
+}
+
+/// Requires customer_cone_sizes, tier1_set and the feed's collector peers
+/// to equal the bitset-DP oracles on `graph`.
+void expect_matches_oracles(const AsGraph& graph) {
+  EXPECT_EQ(customer_cone_sizes(graph), test::legacy_cone_sizes(graph));
+  EXPECT_EQ(tier1_set(graph), test::legacy_tier1_set(graph));
+  for (const double bias : {0.6, 1.0}) {
+    for (const std::uint64_t seed : {17u, 5u}) {
+      measure::FeedOptions options;
+      options.large_cone_bias = bias;
+      options.seed = seed;
+      const measure::FeedSimulator feed(graph, options);
+      EXPECT_EQ(feed.peers(), test::legacy_feed_peers(graph, options))
+          << "bias " << bias << " seed " << seed;
+    }
+  }
+}
+
+TEST(Metrics, ConesTier1AndFeedPeersMatchOraclesOnHandBuiltGraphs) {
+  {
+    SCOPED_TRACE("small topology");
+    expect_matches_oracles(test::small_topology());
+  }
+  {
+    SCOPED_TRACE("provider-free isolated AS beside the clique");
+    AsGraph g;
+    g.add_p2p(1, 2);
+    g.add_p2c(1, 3);
+    g.add_p2c(2, 3);
+    g.add_as(99);
+    g.freeze();
+    expect_matches_oracles(g);
+  }
+  {
+    SCOPED_TRACE("provider-free peer without customers beside the clique");
+    AsGraph g;
+    g.add_p2p(1, 2);
+    g.add_p2c(1, 3);
+    g.add_p2c(2, 4);
+    g.add_p2p(1, 99);
+    g.freeze();
+    expect_matches_oracles(g);
+    EXPECT_EQ(tier1_set(g).size(), 2u);
+  }
+  {
+    SCOPED_TRACE("provider-free ASes without customers");
+    AsGraph g;
+    g.add_p2p(1, 2);
+    g.add_p2p(2, 3);
+    g.freeze();
+    expect_matches_oracles(g);
+  }
+  {
+    SCOPED_TRACE("one provider-free AS");
+    AsGraph g;
+    g.add_p2c(1, 2);
+    g.add_p2c(2, 3);
+    g.add_p2c(1, 3);
+    g.freeze();
+    expect_matches_oracles(g);
+  }
+  {
+    SCOPED_TRACE("empty graph");
+    AsGraph g;
+    g.freeze();
+    expect_matches_oracles(g);
+  }
+}
+
+TEST(Metrics, ConesTier1AndFeedPeersMatchOraclesOnTestbedGraph) {
+  // The CLI-default testbed (2,659 ASes).
+  core::TestbedConfig config;
+  config.stub_count = 2500;
+  const core::PeeringTestbed testbed(config);
+  ASSERT_EQ(testbed.graph().size(), 2659u);
+  expect_matches_oracles(testbed.graph());
+}
+
+TEST(Metrics, ConesTier1AndFeedPeersMatchOraclesOnSynthGraphs) {
+  // Several seeds and shapes up to about 10k ASes; the oracle holds
+  // N^2 / 8 bytes of cones, so nothing larger.
+  struct Shape {
+    std::uint32_t tier1;
+    std::uint32_t transit;
+    std::uint32_t stubs;
+    double position;
+  };
+  for (const Shape& shape : {Shape{1, 12, 80, 0.0}, Shape{4, 30, 300, 0.0},
+                             Shape{8, 150, 2500, 0.5},
+                             Shape{10, 600, 9000, 0.5}}) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " stubs "
+                                      << shape.stubs);
+      SynthConfig config;
+      config.seed = seed;
+      config.tier1_count = shape.tier1;
+      config.transit_count = shape.transit;
+      config.stub_count = shape.stubs;
+      config.reserved_transit_asns = {12859, 5408, 226};
+      config.reserved_position_fraction = shape.position;
+      config.origin_asn = core::kPeeringAsn;
+      expect_matches_oracles(synthesize(config).graph);
+    }
+  }
 }
 
 }  // namespace

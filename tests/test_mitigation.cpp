@@ -20,10 +20,10 @@ struct MitigationWorld {
     clustering.cluster_of = {0, 1, 2};
     clustering.cluster_count = 3;
 
-    live.link_of.assign(graph.size(), bgp::kNoCatchment);
-    live.link_of[sources[0]] = 0;
-    live.link_of[sources[1]] = 1;
-    live.link_of[sources[2]] = 1;
+    live = bgp::CatchmentMap(graph.size());
+    live.set(sources[0], 0);
+    live.set(sources[1], 1);
+    live.set(sources[2], 1);
 
     mixture.components = {{0, 0.7}, {1, 0.2}};
     mixture.residual_fraction = 0.1;
@@ -86,7 +86,7 @@ TEST(Mitigation, MaxActionsCap) {
 TEST(Mitigation, UnroutedClustersAreSkipped) {
   MitigationWorld world;
   // Cluster 0's only member has no live catchment.
-  world.live.link_of[world.sources[0]] = bgp::kNoCatchment;
+  world.live.set(world.sources[0], bgp::kNoCatchment);
   const auto plan =
       plan_mitigation(world.mixture, world.clustering, world.sources,
                       world.graph, world.live, {0.5, 0.5});

@@ -417,31 +417,11 @@ std::vector<bgp::Configuration> golden_plan(const core::PeeringTestbed& testbed,
   return plan;
 }
 
-/// 64-bit FNV-1a, printed as 16 hex digits.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h_ = (h_ ^ p[i]) * 0x100000001B3ULL;
-    }
-  }
-  std::string hex() const {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return hex;
-  }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
 /// FNV-1a over the deployment's saved artifact, truth, measured and
 /// quality, as 16 hex digits.
 std::string deploy_digest(const core::PeeringTestbed& testbed,
                           const core::DeploymentResult& result) {
-  Fnv1a fnv;
+  test::Fnv1a fnv;
   const auto bytes = [&fnv](const void* data, std::size_t size) {
     fnv.bytes(data, size);
   };
@@ -449,6 +429,13 @@ std::string deploy_digest(const core::PeeringTestbed& testbed,
   const auto vec = [&](const auto& v) {
     u64(v.size());
     bytes(v.data(), v.size() * sizeof(v[0]));
+  };
+  // The pinned digests were recorded over one 32-bit LinkId per AS, so each
+  // one-byte map is hashed widened to that layout.
+  const auto links_of = [](const bgp::CatchmentMap& map) {
+    std::vector<bgp::LinkId> links(map.size());
+    for (topology::AsId id = 0; id < links.size(); ++id) links[id] = map[id];
+    return links;
   };
 
   std::ostringstream artifact;
@@ -460,10 +447,10 @@ std::string deploy_digest(const core::PeeringTestbed& testbed,
   const std::string saved = artifact.str();
   vec(saved);
   u64(result.truth.size());
-  for (const bgp::CatchmentMap& truth : result.truth) vec(truth.link_of);
+  for (const bgp::CatchmentMap& truth : result.truth) vec(links_of(truth));
   u64(result.measured.size());
   for (const measure::InferenceResult& inferred : result.measured) {
-    const std::vector<bgp::LinkId>& links = inferred.catchments.link_of;
+    const std::vector<bgp::LinkId> links = links_of(inferred.catchments);
     vec(links);
     // The per-AS observed flags, which InferenceResult once stored and the
     // pinned digests still cover: 1 exactly where the link is known.
@@ -572,7 +559,7 @@ TEST(DeployGolden, JournalBytesDoNotDependOnTheThreadCount) {
   test::ThreadsEnvGuard::set("4");
   const std::string four = journal_segment(equivalence_testbed());
   EXPECT_TRUE(one == four) << one.size() << " vs " << four.size() << " bytes";
-  Fnv1a fnv;
+  test::Fnv1a fnv;
   fnv.bytes(one.data(), one.size());
   EXPECT_EQ(fnv.hex(), "43769de99259d481");
 }
@@ -643,7 +630,7 @@ TEST(PipelineLease, AbandonedConfigsStillDrainAndReleaseLeases) {
   }
   // Ground truth is routing-plane state and survives abandonment.
   for (const auto& truth : result.truth) {
-    EXPECT_FALSE(truth.link_of.empty());
+    EXPECT_NE(truth.size(), 0u);
   }
 
   // And the all-abandoned case still matches its golden digest.

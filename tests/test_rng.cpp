@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace spooftrack::util {
@@ -86,6 +87,57 @@ TEST(Rng, WeightedIndexFollowsWeights) {
   for (int i = 0; i < 8000; ++i) ++counts[rng.weighted_index(weights)];
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
+}
+
+/// Rng::weighted_index's scan, for a given point instead of a draw.
+std::size_t linear_find(const std::vector<double>& weights, double point) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
+    if (point < w) return i;
+    point -= w;
+  }
+  return weights.size() - 1;
+}
+
+TEST(WeightTree, FindMatchesTheLinearScanAtEveryBoundary) {
+  // Whole-number weights with zeros, probed at every prefix sum, on either
+  // side of it, between sums and past the total.
+  for (const std::vector<double>& weights :
+       {std::vector<double>{5}, std::vector<double>{0, 2},
+        std::vector<double>{3, 0, 1, 41, 0, 0, 2, 1, 8, 0, 0, 1, 7}}) {
+    const WeightTree tree(weights);
+    double total = 0;
+    for (const double w : weights) total += w;
+    ASSERT_EQ(tree.total(), total);
+    for (double sum = 0; sum <= total + 2; sum += 1) {
+      for (const double point : {sum, std::nextafter(sum, -1.0),
+                                 std::nextafter(sum, total + 9),
+                                 sum + 0.5}) {
+        if (point < 0) continue;
+        EXPECT_EQ(tree.find(point), linear_find(weights, point))
+            << "point " << point << " of " << total;
+      }
+    }
+  }
+}
+
+TEST(WeightTree, DrawsMatchWeightedIndexAcrossUpdates) {
+  // The same stream drawn through the tree and through weighted_index
+  // picks the same index every time while the picked weight grows, as in
+  // the synthesizer's stub loop, and consumes the same number of values.
+  Rng init{5};
+  std::vector<double> weights(300);
+  for (double& w : weights) w = 1.0 + static_cast<double>(init.next_below(40));
+  WeightTree tree(weights);
+  Rng a{99};
+  Rng b{99};
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t index = tree.draw(a);
+    ASSERT_EQ(index, b.weighted_index(weights)) << "draw " << i;
+    tree.add(index, 1.0);
+    weights[index] += 1.0;
+  }
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, ShuffleIsAPermutation) {

@@ -149,10 +149,10 @@ TEST(Splitter, DeployingProposalsSplitsClusters) {
   }
   // Re-deploy with original sources: build matrix rows from truth.
   for (std::size_t i = 0; i < extra.size(); ++i) {
+    const auto cells = extra_result.truth[i].cells();
     std::vector<std::uint8_t> row(world.deployment.sources.size());
     for (std::size_t s = 0; s < world.deployment.sources.size(); ++s) {
-      row[s] = measure::CatchmentStore::encode(
-          extra_result.truth[i].link_of[world.deployment.sources[s]]);
+      row[s] = cells[world.deployment.sources[s]];
     }
     tracker.refine(row);
   }

@@ -43,8 +43,8 @@ TEST(Spoofer, PacketsCarrySpoofedSource) {
 
 TEST(Spoofer, DeliveryFollowsCatchments) {
   SpoofedTrafficGenerator gen(3);
-  bgp::CatchmentMap catchments;
-  catchments.link_of = {0, 1, bgp::kNoCatchment};
+  const bgp::CatchmentMap catchments =
+      test::catchment_map({0, 1, bgp::kNoCatchment});
 
   std::vector<SpoofedFlow> flows(3);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -73,8 +73,7 @@ TEST(Spoofer, DeliveryFollowsCatchments) {
 
 TEST(Spoofer, ArrivalsSortedByTime) {
   SpoofedTrafficGenerator gen(4);
-  bgp::CatchmentMap catchments;
-  catchments.link_of = {0};
+  const bgp::CatchmentMap catchments = test::catchment_map({0});
   std::vector<SpoofedFlow> flows(1);
   flows[0].source_as = 0;
   flows[0].victim = kVictim;
@@ -91,8 +90,7 @@ TEST(Spoofer, ArrivalsSortedByTime) {
 
 TEST(Spoofer, MaxPacketCapRespected) {
   SpoofedTrafficGenerator gen(5);
-  bgp::CatchmentMap catchments;
-  catchments.link_of = {0};
+  const bgp::CatchmentMap catchments = test::catchment_map({0});
   std::vector<SpoofedFlow> flows(1);
   flows[0].source_as = 0;
   flows[0].victim = kVictim;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "core/experiment.hpp"
+#include "helpers.hpp"
 #include "topology/metrics.hpp"
 
 namespace spooftrack::topology {
@@ -16,6 +19,70 @@ SynthConfig small_config() {
   config.transit_count = 30;
   config.stub_count = 300;
   return config;
+}
+
+/// The SynthConfig core::PeeringTestbed builds for a TestbedConfig of this
+/// seed and shape: the default path-diversity knobs, the Table I providers
+/// as reserved transit and the PEERING origin.
+SynthConfig testbed_shape(std::uint64_t seed, std::uint32_t transit,
+                          std::uint32_t stubs) {
+  const core::TestbedConfig testbed;
+  SynthConfig config;
+  config.seed = seed;
+  config.tier1_count = testbed.tier1_count;
+  config.transit_count = transit;
+  config.stub_count = stubs;
+  config.transit_extra_providers = testbed.transit_extra_providers;
+  config.stub_extra_providers = testbed.stub_extra_providers;
+  config.transit_peering_prob = testbed.transit_peering_prob;
+  config.stub_tier1_provider_prob = testbed.stub_tier1_provider_prob;
+  config.reserved_attract_bonus = testbed.provider_attract_bonus;
+  config.reserved_position_fraction = testbed.provider_position_fraction;
+  config.origin_asn = core::kPeeringAsn;
+  for (const core::MuxInfo& mux : core::table1_muxes()) {
+    config.reserved_transit_asns.push_back(mux.provider_asn);
+  }
+  return config;
+}
+
+/// FNV-1a over every id's ASN, then its sorted adjacency: each neighbor's
+/// id and relationship.
+std::string graph_digest(const AsGraph& graph) {
+  test::Fnv1a fnv;
+  for (AsId id = 0; id < graph.size(); ++id) {
+    const Asn asn = graph.asn_of(id);
+    fnv.bytes(&asn, sizeof asn);
+    const std::uint64_t degree = graph.degree(id);
+    fnv.bytes(&degree, sizeof degree);
+    for (const Neighbor& n : graph.neighbors(id)) {
+      fnv.bytes(&n.id, sizeof n.id);
+      fnv.bytes(&n.rel, sizeof n.rel);
+    }
+  }
+  return fnv.hex();
+}
+
+TEST(Synth, PinnedGraphs) {
+  // Draw order, weights and tie-breaks all reach the graph: any change to
+  // the generator's random stream or its provider draw moves these. The
+  // CLI-default testbed (2,659 ASes) at two seeds, and the 66,509-AS shape
+  // of bench/e2e's internet workload.
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t transit;
+    std::uint32_t stubs;
+    std::size_t ases;
+    const char* digest;
+  };
+  for (const Case& c : {Case{42, 150, 2500, 2659, "1f5e3da308acbc2a"},
+                        Case{7, 150, 2500, 2659, "30b55a8d6d2dfc7a"},
+                        Case{42, 2500, 64000, 66509, "1bfb10278e5f6c7a"}}) {
+    SCOPED_TRACE(c.seed);
+    SCOPED_TRACE(c.stubs);
+    const auto topo = synthesize(testbed_shape(c.seed, c.transit, c.stubs));
+    EXPECT_EQ(topo.graph.size(), c.ases);
+    EXPECT_EQ(graph_digest(topo.graph), c.digest);
+  }
 }
 
 TEST(Synth, ProducesRequestedPopulation) {
@@ -114,6 +181,25 @@ TEST(Synth, RejectsBadConfigs) {
   too_many_reserved.transit_count = 1;
   too_many_reserved.reserved_transit_asns = {1, 2, 3};
   EXPECT_THROW(synthesize(too_many_reserved), std::invalid_argument);
+
+  // The attraction bonus must be a whole number in [0, 2^32], so every
+  // sum of attachment weights is exact.
+  for (const double bonus :
+       {-1.0, 0.5, 8.25, 0x1p32 + 1.0, 1e300,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SynthConfig bad_bonus = small_config();
+    bad_bonus.reserved_transit_asns = {12859};
+    bad_bonus.reserved_attract_bonus = bonus;
+    EXPECT_THROW(synthesize(bad_bonus), std::invalid_argument) << bonus;
+  }
+  for (const double bonus : {0.0, 8.0, 0x1p32}) {
+    SynthConfig good_bonus = small_config();
+    good_bonus.reserved_transit_asns = {12859};
+    good_bonus.reserved_attract_bonus = bonus;
+    EXPECT_NO_THROW(synthesize(good_bonus)) << bonus;
+  }
 }
 
 TEST(Synth, DegreeDistributionIsHeavyTailed) {

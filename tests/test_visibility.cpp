@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "helpers.hpp"
 #include "oracles.hpp"
 
 namespace spooftrack::measure {
@@ -12,7 +13,7 @@ constexpr bgp::LinkId kMissing = bgp::kNoCatchment;
 
 TEST(Visibility, BaselineSourcesAreObservedAndResolved) {
   InferenceResult first;
-  first.catchments.link_of = {0, kMissing, 1, kMissing};
+  first.catchments = test::catchment_map({0, kMissing, 1, kMissing});
   EXPECT_EQ(baseline_sources(first),
             (std::vector<topology::AsId>{0, 2}));
 }
@@ -43,7 +44,7 @@ TEST(Visibility, MatrixUsesObservedCells) {
     const InferenceResult& measured = result.measured[i];
     for (std::size_t s = 0; s < result.sources.size(); ++s) {
       const topology::AsId id = result.sources[s];
-      const bgp::LinkId link = measured.catchments.link_of[id];
+      const bgp::LinkId link = measured.catchments[id];
       if (link == kMissing) continue;
       EXPECT_EQ(result.matrix.link_at(i, s), link)
           << "config " << i << " source " << s;
