@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
@@ -65,6 +66,49 @@ TEST(RandomSchedule, UsesEveryConfigOnce) {
   // Mean sizes are non-increasing.
   for (std::size_t i = 1; i < trace.mean_cluster_size.size(); ++i) {
     EXPECT_LE(trace.mean_cluster_size[i], trace.mean_cluster_size[i - 1]);
+  }
+}
+
+TEST(RandomSchedule, MatchesLegacyTracker) {
+  // Each random order replayed through the reference refine of
+  // tests/oracles.hpp must give the trace's mean at every step and end on
+  // the full refinement. Apart from the skewed matrix, the shapes hold
+  // about five sources per hidden group with per-cell noise, so every
+  // order saturates the partition to (mostly) singletons long before its
+  // last step; the source counts straddle 64-bit word boundaries.
+  struct Shape {
+    std::size_t configs, sources;
+    std::uint64_t seed;
+  };
+  std::vector<std::pair<std::string, measure::CatchmentStore>> cases;
+  cases.emplace_back("skewed", skewed_matrix());
+  for (const Shape shape : {Shape{40, 13, 1}, Shape{60, 64, 2},
+                            Shape{60, 203, 3}, Shape{80, 517, 4}}) {
+    cases.emplace_back(std::to_string(shape.sources) + " sources",
+                       test::store_of(test::random_matrix(
+                           shape.configs, shape.sources, shape.seed)));
+  }
+  for (const auto& [what, store] : cases) {
+    const auto rows = test::rows_of(store);
+    const auto full = cluster_sources(store);
+    util::Rng rng{store.sources()};
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto trace = random_schedule(store, rng);
+      ASSERT_EQ(trace.order.size(), store.configs()) << what;
+      ASSERT_EQ(trace.mean_cluster_size.size(), store.configs()) << what;
+      test::LegacyTracker legacy(store.sources());
+      for (std::size_t k = 0; k < trace.order.size(); ++k) {
+        legacy.refine(rows[trace.order[k]]);
+        ASSERT_EQ(trace.mean_cluster_size[k], legacy.mean_cluster_size())
+            << what << ", trial " << trial << ", step " << k;
+      }
+      EXPECT_EQ(legacy.cluster_of(), full.cluster_of) << what;
+      EXPECT_EQ(legacy.cluster_count(), full.cluster_count) << what;
+    }
+    if (store.sources() > 8) {
+      // Saturation: under 5% of the sources share a cluster at the end.
+      EXPECT_LT(full.mean_size(), 1.05) << what;
+    }
   }
 }
 
