@@ -1,7 +1,6 @@
 #include "core/cluster.hpp"
 
-#include <cstring>
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/cluster_slots.hpp"
@@ -36,24 +35,6 @@ ClusterTracker::ClusterTracker(std::size_t source_count) {
   // Epoch-stamped remap table: avoids clearing between refines.
   table_.assign(source_count * kSlots, 0);  // epoch<<32 | id per bucket
   epoch_ = 0;
-  singleton_mask_.assign(source_count, 0);
-}
-
-void ClusterTracker::ensure_singletons() {
-  // Sticky: once a caller relies on the mask, keep it fresh after every
-  // refine; trackers that never ask pay nothing.
-  track_singletons_ = true;
-  if (!singletons_valid_) rebuild_singletons();
-}
-
-void ClusterTracker::rebuild_singletons() {
-  const auto& cluster_of = clustering_.cluster_of;
-  size_scratch_.assign(clustering_.cluster_count, 0);
-  for (std::uint32_t c : cluster_of) ++size_scratch_[c];
-  for (std::size_t s = 0; s < cluster_of.size(); ++s) {
-    singleton_mask_[s] = size_scratch_[cluster_of[s]] == 1 ? 0xFF : 0x00;
-  }
-  singletons_valid_ = true;
 }
 
 std::uint32_t ClusterTracker::refine(
@@ -76,43 +57,7 @@ std::uint32_t ClusterTracker::refine(
   const std::uint64_t stamp = (epoch_ & 0xFFFFFFFFULL) << 32;
   std::uint32_t next_id = 0;
   const std::size_t n = cluster_of.size();
-  if (!track_singletons_) {
-    // Lean fold: no caller depends on the saturation mask, so skip both
-    // the singleton fast path and the post-refine mask rebuild.
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::uint32_t slot = slot_of(catchment_row[s]);
-      const std::size_t key = std::size_t{cluster_of[s]} * kSlots + slot;
-      std::uint64_t entry = table_[key];
-      if ((entry >> 32) != (stamp >> 32)) {
-        entry = stamp | next_id++;
-        table_[key] = entry;
-      }
-      cluster_of[s] = static_cast<std::uint32_t>(entry);
-    }
-    clustering_.cluster_count = next_id;
-    singletons_valid_ = false;
-    return next_id;
-  }
-  std::size_t s = 0;
-  while (s < n) {
-    if (s + 8 <= n) {
-      // Word-packed fast path: eight consecutive singleton-saturated
-      // sources. A size-one cluster is the only toucher of its (cluster,
-      // slot) bucket this epoch, so each member just takes the next dense
-      // id — no stamp-table traffic, whatever the catchment cell holds.
-      std::uint64_t word;
-      std::memcpy(&word, singleton_mask_.data() + s, sizeof word);
-      if (word == ~std::uint64_t{0}) {
-        for (std::size_t k = 0; k < 8; ++k) cluster_of[s + k] = next_id++;
-        s += 8;
-        continue;
-      }
-    }
-    if (singleton_mask_[s] != 0) {
-      cluster_of[s] = next_id++;
-      ++s;
-      continue;
-    }
+  for (std::size_t s = 0; s < n; ++s) {
     const std::uint32_t slot = slot_of(catchment_row[s]);
     const std::size_t key = std::size_t{cluster_of[s]} * kSlots + slot;
     std::uint64_t entry = table_[key];
@@ -121,10 +66,8 @@ std::uint32_t ClusterTracker::refine(
       table_[key] = entry;
     }
     cluster_of[s] = static_cast<std::uint32_t>(entry);
-    ++s;
   }
   clustering_.cluster_count = next_id;
-  rebuild_singletons();
   return next_id;
 }
 

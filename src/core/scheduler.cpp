@@ -136,9 +136,6 @@ ScheduleTrace random_schedule(const measure::CatchmentStore& matrix,
   rng.shuffle(trace.order);
 
   ClusterTracker tracker(matrix.sources());
-  // Random schedules saturate the partition early; opt into singleton
-  // tracking so refines keep the word-packed saturated fast path.
-  tracker.singleton_mask();
   trace.mean_cluster_size.reserve(matrix.size());
   for (std::size_t config : trace.order) {
     tracker.refine(matrix.row(config));

@@ -1,25 +1,16 @@
 #include "measure/bitplane_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
-#include "util/simd.hpp"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define SPOOFTRACK_BITPLANE_X86 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define SPOOFTRACK_BITPLANE_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace spooftrack::measure {
 
 namespace {
 
-constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
 constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
 constexpr std::uint64_t kLsb = 0x0101010101010101ULL;
 
@@ -60,12 +51,10 @@ inline void validate_word(std::uint64_t x, std::size_t config,
   }
 }
 
-// Portable build kernel for one configuration row: 8 cells per iteration,
-// bit-gather per value plane via multiply. `dst` points at the row's
-// 7-plane block (already zeroed).
-void build_row_scalar(const std::uint8_t* src, std::size_t cols,
-                      std::size_t words, std::uint64_t* dst,
-                      std::size_t config) {
+// Builds one configuration row: 8 cells per iteration, bit-gather per
+// value plane via multiply. `dst` points at the row's 7-plane block.
+void build_row(const std::uint8_t* src, std::size_t cols, std::size_t words,
+               std::uint64_t* dst, std::size_t config) {
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t lanes = std::min<std::size_t>(64, cols - w * 64);
     std::uint64_t planes[BitplaneStore::kPlanes] = {};
@@ -86,129 +75,6 @@ void build_row_scalar(const std::uint8_t* src, std::size_t cols,
   }
 }
 
-#if defined(SPOOFTRACK_BITPLANE_X86)
-
-// AVX2 build kernel: 32 cells per iteration. Plane bits come from the byte
-// sign after shifting bit b to bit 7; _mm256_slli_epi16 shifts across the
-// whole 16-bit lane but the contaminating bits come from the *same* byte
-// pair's low byte, whose bit (8 - shift + b) lands on that byte's own sign
-// position only when it is the byte's bit b — i.e. movemask still reads
-// each byte's bit b. The missing plane is the raw sign bit (only 0xFF has
-// it after validation).
-__attribute__((target("avx2"))) void build_row_avx2(const std::uint8_t* src,
-                                                    std::size_t cols,
-                                                    std::size_t words,
-                                                    std::uint64_t* dst,
-                                                    std::size_t config) {
-  const __m256i all_ff = _mm256_set1_epi8(static_cast<char>(0xFF));
-  const __m256i minus_one = _mm256_set1_epi8(-1);
-  const __m256i limit = _mm256_set1_epi8(
-      static_cast<char>(bgp::kMaxCatchmentLinks));
-  const std::size_t full = cols / 32;
-  for (std::size_t k = 0; k < full; ++k) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(src + k * 32));
-    // Valid cells are 0..61 (signed non-negative below the limit) or 0xFF.
-    const __m256i is_missing = _mm256_cmpeq_epi8(v, all_ff);
-    const __m256i in_range = _mm256_and_si256(
-        _mm256_cmpgt_epi8(v, minus_one), _mm256_cmpgt_epi8(limit, v));
-    const __m256i valid = _mm256_or_si256(is_missing, in_range);
-    if (_mm256_movemask_epi8(valid) != -1) [[unlikely]] {
-      for (std::size_t i = 0; i < 32; ++i) {
-        const std::uint8_t byte = src[k * 32 + i];
-        if (byte != kNoCatchment8 && byte >= bgp::kMaxCatchmentLinks) {
-          throw_bad_cell(config, k * 32 + i, byte);
-        }
-      }
-    }
-    const std::size_t w = k >> 1;
-    const unsigned off = (k & 1) ? 32u : 0u;
-    for (std::size_t b = 0; b < BitplaneStore::kValuePlanes; ++b) {
-      const int bits = _mm256_movemask_epi8(
-          _mm256_slli_epi16(v, static_cast<int>(7 - b)));
-      dst[b * words + w] |=
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(bits)) << off;
-    }
-    const int miss = _mm256_movemask_epi8(v);
-    dst[BitplaneStore::kMissingPlane * words + w] |=
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(miss)) << off;
-  }
-  // Tail cells fall back to the portable 8-at-a-time path.
-  for (std::size_t s = full * 32; s < cols; s += 8) {
-    const std::size_t nb = std::min<std::size_t>(8, cols - s);
-    std::uint64_t x = 0;
-    std::memcpy(&x, src + s, nb);
-    validate_word(x, config, s, nb);
-    const std::size_t w = s >> 6;
-    const unsigned shift = static_cast<unsigned>(s & 63);
-    for (std::size_t b = 0; b < BitplaneStore::kValuePlanes; ++b) {
-      dst[b * words + w] |= gather_lsb(x >> b) << shift;
-    }
-    dst[BitplaneStore::kMissingPlane * words + w] |= gather_lsb(x >> 7)
-                                                     << shift;
-  }
-}
-
-#elif defined(SPOOFTRACK_BITPLANE_NEON)
-
-// NEON lacks movemask; sum lanes pre-masked with distinct powers of two
-// (vaddv over 8 disjoint single-bit bytes is an OR).
-inline std::uint16_t neon_bitmask(uint8x16_t selected) noexcept {
-  static const std::uint8_t kPow2[16] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                         1, 2, 4, 8, 16, 32, 64, 128};
-  const uint8x16_t weighted = vandq_u8(selected, vld1q_u8(kPow2));
-  const std::uint16_t lo = vaddv_u8(vget_low_u8(weighted));
-  const std::uint16_t hi = vaddv_u8(vget_high_u8(weighted));
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-void build_row_neon(const std::uint8_t* src, std::size_t cols,
-                    std::size_t words, std::uint64_t* dst,
-                    std::size_t config) {
-  const uint8x16_t all_ff = vdupq_n_u8(0xFF);
-  const uint8x16_t limit = vdupq_n_u8(bgp::kMaxCatchmentLinks);
-  const std::size_t full = cols / 16;
-  for (std::size_t k = 0; k < full; ++k) {
-    const uint8x16_t v = vld1q_u8(src + k * 16);
-    const uint8x16_t valid =
-        vorrq_u8(vcltq_u8(v, limit), vceqq_u8(v, all_ff));
-    if (vminvq_u8(valid) == 0) [[unlikely]] {
-      for (std::size_t i = 0; i < 16; ++i) {
-        const std::uint8_t byte = src[k * 16 + i];
-        if (byte != kNoCatchment8 && byte >= bgp::kMaxCatchmentLinks) {
-          throw_bad_cell(config, k * 16 + i, byte);
-        }
-      }
-    }
-    const std::size_t w = k >> 2;
-    const unsigned off = static_cast<unsigned>((k & 3) * 16);
-    for (std::size_t b = 0; b < BitplaneStore::kValuePlanes; ++b) {
-      const uint8x16_t has_bit =
-          vtstq_u8(v, vdupq_n_u8(static_cast<std::uint8_t>(1u << b)));
-      dst[b * words + w] |= static_cast<std::uint64_t>(neon_bitmask(has_bit))
-                            << off;
-    }
-    const uint8x16_t missing = vtstq_u8(v, vdupq_n_u8(0x80));
-    dst[BitplaneStore::kMissingPlane * words + w] |=
-        static_cast<std::uint64_t>(neon_bitmask(missing)) << off;
-  }
-  for (std::size_t s = full * 16; s < cols; s += 8) {
-    const std::size_t nb = std::min<std::size_t>(8, cols - s);
-    std::uint64_t x = 0;
-    std::memcpy(&x, src + s, nb);
-    validate_word(x, config, s, nb);
-    const std::size_t w = s >> 6;
-    const unsigned shift = static_cast<unsigned>(s & 63);
-    for (std::size_t b = 0; b < BitplaneStore::kValuePlanes; ++b) {
-      dst[b * words + w] |= gather_lsb(x >> b) << shift;
-    }
-    dst[BitplaneStore::kMissingPlane * words + w] |= gather_lsb(x >> 7)
-                                                     << shift;
-  }
-}
-
-#endif
-
 }  // namespace
 
 BitplaneStore::BitplaneStore(const CatchmentStore& store)
@@ -217,26 +83,11 @@ BitplaneStore::BitplaneStore(const CatchmentStore& store)
       words_((store.sources() + 63) / 64),
       bits_(rows_ * kPlanes * words_, 0) {
   OBS_TIMER("analysis.kernel.bitplane_build_ns");
-  const bool wide = util::active_simd_level() == util::SimdLevel::kWide;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const std::uint8_t* src = store.row(r).data();
-    std::uint64_t* dst = bits_.data() + r * kPlanes * words_;
-#if defined(SPOOFTRACK_BITPLANE_X86)
-    if (wide) {
-      build_row_avx2(src, cols_, words_, dst, r);
-      continue;
-    }
-#elif defined(SPOOFTRACK_BITPLANE_NEON)
-    if (wide) {
-      build_row_neon(src, cols_, words_, dst, r);
-      continue;
-    }
-#endif
-    build_row_scalar(src, cols_, words_, dst, r);
+    build_row(store.row(r).data(), cols_, words_,
+              bits_.data() + r * kPlanes * words_, r);
   }
-  (void)wide;
   OBS_GAUGE("analysis.kernel.bitplane_bytes", size_bytes());
-  OBS_GAUGE("analysis.kernel.wide_simd", wide ? 1 : 0);
 }
 
 void BitplaneStore::decode_row(std::size_t config,

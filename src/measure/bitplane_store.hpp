@@ -13,16 +13,13 @@
 // Layout: row-major blocks of kPlanes contiguous plane arrays, each
 // words() u64s (7 × ceil(sources/64) words per row). Built once from a
 // CatchmentStore with full validation (cells other than 0..61 / 0xFF
-// throw) and a validated round trip back (to_store()).
-//
-// Construction dispatches between a portable u64 kernel and a wide
-// (AVX2/NEON) kernel via util::active_simd_level(); both are bit-identical
-// (tests/test_bitplane_store.cpp fuzzes the equivalence).
+// throw) and a validated round trip back (to_store()). The build is one
+// portable u64 kernel: eight cells per 64-bit load, each value plane's
+// octet gathered with a multiply.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "measure/catchment_store.hpp"
@@ -61,10 +58,6 @@ class BitplaneStore {
   const std::uint64_t* plane(std::size_t config,
                              std::size_t plane_index) const noexcept {
     return row_planes(config) + plane_index * words_;
-  }
-  std::span<const std::uint64_t> plane_span(
-      std::size_t config, std::size_t plane_index) const noexcept {
-    return {plane(config, plane_index), words_};
   }
 
   /// Reassembled 6-bit slot of one cell (63 = missing), as

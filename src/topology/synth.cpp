@@ -44,6 +44,10 @@ SynthTopology synthesize(const SynthConfig& config) {
   if (config.reserved_transit_asns.size() > config.transit_count) {
     throw std::invalid_argument("more reserved ASNs than transit slots");
   }
+  if (config.stub_count > 0 && config.transit_count == 0) {
+    // Stubs draw their providers from the transit layer.
+    throw std::invalid_argument("stubs need at least one transit AS");
+  }
   const double bonus = config.reserved_attract_bonus;
   if (!(bonus >= 0.0 && bonus <= kMaxAttractBonus) ||
       bonus != std::floor(bonus)) {
@@ -57,6 +61,9 @@ SynthTopology synthesize(const SynthConfig& config) {
 
   std::unordered_set<Asn> taken(config.reserved_transit_asns.begin(),
                                 config.reserved_transit_asns.end());
+  if (taken.size() != config.reserved_transit_asns.size()) {
+    throw std::invalid_argument("reserved transit ASNs must be distinct");
+  }
   if (config.origin_asn != 0) taken.insert(config.origin_asn);
   Asn next_asn = 64500;
   auto fresh_asn = [&]() {

@@ -67,8 +67,9 @@ struct SynthTopology {
 /// transit weights.
 /// Generated ASNs skip the reserved ones and the origin. Throws
 /// std::invalid_argument when tier1_count is 0, when reserved ASNs exceed
-/// transit_count, or when reserved_attract_bonus is not a whole number in
-/// [0, 2^32].
+/// transit_count or repeat an ASN, when stub_count is nonzero but
+/// transit_count is 0, or when reserved_attract_bonus is not a whole number
+/// in [0, 2^32].
 SynthTopology synthesize(const SynthConfig& config);
 
 }  // namespace spooftrack::topology

@@ -1,9 +1,9 @@
-// Data-parallel helpers. Announcement configurations are routed
-// independently, so benches parallelize propagation across worker threads
-// with the blocking parallel_for below, which runs one batch on a
-// short-lived WorkerPool. The greedy scheduler (core/scheduler) keeps a
-// WorkerPool for its whole run: it dispatches one batch of chunk tasks per
-// greedy step, and spawning threads per step would dominate the work.
+// Data-parallel helpers. The blocking parallel_for below runs one batch on
+// a short-lived WorkerPool; core::random_ensemble uses it to run its
+// independent random schedules side by side. The greedy scheduler
+// (core/scheduler) keeps a WorkerPool for its whole run: it dispatches one
+// batch of chunk tasks per greedy step, and spawning threads per step
+// would dominate the work.
 #pragma once
 
 #include <atomic>

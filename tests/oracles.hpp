@@ -2,8 +2,8 @@
 // §IV-b traceroute repair.
 //
 // The production cluster refinement runs on encoded CatchmentStore bytes
-// (or rows decoded from the bit-sliced planes) with singleton word-skips,
-// and the production greedy scheduler keeps every candidate's cluster
+// (or rows decoded from the bit-sliced planes), and the production greedy
+// scheduler keeps every candidate's cluster
 // count, updating it across workers only where each winner splits. The
 // oracles below are the plain algorithms the paper describes — §III-B
 // refinement and the §V-C greedy schedule — over decoded LinkId rows: one
@@ -75,8 +75,7 @@ inline LinkRows rows_of(const measure::CatchmentStore& store) {
 }
 
 /// Incremental refinement over LinkId rows: epoch-stamped
-/// (cluster, catchment) buckets, first-touch dense ids, no singleton fast
-/// path.
+/// (cluster, catchment) buckets, first-touch dense ids.
 class LegacyTracker {
  public:
   explicit LegacyTracker(std::size_t sources)

@@ -3,8 +3,8 @@
 // algorithms in oracles.hpp (same epoch-stamped buckets, same first-touch
 // dense ids, same lowest-index-max tie break) and to the nested-row
 // attribution reference below (same floating-point arithmetic), so any
-// divergence in the store, the singleton fast paths, or the deterministic
-// parallel reduction fails loudly here.
+// divergence in the store, the refine, or the deterministic parallel
+// reduction fails loudly here.
 #include "measure/catchment_store.hpp"
 
 #include <gtest/gtest.h>

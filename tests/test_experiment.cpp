@@ -163,5 +163,71 @@ TEST_F(TestbedTest, DeterministicDeployments) {
   EXPECT_EQ(a.matrix, b.matrix);
 }
 
+/// A testbed whose measurements have every noise source switched off: no
+/// unresponsive hops or silent ASes, no border interfaces numbered from the
+/// neighbour's space, a complete IP-to-AS database and no IXPs.
+TestbedConfig noiseless_testbed(std::uint64_t seed) {
+  TestbedConfig config;
+  config.seed = seed;
+  config.tier1_count = 8;
+  config.transit_count = 40;
+  config.stub_count = 600;
+  config.probe_count = 150;
+  config.traceroute_rounds = 2;
+  config.traceroute.hop_unresponsive_prob = 0.0;
+  config.traceroute.as_silent_prob = 0.0;
+  config.traceroute.border_foreign_addr_prob = 0.0;
+  config.ip2as.missing_fraction = 0.0;
+  config.ixp_count = 0;
+  return config;
+}
+
+struct CellTally {
+  std::size_t observed = 0;  // measured cells naming a catchment
+  std::size_t wrong = 0;     // of those, cells the ground truth contradicts
+};
+
+/// Deploys the paper's full plan on `config` and checks every measured
+/// cell against the routing engine's ground truth.
+CellTally tally_measured_cells(const TestbedConfig& config) {
+  const PeeringTestbed testbed(config);
+  const auto result =
+      testbed.deploy(testbed.generator().full_plan(testbed.graph()));
+  EXPECT_EQ(result.configs.size(), 705u);
+  EXPECT_EQ(result.measured.size(), result.truth.size());
+  CellTally tally;
+  for (std::size_t i = 0; i < result.measured.size(); ++i) {
+    const auto& measured = result.measured[i].catchments;
+    for (topology::AsId as = 0; as < measured.size(); ++as) {
+      if (measured[as] == bgp::kNoCatchment) continue;
+      ++tally.observed;
+      tally.wrong += measured[as] != result.truth[i][as];
+    }
+  }
+  return tally;
+}
+
+TEST(MeasurementOracle, NoiselessCellsMatchGroundTruth) {
+  // With no noise, every AS a traceroute observes maps to its own AS and
+  // enters the experiment prefix on the link routing chose: a measured
+  // catchment is either missing or the true one.
+  for (const std::uint64_t seed : {42u, 7u, 1u}) {
+    const auto tally = tally_measured_cells(noiseless_testbed(seed));
+    EXPECT_GT(tally.observed, 100000u) << "seed " << seed;
+    EXPECT_EQ(tally.wrong, 0u) << "seed " << seed;
+  }
+}
+
+TEST(MeasurementOracle, ForeignBorderAddressesMakeCellsWrong) {
+  // The control: border interfaces numbered from the neighbour's space
+  // (the default share) make some measured cells wrong, so the oracle
+  // above can fail.
+  TestbedConfig config = noiseless_testbed(42);
+  config.traceroute.border_foreign_addr_prob = 0.35;
+  const auto tally = tally_measured_cells(config);
+  EXPECT_GT(tally.observed, 100000u);
+  EXPECT_GT(tally.wrong, 0u);
+}
+
 }  // namespace
 }  // namespace spooftrack::core

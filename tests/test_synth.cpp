@@ -182,6 +182,17 @@ TEST(Synth, RejectsBadConfigs) {
   too_many_reserved.reserved_transit_asns = {1, 2, 3};
   EXPECT_THROW(synthesize(too_many_reserved), std::invalid_argument);
 
+  // A repeated reserved ASN would leave the graph one AS short.
+  SynthConfig duplicate_reserved = small_config();
+  duplicate_reserved.reserved_transit_asns = {12859, 12859};
+  EXPECT_THROW(synthesize(duplicate_reserved), std::invalid_argument);
+
+  // Stubs draw their providers from the transit layer, so it must exist.
+  SynthConfig no_transit = small_config();
+  no_transit.transit_count = 0;
+  no_transit.stub_count = 50;
+  EXPECT_THROW(synthesize(no_transit), std::invalid_argument);
+
   // The attraction bonus must be a whole number in [0, 2^32], so every
   // sum of attachment weights is exact.
   for (const double bonus :
