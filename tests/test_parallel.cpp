@@ -116,7 +116,7 @@ TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkerPool, ReusableAcrossManyBatches) {
-  // The engine dispatches one batch per Jacobi round; the pool must not
+  // The greedy scheduler dispatches one batch per step; the pool must not
   // leak generations or wedge across hundreds of small batches.
   WorkerPool pool(2);
   std::atomic<std::size_t> total{0};
