@@ -425,30 +425,6 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
                   prepare(origin, baseline_config), std::move(baseline));
 }
 
-RoutingOutcome Engine::run_warm_leased(
-    const OriginSpec& origin, const Configuration& config,
-    const Prepared& seeds, const Configuration& baseline_config,
-    const Prepared& baseline_seeds,
-    const std::shared_ptr<RoutingOutcome>& baseline, bool consume) const {
-  if (baseline == nullptr) {
-    throw std::invalid_argument("leased warm start requires a baseline");
-  }
-  if (consume) {
-    // Every lease on the baseline was dropped: move its routing state and
-    // arena into the warm run, exactly like the chained-campaign path.
-    OBS_COUNT("engine.warm.lease_consumed", 1);
-    return run_warm(origin, config, seeds, baseline_config, baseline_seeds,
-                    std::move(*baseline));
-  }
-  // A lease is still reading the baseline. The copy shares the baseline's
-  // arena, so run_warm takes the shared-arena path (prefix clone) and the
-  // leased outcome stays valid and untouched.
-  OBS_COUNT("engine.warm.lease_copied", 1);
-  RoutingOutcome copy = *baseline;
-  return run_warm(origin, config, seeds, baseline_config, baseline_seeds,
-                  std::move(copy));
-}
-
 RoutingOutcome Engine::run_warm(const OriginSpec& origin,
                                 const Configuration& config,
                                 const Prepared& seeds_prep,
@@ -506,26 +482,17 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
     return outcome;
   }
 
-  // Arena ownership. Three cases, cheapest first:
-  //   * sole owner, reasonably sized  → extend the baseline arena in place
-  //     (the chained-campaign fast path: zero copies);
-  //   * shared, reasonably sized      → id-preserving prefix clone, so the
-  //     moved-in routes stay valid without rewriting a single id;
-  //   * oversized (long warm chains)  → compact: re-intern only the paths
-  //     the baseline routes still reference, rewriting their ids.
+  // Arena ownership. A sole owner of a reasonably sized arena (the
+  // chained-campaign case) extends it in place with zero copies. Otherwise
+  // — the arena is still shared with other outcomes, or it outgrew
+  // arena_compact_nodes along a long warm chain — compact: re-intern only
+  // the paths the baseline routes still reference, rewriting their ids.
   std::vector<Route> current = std::move(baseline.best);
   std::shared_ptr<PathArena> arena;
-  const bool oversized =
-      baseline.paths->node_count() > options_.arena_compact_nodes;
-  if (!oversized && baseline.paths.use_count() == 1) {
+  if (baseline.paths->node_count() <= options_.arena_compact_nodes &&
+      baseline.paths.use_count() == 1) {
     arena = std::const_pointer_cast<PathArena>(baseline.paths);
     baseline.paths.reset();
-  } else if (!oversized) {
-    PathId max_id = kEmptyPath;
-    for (const Route& r : current) max_id = std::max(max_id, r.path);
-    auto fresh = std::make_shared<PathArena>();
-    fresh->adopt_prefix(*baseline.paths, max_id);
-    arena = std::move(fresh);
   } else {
     OBS_COUNT("engine.arena.compactions", 1);
     auto fresh = std::make_shared<PathArena>();

@@ -154,7 +154,9 @@ class Engine {
   ///
   /// Throws std::invalid_argument when either configuration is malformed,
   /// when the baseline outcome does not match this graph's size, or when
-  /// the baseline did not converge. Thread-safe like `run`.
+  /// the baseline did not converge. Thread-safe like `run`. `baseline`
+  /// keeps its arena, so the warm run compacts the live paths into a fresh
+  /// one (counted by `engine.arena.compactions`).
   RoutingOutcome run_warm(const OriginSpec& origin,
                           const Configuration& config,
                           const Configuration& baseline_config,
@@ -162,7 +164,9 @@ class Engine {
 
   /// Overload consuming the baseline: when the baseline is the sole owner
   /// of its arena (the chained-campaign case), its routing state AND arena
-  /// are moved into the warm run — no per-route copy, no arena rebuild.
+  /// are moved into the warm run — no per-route copy, no arena rebuild. A
+  /// baseline whose arena another outcome still shares, or whose arena
+  /// outgrew `arena_compact_nodes`, is compacted instead.
   RoutingOutcome run_warm(const OriginSpec& origin,
                           const Configuration& config,
                           const Configuration& baseline_config,
@@ -176,27 +180,6 @@ class Engine {
                           const Configuration& baseline_config,
                           const Prepared& baseline_seeds,
                           RoutingOutcome&& baseline) const;
-
-  /// Warm start from a *leased* baseline: the chained-campaign case where
-  /// the previous step's outcome may still be read concurrently by a
-  /// measurement lease. `consume` is the caller's explicit statement that
-  /// every lease has been dropped (with a release/acquire edge — never
-  /// inferred from shared_ptr::use_count(), whose relaxed load carries no
-  /// happens-before): true moves the baseline's routing state and arena
-  /// into the warm run, exactly like the && overload; false leaves
-  /// `*baseline` untouched and warm-starts from a copy (the copy shares
-  /// the arena, so the run extends a cloned prefix of it). The outcome —
-  /// routes, next hops, settled rounds, round count — is byte-identical
-  /// either way (the warm run starts from the same routing state and all
-  /// staging comparisons are structural under hash-consing); only
-  /// allocation behaviour differs.
-  RoutingOutcome run_warm_leased(const OriginSpec& origin,
-                                 const Configuration& config,
-                                 const Prepared& seeds,
-                                 const Configuration& baseline_config,
-                                 const Prepared& baseline_seeds,
-                                 const std::shared_ptr<RoutingOutcome>& baseline,
-                                 bool consume) const;
 
   /// A route available to an AS (used by the policy-compliance audit of
   /// Figure 9): what a neighbor exported and the AS accepted.

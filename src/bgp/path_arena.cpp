@@ -87,18 +87,6 @@ std::vector<topology::Asn> PathArena::materialize(PathId id) const {
   return out;
 }
 
-void PathArena::adopt_prefix(const PathArena& from, std::size_t nodes) {
-  if (node_count() != 0) {
-    throw std::logic_error("PathArena::adopt_prefix on a non-empty arena");
-  }
-  intern_.reserve(nodes);
-  for (PathId id = 1; id <= nodes; ++id) {
-    const Node& n = from.node(id);
-    const PathId copy = append_node(n.asn, n.parent);
-    intern_.emplace(intern_key(n.asn, n.parent), copy);
-  }
-}
-
 PathId PathArena::migrate(const PathArena& from, PathId id,
                           std::vector<PathId>& memo) {
   // Walk toward the origin until a migrated suffix (or the root), then

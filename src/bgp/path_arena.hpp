@@ -35,8 +35,7 @@
 namespace spooftrack::bgp {
 
 /// Identifier of an interned AS-path. Valid within the arena that created
-/// it (and within arenas derived from it via adopt_prefix, which preserve
-/// ids). Id 0 is the empty path.
+/// it. Id 0 is the empty path.
 using PathId = std::uint32_t;
 
 inline constexpr PathId kEmptyPath = 0;
@@ -141,12 +140,6 @@ class PathArena {
   /// prepend() calls answered from an existing node (the dedup hit-rate
   /// numerator; node_count() is the miss total).
   std::uint64_t hits() const noexcept { return hits_; }
-
-  /// Copies nodes [1, nodes] of `from` into this (empty) arena, preserving
-  /// ids — the copy-on-extend path for warm starts whose baseline arena is
-  /// shared with other outcomes. Safe to call while `from`'s owner appends
-  /// nodes > `nodes` concurrently (only older slots are read).
-  void adopt_prefix(const PathArena& from, std::size_t nodes);
 
   /// Re-interns `from`'s path `id` into this arena, memoising old→new ids
   /// in `memo` (sized from's id space, kNoMigration = not yet migrated).

@@ -126,8 +126,7 @@ ChainStepper::ChainStepper(const bgp::Engine& engine,
       plan_(&plan),
       steps_(&plan.chain_steps[chain]) {}
 
-std::shared_ptr<bgp::RoutingOutcome> ChainStepper::step(
-    bool consume_baseline) {
+const bgp::RoutingOutcome& ChainStepper::step() {
   const std::size_t u = (*steps_)[pos_++];
   const bgp::Configuration& config = (*configs_)[plan_->unique[u]];
   OBS_TIMER("campaign.config_ns");
@@ -135,22 +134,18 @@ std::shared_ptr<bgp::RoutingOutcome> ChainStepper::step(
   // the next step as the baseline table — chained warm runs never
   // re-validate or rebuild one.
   bgp::Engine::Prepared prep = engine_->prepare(*origin_, config);
-  std::shared_ptr<bgp::RoutingOutcome> outcome;
-  if (prev_config_ != nullptr && prev_->converged) {
-    outcome = std::make_shared<bgp::RoutingOutcome>(engine_->run_warm_leased(
-        *origin_, config, prep, *prev_config_, *prev_prep_, prev_,
-        consume_baseline));
+  if (outcome_.converged) {
+    outcome_ = engine_->run_warm(*origin_, config, prep, *prev_config_,
+                                 *prev_prep_, std::move(outcome_));
     ++stats_.warm_runs;
   } else {
-    outcome = std::make_shared<bgp::RoutingOutcome>(
-        engine_->run(*origin_, config, prep));
+    outcome_ = engine_->run(*origin_, config, prep);
     ++stats_.cold_runs;
   }
-  stats_.total_rounds += outcome->rounds;
-  prev_ = outcome;
+  stats_.total_rounds += outcome_.rounds;
   prev_config_ = &config;
   prev_prep_ = std::move(prep);
-  return outcome;
+  return outcome_;
 }
 
 std::string CampaignModel::describe(std::size_t configs) const {

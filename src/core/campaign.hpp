@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,7 +78,7 @@ struct CampaignModel {
 
 /// Cold/warm propagation and round accounting of one chain.
 struct CampaignRunStats {
-  std::size_t cold_runs = 0;  // chain heads (full propagation)
+  std::size_t cold_runs = 0;  // chain heads, steps after unconverged ones
   std::size_t warm_runs = 0;  // warm-started propagations
   /// Sum of Jacobi rounds across all propagations (cold + warm); the
   /// headline measure of how much iteration work warm-starting saved.
@@ -107,12 +106,13 @@ struct CampaignPlan {
 CampaignPlan plan_campaign(const std::vector<bgp::Configuration>& configs);
 
 /// Steps one chain of a CampaignPlan: each step() propagates the chain's
-/// next unique slot (warm-started from the previous step when that one
-/// converged) and returns the outcome as a shared_ptr the caller may lease
-/// to concurrent consumers. The plan and configs must outlive the stepper;
-/// a stepper is driven from one thread at a time (the executor's per-chain
-/// produce serialization provides exactly that). Throws whatever the engine
-/// throws.
+/// next unique slot, warm-started from the previous step's outcome when
+/// that one converged and cold otherwise. The stepper owns its latest
+/// outcome and moves it into the next warm run, so a returned reference
+/// stays valid only until the next step(). The plan and configs must
+/// outlive the stepper; a stepper is driven from one thread at a time (the
+/// executor's per-chain produce serialization provides exactly that).
+/// Throws whatever the engine throws.
 class ChainStepper {
  public:
   ChainStepper(const bgp::Engine& engine, const bgp::OriginSpec& origin,
@@ -120,17 +120,11 @@ class ChainStepper {
                const CampaignPlan& plan, std::size_t chain);
 
   bool done() const noexcept { return pos_ >= steps_->size(); }
-  std::size_t position() const noexcept { return pos_; }
   /// Unique slot the next step() will propagate (undefined when done()).
   std::size_t next_slot() const noexcept { return (*steps_)[pos_]; }
 
-  /// Propagates the next step and returns its outcome. `consume_baseline`
-  /// declares that nobody will read the previous step's outcome again
-  /// (every lease was dropped), letting the engine move its routing state
-  /// and arena into the warm run; pass false while a lease is still live
-  /// and the engine deep-copies the baseline instead — results are
-  /// byte-identical either way (Engine::run_warm_leased).
-  std::shared_ptr<bgp::RoutingOutcome> step(bool consume_baseline);
+  /// Propagates the next step and returns its outcome.
+  const bgp::RoutingOutcome& step();
 
   /// Cold/warm run and round accounting for the steps taken so far.
   const CampaignRunStats& stats() const noexcept { return stats_; }
@@ -142,7 +136,9 @@ class ChainStepper {
   const CampaignPlan* plan_;
   const std::vector<std::size_t>* steps_;
   std::size_t pos_ = 0;
-  std::shared_ptr<bgp::RoutingOutcome> prev_;
+  /// The latest step's outcome; default-constructed (unconverged) before
+  /// the first step, so the chain head runs cold.
+  bgp::RoutingOutcome outcome_;
   const bgp::Configuration* prev_config_ = nullptr;
   std::optional<bgp::Engine::Prepared> prev_prep_;
   CampaignRunStats stats_;

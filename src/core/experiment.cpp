@@ -303,9 +303,6 @@ DeploymentResult PeeringTestbed::deploy(
       std::uint64_t failures = 0;
       std::uint64_t retries = 0;
       std::uint64_t gave_up = 0;
-      std::uint64_t backoff_steps = 0;
-      std::uint64_t backoff_ms = 0;
-      const fault::FaultPlan& fault_plan = injector_.plan();
       for (std::size_t i = 0; i < n; ++i) {
         std::uint32_t failed_attempts = 0;
         while (failed_attempts < max_attempts &&
@@ -314,26 +311,6 @@ DeploymentResult PeeringTestbed::deploy(
           ++failed_attempts;
         }
         failures += failed_attempts;
-        // Retry pacing (docs/faults.md): each failed attempt k waits
-        // min(cap, base << (k-1)) ms of simulated time, equal-jitter
-        // (half fixed, half a seeded uniform draw). The clock never
-        // sleeps — the schedule feeds the campaign wall-clock model and
-        // the deploy.retry.backoff_* metrics, deterministically.
-        for (std::uint32_t k = 1; k <= failed_attempts; ++k) {
-          const std::uint64_t raw = std::min<std::uint64_t>(
-              fault_plan.deploy_backoff_cap_ms,
-              std::uint64_t{fault_plan.deploy_backoff_base_ms}
-                  << std::min<std::uint32_t>(k - 1, 32));
-          const std::uint64_t half = raw / 2;
-          const std::uint64_t jitter =
-              half == 0
-                  ? 0
-                  : injector_.mix(fault::Site::kDeployFailure, i,
-                                  0xB0FF'0000ULL + k) %
-                        (half + 1);
-          backoff_ms += half + jitter;
-          ++backoff_steps;
-        }
         if (failed_attempts == max_attempts) {
           abandoned[i] = 1;
           ++gave_up;
@@ -353,8 +330,6 @@ DeploymentResult PeeringTestbed::deploy(
       OBS_COUNT("fault.deploy.failures", failures);
       OBS_COUNT("fault.deploy.retries", retries);
       OBS_COUNT("fault.deploy.gave_up", gave_up);
-      OBS_COUNT("deploy.retry.backoff_steps", backoff_steps);
-      OBS_COUNT("deploy.retry.backoff_ms", backoff_ms);
     }
   }
 
@@ -479,24 +454,18 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
     }
   }
 
-  // Streaming handoff: the produce stage leases its outcome to the step's
-  // measurement items through a Handoff slot. The first work item to run
-  // extracts the feed snapshot and probe paths into recycled buffers and
-  // drops the outcome (release-publishing `extracted` so the chain may
-  // consume — move, not copy — its warm baseline on the next step); the
-  // last of the step's live items returns the buffers to the pool. Peak
-  // memory is therefore O(chains * queue_depth) outcomes/snapshots instead
-  // of O(n), even with a single worker. A step with no live item takes no
-  // lease at all, so it never pins its outcome or forces the next warm
-  // step to copy its baseline.
+  // Streaming handoff: a step with live measurement items extracts its
+  // feed snapshot and probe paths at produce, into buffers from a recycled
+  // pool; its work items read only those buffers, and the last of them
+  // returns the buffers to the pool. The warm-engine outcome never leaves
+  // the chain stepper, which moves it into the chain's next warm run. Peak
+  // buffer residency is O(chains * queue_depth) snapshots instead of
+  // O(n), even with a single worker.
   struct HandoffBuffers {
     std::vector<measure::FeedEntry> feeds;
     measure::ProbePathSet paths;
   };
   struct Handoff {
-    std::shared_ptr<bgp::RoutingOutcome> outcome;
-    std::once_flag once;
-    std::atomic<bool> extracted{false};
     std::unique_ptr<HandoffBuffers> buffers;
     std::atomic<std::uint32_t> remaining{0};
   };
@@ -537,7 +506,6 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
   for (std::size_t c = 0; c < chains; ++c) {
     steppers.emplace_back(engine_, origin_, result.configs, plan, c);
   }
-  std::vector<Handoff*> last_handoff(chains, nullptr);
   std::vector<std::vector<std::uint32_t>> chain_min_distance(chains);
 
   const measure::MeasurementDriver driver(tracer_, repair_, inference_,
@@ -561,15 +529,8 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
   stages.produce = [&](std::size_t chain, std::size_t) {
     ChainStepper& stepper = steppers[chain];
     const std::size_t u = stepper.next_slot();
-    Handoff* prev = last_handoff[chain];
-    // Consume the warm baseline only once its lease is provably dropped
-    // (acquire pairs with the extractor's release); otherwise the engine
-    // copies it — byte-identical either way.
-    const bool consume =
-        prev == nullptr || prev->extracted.load(std::memory_order_acquire);
-    const std::shared_ptr<bgp::RoutingOutcome> outcome =
-        stepper.step(consume);
-    if (!outcome->converged) {
+    const bgp::RoutingOutcome& outcome = stepper.step();
+    if (!outcome.converged) {
       throw std::runtime_error(
           "routing did not converge for '" +
           result.configs[plan.unique[u]].label + "'");
@@ -578,11 +539,11 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
     auto& distances = chain_min_distance[chain];
     if (distances.empty()) distances.assign(as_count, topology::kUnreachable);
     for (topology::AsId id = 0; id < as_count; ++id) {
-      const bgp::Route& route = outcome->best[id];
+      const bgp::Route& route = outcome.best[id];
       if (route.valid()) {
         distances[id] = std::min(
             distances[id],
-            collapsed_distance(outcome->paths->view(route.path), origin_.asn));
+            collapsed_distance(outcome.paths->view(route.path), origin_.asn));
       }
     }
 
@@ -590,55 +551,43 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
     for (const std::size_t idx : plan.fanout[u]) {
       OBS_TIMER("deploy.config_pipeline_ns");
       const bgp::Configuration& config = result.configs[idx];
-      result.engine_rounds[idx] = outcome->rounds;
-      result.truth[idx] = bgp::extract_catchments(*outcome, config);
+      result.engine_rounds[idx] = outcome.rounds;
+      result.truth[idx] = bgp::extract_catchments(outcome, config);
       if (config_.audit_policies) {
         result.compliance[idx] =
-            audit_compliance(engine_, origin_, config, *outcome);
+            audit_compliance(engine_, origin_, config, outcome);
       }
       live += skip[idx] ? 0u : 1u;
     }
+    if (live == 0) return;
 
-    if (live > 0) {
-      Handoff& handoff = handoffs[u];
-      handoff.outcome = outcome;
-      handoff.remaining.store(live, std::memory_order_relaxed);
-      last_handoff[chain] = &handoff;
-    } else {
-      // Nothing will measure this step, so no lease exists: the next step
-      // may consume the baseline outright.
-      last_handoff[chain] = nullptr;
-    }
+    Handoff& handoff = handoffs[u];
+    handoff.buffers = pool.acquire();
+    feeds_.collect_into(outcome, handoff.buffers->feeds);
+    measure::ProbePathSet::extract_into(outcome, probes_, origin_id_,
+                                        handoff.buffers->paths);
+    handoff.remaining.store(live, std::memory_order_relaxed);
   };
 
   stages.work = [&](std::size_t i, std::size_t worker) {
     if (skip[i]) return;
     Handoff& handoff = handoffs[slot_of[i]];
-    std::call_once(handoff.once, [&] {
-      handoff.buffers = pool.acquire();
-      feeds_.collect_into(*handoff.outcome, handoff.buffers->feeds);
-      measure::ProbePathSet::extract_into(*handoff.outcome, probes_,
-                                          origin_id_, handoff.buffers->paths);
-      handoff.outcome.reset();
-      handoff.extracted.store(true, std::memory_order_release);
-    });
-    const std::vector<measure::FeedEntry>* feeds = &handoff.buffers->feeds;
+    const HandoffBuffers& buffers = *handoff.buffers;
+    const std::vector<measure::FeedEntry>* feeds = &buffers.feeds;
     std::uint32_t feed_faults = 0;
     if (config_.faults.any_feed()) {
       // Collector faults filter the (possibly shared) clean snapshot per
       // configuration; degrade is stateless in i, so memo fan-out sharing
       // stays deterministic.
       std::vector<measure::FeedEntry>& buffer = degraded_feeds[worker];
-      measure::FeedSimulator::degrade_into(handoff.buffers->feeds, injector_,
-                                           i, origin_.asn, &feed_faults,
-                                           buffer);
+      measure::FeedSimulator::degrade_into(buffers.feeds, injector_, i,
+                                           origin_.asn, &feed_faults, buffer);
       feeds = &buffer;
     }
     fault::ConfigQuality* quality = faulty ? &measured_quality[i] : nullptr;
     if (quality != nullptr) quality->feed_faults = feed_faults;
     result.measured[i] =
-        driver.measure_one(i, *feeds, handoff.buffers->paths, scratch[worker],
-                           quality);
+        driver.measure_one(i, *feeds, buffers.paths, scratch[worker], quality);
     if (handoff.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       pool.release(std::move(handoff.buffers));
     }

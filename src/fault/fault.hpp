@@ -86,16 +86,6 @@ struct FaultPlan {
   /// measurement, matrix row all-missing).
   std::uint32_t deploy_retry_budget = 2;
 
-  /// Retry pacing: attempt k (k = 1 after the first failure) waits
-  /// min(cap, base << (k - 1)) milliseconds of *simulated* time, halved and
-  /// topped up with a seeded jitter draw ("equal jitter"). The clock is
-  /// simulated — deploys never sleep — but the schedule is part of the
-  /// deterministic contract: `deploy.retry.backoff_steps` /
-  /// `deploy.retry.backoff_ms` count it, and the campaign wall-clock model
-  /// consumes it when planning real PEERING runs.
-  std::uint32_t deploy_backoff_base_ms = 250;
-  std::uint32_t deploy_backoff_cap_ms = 8000;
-
   /// Deterministic kill-point (docs/checkpointing.md): the crash_at-th time
   /// the journal passes `crash_site`'s barrier, a SimulatedCrash is thrown.
   /// 0 disables crashes. Ordinals are 1-based and counted per site by the

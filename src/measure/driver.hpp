@@ -25,9 +25,10 @@
 namespace spooftrack::measure {
 
 /// Per-probe forwarding paths under one routing outcome, flattened. The
-/// snapshot deliberately does not retain the RoutingOutcome: warm campaign
-/// chains may move or compact outcome storage after the sink returns, and
-/// the paths are all the measurement plane needs from it.
+/// snapshot deliberately does not retain the RoutingOutcome: the deploy
+/// extracts it at produce, and the chain's next warm run then takes over
+/// the outcome's storage while the paths are still being measured; the
+/// paths are all the measurement plane needs from it.
 struct ProbePathSet {
   std::vector<topology::AsId> flat;
   std::vector<std::uint32_t> offsets;  // probes.size() + 1 fenceposts

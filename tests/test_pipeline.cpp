@@ -11,9 +11,9 @@
 //      empty plan;
 //   3. end-to-end equivalence — every worker count x queue depth
 //      combination is byte-identical to the single-worker run and its
-//      golden digest, including chain-lease lifetimes when fault injection
-//      abandons configurations (the ASan job turns a leaked lease into a
-//      failure).
+//      golden digest, including handoff-buffer lifetimes when fault
+//      injection abandons configurations (the ASan job turns a leaked
+//      buffer into a failure).
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bgp/engine.hpp"
+#include "core/campaign.hpp"
 #include "core/config_gen.hpp"
 #include "core/experiment.hpp"
 #include "core/io.hpp"
@@ -234,53 +235,6 @@ TEST(PipelineExecutor, EmptyGraphAndEmptyStepsAreFine) {
   stages.commit = [&](std::size_t item) { committed.push_back(item); };
   pipeline::run_graph(sparse, stages, {2, 1});
   EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Leased warm runs (bgp::Engine::run_warm_leased)
-// ---------------------------------------------------------------------------
-
-TEST(WarmLease, ConsumeAndCopyProduceIdenticalOutcomes) {
-  core::TestbedConfig config;
-  config.seed = 11;
-  config.tier1_count = 5;
-  config.transit_count = 40;
-  config.stub_count = 300;
-  config.probe_count = 100;
-  config.feed.peer_count = 40;
-  const core::PeeringTestbed testbed(config);
-  const auto configs = testbed.generator().location_phase();
-  ASSERT_GE(configs.size(), 3u);
-
-  const bgp::Engine& engine = testbed.engine();
-  const auto base_prep = engine.prepare(testbed.origin(), configs[0]);
-  const auto next_prep = engine.prepare(testbed.origin(), configs[1]);
-
-  auto baseline_a = std::make_shared<bgp::RoutingOutcome>(
-      engine.run(testbed.origin(), configs[0], base_prep));
-  auto baseline_b = std::make_shared<bgp::RoutingOutcome>(
-      engine.run(testbed.origin(), configs[0], base_prep));
-
-  const bgp::RoutingOutcome copied = engine.run_warm_leased(
-      testbed.origin(), configs[1], next_prep, configs[0], base_prep,
-      baseline_a, /*consume=*/false);
-  const bgp::RoutingOutcome consumed = engine.run_warm_leased(
-      testbed.origin(), configs[1], next_prep, configs[0], base_prep,
-      baseline_b, /*consume=*/true);
-
-  // The copy path must leave the baseline untouched (the lease holder will
-  // still read it); the consume path owes nothing.
-  ASSERT_EQ(baseline_a->best.size(), copied.best.size());
-  EXPECT_EQ(consumed.rounds, copied.rounds);
-  std::size_t mismatches = 0;
-  for (topology::AsId id = 0; id < copied.best.size(); ++id) {
-    if (!bgp::routes_equal(copied, consumed, id)) ++mismatches;
-  }
-  EXPECT_EQ(mismatches, 0u);
-
-  EXPECT_THROW(engine.run_warm_leased(testbed.origin(), configs[1], next_prep,
-                                      configs[0], base_prep, nullptr, true),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,12 +563,12 @@ TEST(PipelineEquivalence, MatchesBarrierForGroundTruth) {
 }
 
 // ---------------------------------------------------------------------------
-// Chain-lease lifetimes under fault abandonment (ASan job catches leaks)
+// Handoff-buffer lifetimes under fault abandonment (ASan job catches leaks)
 // ---------------------------------------------------------------------------
 
 TEST(PipelineLease, AbandonedConfigsStillDrainAndReleaseLeases) {
-  // Every deployment attempt fails: all configs abandoned, no measurement
-  // ever consumes a lease — yet every warm-engine outcome and buffer must
+  // Every deployment attempt fails: all configs abandoned, no step ever
+  // takes handoff buffers — yet every warm-engine outcome and buffer must
   // be dropped by the time deploy returns (leak-checked under ASan).
   core::TestbedConfig config = abandoning_testbed();
   config.measure_workers = 2;
@@ -638,7 +592,7 @@ TEST(PipelineLease, AbandonedConfigsStillDrainAndReleaseLeases) {
 }
 
 #if SPOOFTRACK_OBS_ENABLED
-TEST(PipelineLease, WarmChainsAccountEveryLease) {
+TEST(PipelineLease, WarmChainsAccountEveryStep) {
   core::TestbedConfig config = equivalence_testbed();
   config.measure_workers = 2;
   const core::PeeringTestbed testbed(config);
@@ -649,25 +603,24 @@ TEST(PipelineLease, WarmChainsAccountEveryLease) {
   const auto after = obs::Registry::global().snapshot();
   ASSERT_FALSE(result.matrix.empty());
 
-  const auto counter = [](const obs::Snapshot& snap, const char* name) {
-    const obs::MetricSnapshot* metric = snap.find(name);
-    return metric == nullptr ? std::uint64_t{0} : metric->value;
+  const auto delta = [&](const char* name) {
+    const auto value = [name](const obs::Snapshot& snap) {
+      const obs::MetricSnapshot* metric = snap.find(name);
+      return metric == nullptr ? std::uint64_t{0} : metric->value;
+    };
+    return value(after) - value(before);
   };
-  const std::uint64_t consumed =
-      counter(after, "engine.warm.lease_consumed") -
-      counter(before, "engine.warm.lease_consumed");
-  const std::uint64_t copied = counter(after, "engine.warm.lease_copied") -
-                               counter(before, "engine.warm.lease_copied");
-  // Every warm step goes through the lease API exactly once, whichever
-  // branch it takes. The plan has 9 unique configs over a handful of
-  // chains, so warm steps must exist.
-  EXPECT_GE(consumed + copied, 1u);
-  const std::uint64_t runs = counter(after, "pipeline.runs") -
-                             counter(before, "pipeline.runs");
-  EXPECT_EQ(runs, 1u);
-  const std::uint64_t items = counter(after, "pipeline.items") -
-                              counter(before, "pipeline.items");
-  EXPECT_EQ(items, plan.size());
+  // Every unique configuration is propagated exactly once: each chain head
+  // cold, every later step warm from its predecessor. The plan has 9
+  // unique configs over a handful of chains, so warm steps must exist.
+  const core::CampaignPlan campaign = core::plan_campaign(plan);
+  const std::uint64_t cold = delta("engine.cold_runs");
+  const std::uint64_t warm = delta("engine.warm_runs");
+  EXPECT_EQ(cold, campaign.chains());
+  EXPECT_EQ(cold + warm, campaign.unique.size());
+  EXPECT_GE(warm, 1u);
+  EXPECT_EQ(delta("pipeline.runs"), 1u);
+  EXPECT_EQ(delta("pipeline.items"), plan.size());
 }
 #endif  // SPOOFTRACK_OBS_ENABLED
 

@@ -338,9 +338,9 @@ TEST(OrderBySimilarity, ProducesAPermutation) {
 }
 
 /// Walks every chain of `campaign` to completion with ChainStepper and
-/// returns the outcomes in input order plus the summed chain stats. Steps
-/// copy their warm baseline rather than consume it, because the returned
-/// outcomes keep reading it.
+/// returns the outcomes in input order plus the summed chain stats. The
+/// copies share each step's arena, so every warm step after them compacts
+/// its baseline arena instead of extending it.
 std::vector<bgp::RoutingOutcome> step_campaign(
     const WarmWorld& w, const std::vector<bgp::Configuration>& plan,
     const core::CampaignPlan& campaign,
@@ -350,8 +350,8 @@ std::vector<bgp::RoutingOutcome> step_campaign(
     core::ChainStepper stepper(w.engine, w.origin, plan, campaign, c);
     while (!stepper.done()) {
       const std::size_t u = stepper.next_slot();
-      const auto outcome = stepper.step(/*consume_baseline=*/false);
-      for (const std::size_t i : campaign.fanout[u]) outcomes[i] = *outcome;
+      const bgp::RoutingOutcome& outcome = stepper.step();
+      for (const std::size_t i : campaign.fanout[u]) outcomes[i] = outcome;
     }
     if (stats != nullptr) {
       stats->cold_runs += stepper.stats().cold_runs;
@@ -438,8 +438,44 @@ TEST(PropagateCampaign, PropagatesEngineErrors) {
   const core::CampaignPlan campaign = core::plan_campaign(plan);
   ASSERT_EQ(campaign.chains(), 1u);
   core::ChainStepper stepper(w.engine, w.origin, plan, campaign, 0);
-  EXPECT_THROW(stepper.step(/*consume_baseline=*/true),
-               std::invalid_argument);
+  EXPECT_THROW(stepper.step(), std::invalid_argument);
+}
+
+TEST(PropagateCampaign, StepAfterUnconvergedOutcomeRunsCold) {
+  // One Jacobi round never reaches a fixed point, so no step may serve as
+  // a warm baseline: every step after the head must fall back to a cold
+  // run (a warm start from an unconverged baseline throws).
+  const WarmWorld& w = world();
+  bgp::EngineOptions options;
+  options.max_rounds = 1;
+  const bgp::Engine engine(w.topo.graph, w.policy, options);
+  util::Rng rng{0xC01D};
+  std::vector<bgp::Configuration> plan;
+  for (std::size_t i = 0; i < 4; ++i) plan.push_back(random_config(rng));
+  core::CampaignPlan campaign = core::plan_campaign(plan);
+  ASSERT_EQ(campaign.unique.size(), plan.size());
+  std::vector<std::size_t> order;
+  for (const auto& steps : campaign.chain_steps) {
+    order.insert(order.end(), steps.begin(), steps.end());
+  }
+  campaign.chain_steps = {order};
+
+  core::ChainStepper stepper(engine, w.origin, plan, campaign, 0);
+  std::size_t steps = 0;
+  while (!stepper.done()) {
+    const bgp::Configuration& config =
+        plan[campaign.unique[stepper.next_slot()]];
+    const bgp::RoutingOutcome& outcome = stepper.step();
+    ++steps;
+    EXPECT_FALSE(outcome.converged) << "step " << steps;
+    EXPECT_EQ(bgp::outcome_checksum(outcome, bgp::ChecksumScope::kFull),
+              bgp::outcome_checksum(engine.run(w.origin, config),
+                                    bgp::ChecksumScope::kFull))
+        << "step " << steps;
+  }
+  EXPECT_EQ(steps, plan.size());
+  EXPECT_EQ(stepper.stats().cold_runs, steps);
+  EXPECT_EQ(stepper.stats().warm_runs, 0u);
 }
 
 }  // namespace
