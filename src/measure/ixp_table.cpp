@@ -28,8 +28,8 @@ IxpTable::IxpTable(const topology::AsGraph& graph, std::uint32_t ixp_count,
     for (const topology::Neighbor& n : graph.neighbors(a)) {
       if (n.rel != topology::Rel::kPeer || n.id < a) continue;
       if (!rng.chance(edge_fraction)) continue;
-      edge_ixp_.emplace(key(a, n.id),
-                        static_cast<std::uint32_t>(rng.next_below(ixp_count)));
+      edge_ixp_.try_emplace(
+          key(a, n.id), static_cast<std::uint32_t>(rng.next_below(ixp_count)));
     }
   }
 }
@@ -41,9 +41,9 @@ std::uint64_t IxpTable::key(topology::AsId a, topology::AsId b) noexcept {
 
 std::optional<std::uint32_t> IxpTable::ixp_of_edge(
     topology::AsId a, topology::AsId b) const noexcept {
-  const auto it = edge_ixp_.find(key(a, b));
-  if (it == edge_ixp_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t* ixp = edge_ixp_.find(key(a, b));
+  if (ixp == nullptr) return std::nullopt;
+  return *ixp;
 }
 
 bool IxpTable::is_ixp_address(netcore::Ipv4Addr addr) const noexcept {

@@ -6,12 +6,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netcore/ipv4.hpp"
 #include "netcore/prefix.hpp"
 #include "topology/as_graph.hpp"
+#include "util/flat_map.hpp"
 
 namespace spooftrack::measure {
 
@@ -45,7 +45,7 @@ class IxpTable {
   static std::uint64_t key(topology::AsId a, topology::AsId b) noexcept;
 
   std::vector<netcore::Ipv4Prefix> prefixes_;
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_ixp_;
+  util::FlatMap<std::uint64_t, std::uint32_t> edge_ixp_;
 };
 
 }  // namespace spooftrack::measure

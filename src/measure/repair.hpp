@@ -43,11 +43,18 @@ class PathRepair {
   /// still substitutable; one more never is.
   static constexpr std::size_t kSubstitutionWindow = 5;
 
-  /// Reusable per-batch working memory: the step-2/step-4 indexes, their
-  /// backing sequence pools, and the per-trace mapping buffers. A Scratch
-  /// may be reused across any number of repair() batches (each batch
-  /// resets it) but must not be shared between concurrent calls; results
-  /// are identical to a fresh Scratch. Contents are opaque.
+  /// Reusable working memory. The step-2 index holds only the anchor pairs
+  /// the batch's own gaps look up: a first pass over the batch collects
+  /// them, a second records the responsive runs between them and nothing
+  /// else. The step-4 index holds the feed snapshot's collapsed paths. Both
+  /// are cleared per batch in O(1) and keep their capacity. The hop memo
+  /// caches each hop address's step-1 class (IXP, unmapped or an ASN) across
+  /// batches; it is keyed to the serial of the repairer that filled it, so
+  /// a scratch handed to another repairer starts a fresh memo even when
+  /// that repairer sits at the first one's address. A Scratch may be reused
+  /// across any number of repair() batches and repairers but must not be
+  /// shared between concurrent calls; results are identical to a fresh
+  /// Scratch. Contents are opaque.
   class Scratch {
    public:
     Scratch();
@@ -62,6 +69,9 @@ class PathRepair {
     std::unique_ptr<Impl> impl_;
   };
 
+  /// The referenced graph, ip2as map and IXP table must outlive the
+  /// repairer and must not change while it lives: scratches memoize their
+  /// answers under the repairer's serial.
   PathRepair(const topology::AsGraph& graph, const Ip2AsMap& ip2as,
              const IxpTable& ixps, topology::Asn origin_asn);
 
@@ -74,7 +84,8 @@ class PathRepair {
       std::span<const FeedEntry> feeds) const;
 
   /// As above, reusing `scratch` for all intermediate state and writing the
-  /// repaired paths into `out` (replaced, capacity reused). This is the
+  /// repaired paths into `out`, resized to one path per trace; each path
+  /// is rewritten in place and keeps its capacity. This is the
   /// allocation-free steady-state form the measurement driver uses.
   void repair(std::span<const Traceroute> traces,
               std::span<const FeedEntry> feeds, Scratch& scratch,
@@ -89,6 +100,7 @@ class PathRepair {
   const Ip2AsMap& ip2as_;
   const IxpTable& ixps_;
   topology::Asn origin_asn_;
+  std::uint64_t serial_;  // process-unique; keys the scratch hop memo
 };
 
 }  // namespace spooftrack::measure

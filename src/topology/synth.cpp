@@ -102,8 +102,11 @@ SynthTopology synthesize(const SynthConfig& config) {
     std::vector<double> weights(provider_weight.begin(),
                                 provider_weight.begin() +
                                     static_cast<std::ptrdiff_t>(pool_limit));
+    // Each pick zeroes its weight, so a pool smaller than `count` runs out
+    // of weight once every member is chosen: stop there.
+    const std::size_t want = std::min(count, pool_limit);
     for (std::size_t attempt = 0;
-         attempt < count * 8 && chosen.size() < count; ++attempt) {
+         attempt < count * 8 && chosen.size() < want; ++attempt) {
       const std::size_t index = rng.weighted_index(weights);
       const Asn provider = provider_pool[index];
       if (provider == self || edges.contains(provider, self)) continue;

@@ -6,22 +6,6 @@
 
 namespace spooftrack::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t value) noexcept {
-  std::uint64_t state = value;
-  return splitmix64(state);
-}
-
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return mix64(a ^ (mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

@@ -15,13 +15,23 @@
 namespace spooftrack::util {
 
 /// SplitMix64 step; used for seeding and for stateless hash mixing.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless 64-bit mix of a single value (finalizer of SplitMix64).
-std::uint64_t mix64(std::uint64_t value) noexcept;
+inline std::uint64_t mix64(std::uint64_t value) noexcept {
+  std::uint64_t state = value;
+  return splitmix64(state);
+}
 
 /// Stateless hash of two 64-bit values; used for stable per-pair tiebreaks.
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept;
+inline std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
+  return mix64(a ^ (mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+}
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator so it can be
 /// used with <random> distributions, though the member helpers below cover

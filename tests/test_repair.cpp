@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "helpers.hpp"
 
 namespace spooftrack::measure {
@@ -235,6 +237,52 @@ TEST_F(RepairTest, EmptyTraceYieldsProbeOnly) {
   const auto path = repair_.map_only(t);
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kA}));
   EXPECT_FALSE(path.complete);
+}
+
+TEST(RepairScratch, ReusedAcrossRepairersAtOneAddress) {
+  // Each round rebuilds the ip2as map, the IXP table and the repairer in
+  // the storage of the round before, so all three sit at the old
+  // addresses, but the maps now answer differently: the first round maps
+  // every AS prefix and puts the c-t1 hop on an IXP LAN, the second maps
+  // none and has no IXPs. A scratch carried over from the first repairer
+  // must not serve the second the first one's hop classes.
+  const topology::AsGraph graph = test::small_topology();
+  const AddressPlan plan(graph);
+  const topology::AsId c = *graph.id_of(test::kC);
+  const topology::AsId t1 = *graph.id_of(test::kT1);
+  const topology::AsId p1 = *graph.id_of(test::kP1);
+  const netcore::Ipv4Addr fabric = IxpTable(graph, 1, 1.0, 5)
+                                       .member_address(0, t1);
+
+  Traceroute trace;
+  trace.probe = c;
+  trace.hops = {{plan.router_address(c, 0)}, {fabric},
+                {plan.router_address(t1, 0)}, {std::nullopt},
+                {plan.router_address(p1, 0)},
+                {AddressPlan::experiment_target()}};
+  const std::vector<Traceroute> batch = {trace, trace};
+
+  std::optional<Ip2AsMap> ip2as;
+  std::optional<IxpTable> ixps;
+  std::optional<PathRepair> repair;
+  PathRepair::Scratch scratch;
+  std::vector<AsLevelPath> out;
+  std::vector<std::vector<topology::Asn>> paths;
+  for (const bool mapped : {true, false}) {
+    repair.reset();
+    ixps.reset();
+    ip2as.reset();
+    ip2as.emplace(Ip2AsMap::from_plan(graph, plan, test::kOrigin,
+                                      {mapped ? 0.0 : 1.0, 1}));
+    ixps.emplace(graph, mapped ? 1u : 0u, 1.0, 5);
+    repair.emplace(graph, *ip2as, *ixps, test::kOrigin);
+    repair->repair(batch, {}, scratch, out);
+    EXPECT_EQ(out, repair->repair(batch, {})) << "mapped " << mapped;
+    paths.push_back(out[0].path);
+  }
+  EXPECT_EQ(paths[0], (std::vector<topology::Asn>{test::kC, test::kT1,
+                                                  test::kP1, test::kOrigin}));
+  EXPECT_EQ(paths[1], (std::vector<topology::Asn>{test::kC, test::kOrigin}));
 }
 
 }  // namespace

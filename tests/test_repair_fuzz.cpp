@@ -4,7 +4,9 @@
 // regardless of how mangled the input is.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 #include "bgp/catchment.hpp"
@@ -26,56 +28,96 @@ struct FuzzParam {
   double ip2as_missing;
 };
 
+/// One noise level's batch: a small testbed, measurement components with
+/// the level's noise, and traceroutes from every third AS with the feed
+/// snapshot of one configuration. Members refer to each other, so a batch
+/// stays where it was built.
+struct NoisyBatch {
+  explicit NoisyBatch(const FuzzParam& param)
+      : testbed(testbed_config(param)),
+        plan(testbed.graph()),
+        ixps(testbed.graph(), 6, 0.5, param.seed ^ 0x1A),
+        ip2as(Ip2AsMap::from_plan(testbed.graph(), plan, core::kPeeringAsn,
+                                  {param.ip2as_missing, param.seed})),
+        tracer(testbed.graph(), plan, ixps, traceroute_options(param)),
+        repair(testbed.graph(), ip2as, ixps, core::kPeeringAsn) {
+    const auto& graph = testbed.graph();
+    const auto announce = testbed.generator().location_phase().front();
+    const auto outcome = testbed.route(announce);
+
+    // Probe from every 3rd AS, two rounds each.
+    for (topology::AsId probe = 0; probe < graph.size(); probe += 3) {
+      if (probe == testbed.origin_id()) continue;
+      for (std::uint64_t round = 0; round < 2; ++round) {
+        traces.push_back(
+            tracer.run(outcome, probe, testbed.origin_id(), round));
+      }
+    }
+
+    const FeedSimulator feed_sim(graph, {60, 0.6, param.seed ^ 0x5EED});
+    feed_sim.collect_into(outcome, feeds);
+  }
+  NoisyBatch(const NoisyBatch&) = delete;
+  NoisyBatch& operator=(const NoisyBatch&) = delete;
+
+  static core::TestbedConfig testbed_config(const FuzzParam& param) {
+    core::TestbedConfig config;
+    config.seed = param.seed;
+    config.stub_count = 250;
+    config.transit_count = 30;
+    config.tier1_count = 4;
+    config.measured_catchments = false;
+    return config;
+  }
+
+  static TracerouteOptions traceroute_options(const FuzzParam& param) {
+    TracerouteOptions options;
+    options.hop_unresponsive_prob = param.hop_loss;
+    options.as_silent_prob = param.as_silent;
+    options.border_foreign_addr_prob = param.foreign_border;
+    options.seed = param.seed ^ 0x7E;
+    return options;
+  }
+
+  /// test::legacy_repair of `traces` with `feeds`.
+  std::vector<AsLevelPath> legacy(std::span<const Traceroute> batch,
+                                  std::span<const FeedEntry> batch_feeds)
+      const {
+    return test::legacy_repair(testbed.graph(), ip2as, ixps,
+                               core::kPeeringAsn, batch, batch_feeds);
+  }
+
+  const core::PeeringTestbed testbed;
+  const AddressPlan plan;
+  const IxpTable ixps;
+  const Ip2AsMap ip2as;
+  const TracerouteSim tracer;
+  const PathRepair repair;
+  std::vector<Traceroute> traces;
+  std::vector<FeedEntry> feeds;
+};
+
+const FuzzParam kNoiseGrid[] = {{1, 0.00, 0.00, 0.0, 0.00},
+                                {2, 0.05, 0.02, 0.35, 0.03},
+                                {3, 0.15, 0.05, 0.50, 0.10},
+                                {4, 0.30, 0.10, 0.80, 0.25},
+                                {5, 0.50, 0.20, 1.00, 0.50}};
+
 class RepairFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
   const FuzzParam param = GetParam();
-
-  core::TestbedConfig config;
-  config.seed = param.seed;
-  config.stub_count = 250;
-  config.transit_count = 30;
-  config.tier1_count = 4;
-  config.measured_catchments = false;
-  const core::PeeringTestbed testbed(config);
-  const auto& graph = testbed.graph();
-
-  const AddressPlan plan(graph);
-  const IxpTable ixps(graph, 6, 0.5, param.seed ^ 0x1A);
-  const Ip2AsMap ip2as = Ip2AsMap::from_plan(
-      graph, plan, core::kPeeringAsn, {param.ip2as_missing, param.seed});
-
-  TracerouteOptions traceroute_options;
-  traceroute_options.hop_unresponsive_prob = param.hop_loss;
-  traceroute_options.as_silent_prob = param.as_silent;
-  traceroute_options.border_foreign_addr_prob = param.foreign_border;
-  traceroute_options.seed = param.seed ^ 0x7E;
-  const TracerouteSim tracer(graph, plan, ixps, traceroute_options);
-  const PathRepair repair(graph, ip2as, ixps, core::kPeeringAsn);
-
-  const auto announce = testbed.generator().location_phase().front();
-  const auto outcome = testbed.route(announce);
-
-  // Probe from every 3rd AS, two rounds each.
-  std::vector<Traceroute> traces;
-  for (topology::AsId probe = 0; probe < graph.size(); probe += 3) {
-    if (probe == testbed.origin_id()) continue;
-    for (std::uint64_t round = 0; round < 2; ++round) {
-      traces.push_back(
-          tracer.run(outcome, probe, testbed.origin_id(), round));
-    }
-  }
-
-  const FeedSimulator feed_sim(graph, {60, 0.6, param.seed ^ 0x5EED});
-  std::vector<FeedEntry> feeds;
-  feed_sim.collect_into(outcome, feeds);
+  const NoisyBatch batch(param);
+  const auto& graph = batch.testbed.graph();
+  const auto& traces = batch.traces;
+  const auto& feeds = batch.feeds;
+  const PathRepair& repair = batch.repair;
 
   const auto repaired = repair.repair(traces, feeds);
   ASSERT_EQ(repaired.size(), traces.size());
 
   // Bit-equivalence with the pre-optimization pipeline on the same batch.
-  const auto reference = test::legacy_repair(graph, ip2as, ixps,
-                                             core::kPeeringAsn, traces, feeds);
+  const auto reference = batch.legacy(traces, feeds);
   ASSERT_EQ(repaired, reference);
 
   std::unordered_set<topology::Asn> known_asns;
@@ -113,13 +155,42 @@ TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
             param.hop_loss >= 0.3 ? 0.2 : 0.5);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    NoiseGrid, RepairFuzz,
-    ::testing::Values(FuzzParam{1, 0.00, 0.00, 0.0, 0.00},
-                      FuzzParam{2, 0.05, 0.02, 0.35, 0.03},
-                      FuzzParam{3, 0.15, 0.05, 0.50, 0.10},
-                      FuzzParam{4, 0.30, 0.10, 0.80, 0.25},
-                      FuzzParam{5, 0.50, 0.20, 1.00, 0.50}));
+INSTANTIATE_TEST_SUITE_P(NoiseGrid, RepairFuzz,
+                         ::testing::ValuesIn(kNoiseGrid));
+
+TEST(RepairFuzzExtra, OneScratchAcrossNoiseLevelsAndBatchSizes) {
+  // Every noise level's batch, sliced into batches that shrink and grow,
+  // with and without the feed snapshot, all through one scratch and one
+  // output vector. Each batch must equal the legacy repair of that batch
+  // alone: a cleared index keeps nothing from the batch before, a path
+  // rewritten in place keeps nothing of the path before, and a hop memo
+  // filled for one level's repairer is not served to the next.
+  std::vector<std::unique_ptr<NoisyBatch>> levels;
+  for (const FuzzParam& param : kNoiseGrid) {
+    levels.push_back(std::make_unique<NoisyBatch>(param));
+  }
+  PathRepair::Scratch scratch;
+  std::vector<AsLevelPath> out;
+  constexpr std::size_t kEighths[] = {8, 3, 1, 0, 2, 8, 5, 1};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const NoisyBatch& level =
+          *levels[pass == 0 ? l : levels.size() - 1 - l];
+      const std::size_t n = level.traces.size();
+      for (std::size_t k = 0; k < std::size(kEighths); ++k) {
+        const std::size_t size = n * kEighths[k] / 8;
+        const std::size_t offset = (k * 97) % (n - size + 1);
+        const auto traces = std::span(level.traces).subspan(offset, size);
+        const auto feeds = (k + pass) % 2 == 0
+                               ? std::span<const FeedEntry>(level.feeds)
+                               : std::span<const FeedEntry>();
+        level.repair.repair(traces, feeds, scratch, out);
+        ASSERT_EQ(out, level.legacy(traces, feeds))
+            << "pass " << pass << " level " << l << " slice " << k;
+      }
+    }
+  }
+}
 
 topology::AsGraph tiny_graph() {
   topology::AsGraph g;
