@@ -87,7 +87,10 @@ PeeringTestbed::PeeringTestbed(TestbedConfig config)
       policy_(topo_.graph, patched_policy(config_)),
       engine_(topo_.graph, policy_),
       plan_(topo_.graph),
-      ixps_(topo_.graph, config_.ixp_count, config_.ixp_edge_fraction,
+      // Only traceroutes read the IXP assignment, and a ground-truth
+      // testbed runs none: it gets an empty table.
+      ixps_(topo_.graph, config_.measured_catchments ? config_.ixp_count : 0,
+            config_.ixp_edge_fraction,
             util::hash_combine(config_.seed, 0x1A9)),
       ip2as_(measure::Ip2AsMap::from_plan(
           topo_.graph, plan_, kPeeringAsn,

@@ -103,6 +103,8 @@ struct TestbedConfig {
 
   std::uint32_t probe_count = 1200;      // RIPE Atlas probes (distinct ASes)
   std::uint32_t traceroute_rounds = 3;   // rounds per configuration (§IV-b)
+  /// IXP fabric for the traceroute simulation; a ground-truth testbed
+  /// (measured_catchments = false) runs no traceroutes and builds none.
   std::uint32_t ixp_count = 12;
   double ixp_edge_fraction = 0.5;
 
