@@ -127,27 +127,28 @@ Datagram Datagram::make_udp(Ipv4Addr src, Ipv4Addr dst,
                             std::span<const std::uint8_t> payload,
                             std::uint8_t ttl) {
   Datagram d;
-  d.bytes_.resize(kIpv4HeaderBytes + kUdpHeaderBytes + payload.size());
+  const std::size_t size =
+      kIpv4HeaderBytes + kUdpHeaderBytes + payload.size();
+  std::uint8_t* out = d.resize(size);
 
   Ipv4Header ip;
-  ip.total_length = static_cast<std::uint16_t>(d.bytes_.size());
+  ip.total_length = static_cast<std::uint16_t>(size);
   ip.ttl = ttl;
   ip.source = src;
   ip.destination = dst;
-  ip.serialize(
-      std::span<std::uint8_t, kIpv4HeaderBytes>(d.bytes_.data(),
-                                                kIpv4HeaderBytes));
+  ip.serialize(std::span<std::uint8_t, kIpv4HeaderBytes>(out,
+                                                         kIpv4HeaderBytes));
 
   UdpHeader udp;
   udp.source_port = src_port;
   udp.destination_port = dst_port;
   udp.serialize(std::span<std::uint8_t, kUdpHeaderBytes>(
-                    d.bytes_.data() + kIpv4HeaderBytes, kUdpHeaderBytes),
+                    out + kIpv4HeaderBytes, kUdpHeaderBytes),
                 src, dst, payload);
 
   if (!payload.empty()) {
-    std::memcpy(d.bytes_.data() + kIpv4HeaderBytes + kUdpHeaderBytes,
-                payload.data(), payload.size());
+    std::memcpy(out + kIpv4HeaderBytes + kUdpHeaderBytes, payload.data(),
+                payload.size());
   }
   return d;
 }
@@ -157,58 +158,103 @@ Datagram Datagram::make_raw(Ipv4Addr src, Ipv4Addr dst,
                             std::span<const std::uint8_t> payload,
                             std::uint8_t ttl) {
   Datagram d;
-  d.bytes_.resize(kIpv4HeaderBytes + payload.size());
+  const std::size_t size = kIpv4HeaderBytes + payload.size();
+  std::uint8_t* out = d.resize(size);
   Ipv4Header ip;
-  ip.total_length = static_cast<std::uint16_t>(d.bytes_.size());
+  ip.total_length = static_cast<std::uint16_t>(size);
   ip.ttl = ttl;
   ip.protocol = protocol;
   ip.source = src;
   ip.destination = dst;
-  ip.serialize(std::span<std::uint8_t, kIpv4HeaderBytes>(d.bytes_.data(),
+  ip.serialize(std::span<std::uint8_t, kIpv4HeaderBytes>(out,
                                                          kIpv4HeaderBytes));
   if (!payload.empty()) {
-    std::memcpy(d.bytes_.data() + kIpv4HeaderBytes, payload.data(),
-                payload.size());
+    std::memcpy(out + kIpv4HeaderBytes, payload.data(), payload.size());
   }
   return d;
 }
 
+std::uint8_t* Datagram::resize(std::size_t size) {
+  if (size <= kInlineBytes) {
+    heap_.clear();
+    size_ = static_cast<std::uint8_t>(size);
+    return inline_.data();
+  }
+  size_ = 0;
+  heap_.resize(size);
+  return heap_.data();
+}
+
 std::optional<Ipv4Header> Datagram::ip() const noexcept {
-  return Ipv4Header::parse(bytes_);
+  return Ipv4Header::parse(bytes());
 }
 
 std::span<const std::uint8_t> Datagram::ip_payload() const noexcept {
   const auto header = ip();
   if (!header) return {};
-  return std::span<const std::uint8_t>(bytes_).subspan(
-      kIpv4HeaderBytes, header->total_length - kIpv4HeaderBytes);
+  return bytes().subspan(kIpv4HeaderBytes,
+                         header->total_length - kIpv4HeaderBytes);
+}
+
+std::optional<UdpDatagramView> Datagram::parse_udp() const noexcept {
+  const auto data = bytes();
+  const auto ip = Ipv4Header::parse(data);
+  if (!ip || ip->protocol != kProtoUdp) return std::nullopt;
+  const auto udp = UdpHeader::parse(data.subspan(kIpv4HeaderBytes));
+  if (!udp) return std::nullopt;
+  return UdpDatagramView{
+      *ip, *udp,
+      data.subspan(kIpv4HeaderBytes + kUdpHeaderBytes,
+                   udp->length - kUdpHeaderBytes)};
 }
 
 std::optional<UdpHeader> Datagram::udp() const noexcept {
-  const auto header = ip();
-  if (!header || header->protocol != kProtoUdp) return std::nullopt;
-  return UdpHeader::parse(
-      std::span<const std::uint8_t>(bytes_).subspan(kIpv4HeaderBytes));
+  const auto view = parse_udp();
+  if (!view) return std::nullopt;
+  return view->udp;
 }
 
 std::span<const std::uint8_t> Datagram::payload() const noexcept {
-  const auto udp_header = udp();
-  if (!udp_header) return {};
-  return std::span<const std::uint8_t>(bytes_).subspan(
-      kIpv4HeaderBytes + kUdpHeaderBytes,
-      udp_header->length - kUdpHeaderBytes);
+  const auto view = parse_udp();
+  if (!view) return {};
+  return view->payload;
 }
 
 bool Datagram::forward_hop() noexcept {
-  if (bytes_.size() < kIpv4HeaderBytes) return false;
-  if (bytes_[8] <= 1) return false;
-  bytes_[8] -= 1;
-  bytes_[10] = bytes_[11] = 0;
+  if (bytes().size() < kIpv4HeaderBytes) return false;
+  std::uint8_t* header = data();
+  if (header[8] <= 1) return false;
+  header[8] -= 1;
+  header[10] = header[11] = 0;
   const std::uint16_t sum = internet_checksum(
-      std::span<const std::uint8_t>(bytes_.data(), kIpv4HeaderBytes));
-  bytes_[10] = static_cast<std::uint8_t>(sum >> 8);
-  bytes_[11] = static_cast<std::uint8_t>(sum);
+      std::span<const std::uint8_t>(header, kIpv4HeaderBytes));
+  put16(header + 10, sum);
   return true;
+}
+
+UdpTemplate::UdpTemplate(Ipv4Addr src, Ipv4Addr dst, std::uint16_t dst_port,
+                         std::span<const std::uint8_t> payload,
+                         std::uint8_t ttl)
+    : base_(Datagram::make_udp(src, dst, 0, dst_port, payload, ttl)) {
+  // The sum UdpHeader::serialize folds, taken with the source port and the
+  // checksum field both zero.
+  std::uint8_t* udp = base_.data() + kIpv4HeaderBytes;
+  put16(udp + 6, 0);
+  partial_sum_ = pseudo_header_sum(src, dst, get16(udp + 4));
+  partial_sum_ = checksum_accumulate(
+      std::span<const std::uint8_t>(udp, kUdpHeaderBytes), partial_sum_);
+  partial_sum_ = checksum_accumulate(payload, partial_sum_);
+}
+
+Datagram UdpTemplate::make(std::uint16_t src_port) const {
+  Datagram d = base_;
+  std::uint8_t* udp = d.data() + kIpv4HeaderBytes;
+  put16(udp, src_port);
+  // Exact integer arithmetic: the port is the header's first 16-bit word.
+  std::uint16_t sum = checksum_finish(partial_sum_ + src_port);
+  if (sum == 0) sum = 0xFFFF;  // RFC 768, as UdpHeader::serialize does
+  put16(udp + 6, sum);
+  return d;
 }
 
 }  // namespace spooftrack::netcore

@@ -33,7 +33,7 @@ TEST(IcmpEcho, ChecksumCoversPayload) {
   auto d = make_icmp_echo(kSrc, kDst, false, 1, 2, payload);
   // parse_icmp_echo verifies the ICMP checksum; corrupt a payload byte via
   // a rebuilt datagram with a mismatched checksum.
-  auto bytes = d.bytes();
+  std::vector<std::uint8_t> bytes(d.bytes().begin(), d.bytes().end());
   bytes[kIpv4HeaderBytes + kIcmpEchoHeaderBytes] ^= 0xFF;
   // Rebuild a datagram from the corrupted bytes through the raw maker
   // (keeping the IPv4 header valid, the ICMP checksum now stale).
