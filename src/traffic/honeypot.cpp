@@ -37,19 +37,19 @@ void AmpPotHoneypot::receive(bgp::LinkId link,
 void AmpPotHoneypot::ingest(bgp::LinkId link,
                             const netcore::Datagram& datagram,
                             double timestamp) {
-  const auto ip = datagram.ip();
-  const auto udp = datagram.udp();
-  if (!ip || !udp || link >= packets_.size()) {
+  const auto parsed = datagram.parse_udp();
+  if (!parsed || link >= packets_.size()) {
     ++malformed_;
     return;
   }
+  const netcore::Ipv4Header& ip = parsed->ip;
 
   ++packets_[link];
-  bytes_[link] += ip->total_length;
+  bytes_[link] += ip.total_length;
 
-  auto& victim = victims_[ip->source.value()];
+  auto& victim = victims_[ip.source.value()];
   if (victim.packets == 0) {
-    victim.victim = ip->source;
+    victim.victim = ip.source;
     victim.first_seen = timestamp;
   } else {
     // Capture replay and multi-link merge deliver packets out of order;
@@ -61,7 +61,7 @@ void AmpPotHoneypot::ingest(bgp::LinkId link,
 
   // Emulated response under a token bucket: AmpPot answers slowly enough
   // to look alive to scanners without amplifying real attacks.
-  const auto payload = datagram.payload();
+  const auto payload = parsed->payload;
   const AmpProtocol protocol =
       payload.empty() ? AmpProtocol::kDnsAny
                       : static_cast<AmpProtocol>(

@@ -33,10 +33,12 @@ class AmpPotHoneypot {
   AmpPotHoneypot(std::size_t link_count, HoneypotOptions options = {});
 
   /// Ingests one packet arriving on `link` at `timestamp` seconds.
-  /// Malformed datagrams (bad checksum, not UDP) are counted separately
-  /// and otherwise ignored. Timestamps need not be monotone (multi-link
-  /// capture merge): victim windows are min/max-merged and the response
-  /// token bucket never rewinds; out-of-order arrivals are counted.
+  /// Malformed datagrams (bad IPv4 checksum, not UDP, a UDP header
+  /// shorter than 8 bytes or a UDP length past the datagram) are counted
+  /// separately and otherwise ignored; each packet is parsed once.
+  /// Timestamps need not be monotone (multi-link capture merge): victim
+  /// windows are min/max-merged and the response token bucket never
+  /// rewinds; out-of-order arrivals are counted.
   void receive(bgp::LinkId link, const netcore::Datagram& datagram,
                double timestamp);
 

@@ -51,7 +51,16 @@ class SpoofedTrafficGenerator {
 
   /// Simulates `duration` seconds of the flows arriving at the origin:
   /// each flow's packets ingress on the link of its source AS's catchment.
-  /// Flows whose source AS has no catchment are dropped (no route).
+  /// Flows whose source AS has no catchment are dropped (no route). A flow
+  /// sends floor(rate * duration + u) packets (u uniform in [0, 1)), at
+  /// most `max_packets`, each with a uniform timestamp and then a uniform
+  /// source port; arrivals come back sorted by timestamp. Each datagram
+  /// equals make_packet(flow, port) byte for byte: it is copied from one
+  /// template per flow, and only the drawn (timestamp, flow, port) keys are
+  /// sorted. Throws std::invalid_argument, before any draw, on a negative
+  /// or non-finite `duration`, a negative or NaN `max_packets`, or a routed
+  /// flow whose rate is negative or NaN or whose packet count could reach
+  /// 2^64.
   std::vector<ArrivedPacket> deliver(const std::vector<SpoofedFlow>& flows,
                                      const bgp::CatchmentMap& catchments,
                                      double duration,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/address_plan.hpp"
+#include "netcore/icmp.hpp"
 #include "traffic/spoofer.hpp"
 
 namespace spooftrack::traffic {
@@ -54,6 +55,35 @@ TEST(Honeypot, MalformedPacketsRejected) {
   pot.receive(7, bad, 0.0);
   EXPECT_EQ(pot.total_packets(), 0u);
   EXPECT_EQ(pot.malformed_packets(), 1u);
+}
+
+// Packets the one-parse ingest must still refuse: not UDP at all, a UDP
+// body too short for its header, and a UDP length past the datagram. The
+// echo's identifier, 8, sits where a UDP length would, so only the
+// protocol check refuses it.
+TEST(Honeypot, NonUdpAndTruncatedUdpAreMalformed) {
+  const auto target = measure::AddressPlan::experiment_target();
+  const std::vector<std::uint8_t> short_body{0x10, 0x92, 0, 53, 0};
+  std::vector<std::uint8_t> long_length(12, 0);
+  long_length[5] = 40;  // a 40-byte UDP datagram in a 12-byte body
+  const std::vector<netcore::Datagram> bad{
+      netcore::make_icmp_echo(kVictimA, target, false, 8, 2, {}),
+      netcore::Datagram::make_raw(kVictimA, target, netcore::kProtoUdp,
+                                  short_body),
+      netcore::Datagram::make_raw(kVictimA, target, netcore::kProtoUdp,
+                                  long_length)};
+  HoneypotOptions options;
+  options.attack_min_packets = 1;
+  AmpPotHoneypot pot(1, options);
+  for (const auto& datagram : bad) {
+    ASSERT_TRUE(datagram.ip().has_value());
+    pot.receive(0, datagram, 0.0);
+  }
+  EXPECT_EQ(pot.malformed_packets(), 3u);
+  EXPECT_EQ(pot.total_packets(), 0u);
+  EXPECT_EQ(pot.bytes_on(0), 0u);
+  EXPECT_EQ(pot.responses_sent() + pot.responses_suppressed(), 0u);
+  EXPECT_TRUE(pot.attacks().empty());
 }
 
 TEST(Honeypot, ResponseRateLimiting) {
