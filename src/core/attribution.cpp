@@ -159,21 +159,35 @@ MixtureResult attribute_mixture(
   };
 
   // Consistent weight of one cluster against the residual: a robust low
-  // quantile of the residual volume along the cluster's trajectory.
-  std::vector<double> along_trajectory;
+  // quantile of the residual volume along the cluster's trajectory, the
+  // value util::percentile returns without sorting a copy. At rank 0 that
+  // is the minimum; the scan stops at the first residual <= 0, since only
+  // a positive weight is ever extracted (and residuals never go negative).
+  const std::size_t rank =
+      util::percentile_index(matrix.size(), robustness_quantile * 100.0);
+  auto residual_at = [&](const std::uint8_t* trajectory, std::size_t c) {
+    const std::uint8_t link = trajectory[c];
+    return (link != bgp::kNoCatchment8 && link < residual[c].size())
+               ? residual[c][link]
+               : 0.0;
+  };
+  std::vector<double> along_trajectory(rank == 0 ? 0 : matrix.size());
   auto weight_of = [&](std::uint32_t cluster) {
     const std::uint8_t* trajectory = trajectory_of(cluster);
-    along_trajectory.clear();
-    for (std::size_t c = 0; c < matrix.size(); ++c) {
-      const std::uint8_t link = trajectory[c];
-      along_trajectory.push_back(
-          (link != bgp::kNoCatchment8 && link < residual[c].size())
-              ? residual[c][link]
-              : 0.0);
+    if (rank == 0) {
+      double least = residual_at(trajectory, 0);
+      for (std::size_t c = 1; c < matrix.size() && least > 0.0; ++c) {
+        least = std::min(least, residual_at(trajectory, c));
+      }
+      return least;
     }
-    if (along_trajectory.empty()) return 0.0;
-    return util::percentile(along_trajectory,
-                            robustness_quantile * 100.0);
+    for (std::size_t c = 0; c < matrix.size(); ++c) {
+      along_trajectory[c] = residual_at(trajectory, c);
+    }
+    std::nth_element(along_trajectory.begin(),
+                     along_trajectory.begin() + rank,
+                     along_trajectory.end());
+    return along_trajectory[rank];
   };
 
   std::vector<bool> used(clustering.cluster_count, false);

@@ -21,12 +21,16 @@ double mean_u32(const std::vector<std::uint32_t>& values) noexcept {
 
 double percentile(std::vector<double> values, double q) noexcept {
   if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
   std::sort(values.begin(), values.end());
+  return values[percentile_index(values.size(), q)];
+}
+
+std::size_t percentile_index(std::size_t n, double q) noexcept {
+  q = std::clamp(q, 0.0, 100.0);
   const auto rank = static_cast<std::size_t>(
-      std::ceil(q / 100.0 * static_cast<double>(values.size())));
+      std::ceil(q / 100.0 * static_cast<double>(n)));
   const std::size_t index = rank == 0 ? 0 : rank - 1;
-  return values[std::min(index, values.size() - 1)];
+  return std::min(index, n - 1);
 }
 
 double percentile_u32(const std::vector<std::uint32_t>& values,

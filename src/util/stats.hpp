@@ -17,6 +17,8 @@ double mean_u32(const std::vector<std::uint32_t>& values) noexcept;
 double percentile(std::vector<double> values, double q) noexcept;
 double percentile_u32(const std::vector<std::uint32_t>& values,
                       double q) noexcept;
+/// The position in sorted order `percentile` reads among n > 0 values.
+std::size_t percentile_index(std::size_t n, double q) noexcept;
 
 /// One (x, y) point of an empirical distribution function.
 struct DistPoint {

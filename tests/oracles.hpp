@@ -21,12 +21,17 @@
 // memory. legacy_tier1_set and legacy_feed_peers are the tier-1 filter and
 // the collector-peer ranking on top of those cones.
 //
+// legacy_mixture is the §V-D mixture decomposition that sorts a copy of
+// every cluster's residuals for its weight; core::attribute_mixture takes
+// the same order statistic with a running minimum or nth_element.
+//
 // The tests require the production code to match every oracle bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "bgp/catchment.hpp"
+#include "core/attribution.hpp"
 #include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
 #include "measure/catchment_store.hpp"
@@ -46,6 +52,7 @@
 #include "measure/traceroute.hpp"
 #include "topology/as_graph.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace spooftrack::test {
 
@@ -506,6 +513,77 @@ inline std::vector<measure::AsLevelPath> legacy_repair(
                                  hops, &feed_index));
   }
   return out;
+}
+
+/// §V-D greedy mixture decomposition as the library ran it before
+/// core::attribute_mixture stopped sorting: every cluster's weight is
+/// util::percentile over a fresh copy of the residuals along its
+/// trajectory, read column by column from the store. attribute_mixture
+/// must return exactly this: the same components, weights and residual.
+inline core::MixtureResult legacy_mixture(
+    const measure::CatchmentStore& matrix, const core::Clustering& clustering,
+    const std::vector<std::vector<double>>& link_volume_per_config,
+    double min_weight = 0.02, std::size_t max_components = 16,
+    double robustness_quantile = 0.0) {
+  core::MixtureResult result;
+  result.residual_fraction = 1.0;
+  if (clustering.cluster_count == 0 || matrix.empty()) return result;
+
+  constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> representative(clustering.cluster_count, kNone);
+  for (std::uint32_t s = 0; s < clustering.cluster_of.size(); ++s) {
+    auto& rep = representative[clustering.cluster_of[s]];
+    if (rep == kNone) rep = s;
+  }
+
+  auto residual = link_volume_per_config;
+  for (auto& per_link : residual) {
+    double total = 0.0;
+    for (double v : per_link) total += v;
+    if (total > 0.0) {
+      for (double& v : per_link) v /= total;
+    }
+  }
+
+  auto weight_of = [&](std::uint32_t cluster) {
+    std::vector<double> along_trajectory;
+    for (std::size_t c = 0; c < matrix.size(); ++c) {
+      const std::uint8_t link = matrix[c][representative[cluster]];
+      along_trajectory.push_back(
+          (link != bgp::kNoCatchment8 && link < residual[c].size())
+              ? residual[c][link]
+              : 0.0);
+    }
+    if (along_trajectory.empty()) return 0.0;
+    return util::percentile(along_trajectory, robustness_quantile * 100.0);
+  };
+
+  std::vector<bool> used(clustering.cluster_count, false);
+  while (result.components.size() < max_components) {
+    std::uint32_t best_cluster = kNone;
+    double best_weight = 0.0;
+    for (std::uint32_t k = 0; k < clustering.cluster_count; ++k) {
+      if (used[k] || representative[k] == kNone) continue;
+      const double w = weight_of(k);
+      if (w > best_weight) {
+        best_weight = w;
+        best_cluster = k;
+      }
+    }
+    if (best_cluster == kNone || best_weight < min_weight) break;
+
+    used[best_cluster] = true;
+    result.components.push_back({best_cluster, best_weight});
+    for (std::size_t c = 0; c < matrix.size(); ++c) {
+      const std::uint8_t link = matrix[c][representative[best_cluster]];
+      if (link != bgp::kNoCatchment8 && link < residual[c].size()) {
+        residual[c][link] = std::max(0.0, residual[c][link] - best_weight);
+      }
+    }
+    result.residual_fraction -= best_weight;
+  }
+  result.residual_fraction = std::max(0.0, result.residual_fraction);
+  return result;
 }
 
 }  // namespace spooftrack::test

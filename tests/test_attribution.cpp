@@ -170,5 +170,72 @@ TEST(AttributeMixture, MismatchThrows) {
                std::invalid_argument);
 }
 
+// Random stores and attacks: a few planted sources at random rates plus
+// background noise on random links, some configurations empty. Every
+// quantile's decomposition must equal the sorting oracle's exactly.
+TEST(AttributeMixture, MatchesLegacyOnRandomStores) {
+  constexpr std::size_t kLinks = 7;  // test::random_matrix's link range
+  const std::vector<double> quantiles{0.0, 0.1, 0.37, 1.0};
+  std::vector<std::size_t> extracted(quantiles.size(), 0);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto rows = test::random_matrix(40 + seed * 5, 60 + seed * 7, seed);
+    const auto matrix = test::store_of(rows);
+    const auto clustering = cluster_sources(matrix);
+    util::Rng rng(seed * 977);
+    std::vector<std::vector<double>> volumes(
+        rows.size(), std::vector<double>(kLinks, 0.0));
+    // Attackers come from the sources routed in every configuration, so
+    // that a zero quantile (the minimum) can attribute them too.
+    std::vector<std::size_t> routed;
+    for (std::size_t source = 0; source < rows.front().size(); ++source) {
+      if (std::none_of(rows.begin(), rows.end(), [&](const auto& row) {
+            return row[source] == bgp::kNoCatchment;
+          })) {
+        routed.push_back(source);
+      }
+    }
+    ASSERT_FALSE(routed.empty());
+    const std::size_t attackers = 1 + rng.next_below(4);
+    for (std::size_t a = 0; a < attackers; ++a) {
+      const std::size_t source = routed[rng.next_below(routed.size())];
+      const double rate = rng.uniform(1.0, 100.0);
+      for (std::size_t c = 0; c < rows.size(); ++c) {
+        volumes[c][rows[c][source]] += rate;
+      }
+    }
+    for (auto& per_link : volumes) {
+      if (seed % 3 == 0 && rng.chance(0.05)) {
+        std::fill(per_link.begin(), per_link.end(), 0.0);
+        continue;
+      }
+      for (double& v : per_link) {
+        if (rng.chance(0.3)) v += rng.uniform(0.0, 20.0);
+      }
+    }
+    for (std::size_t q = 0; q < quantiles.size(); ++q) {
+      const double quantile = quantiles[q];
+      for (const double min_weight : {0.02, 0.001}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " quantile "
+                                        << quantile << " min_weight "
+                                        << min_weight);
+        const auto got = attribute_mixture(matrix, clustering, volumes,
+                                           min_weight, 16, quantile);
+        const auto want = test::legacy_mixture(matrix, clustering, volumes,
+                                               min_weight, 16, quantile);
+        ASSERT_EQ(got.components.size(), want.components.size());
+        for (std::size_t i = 0; i < got.components.size(); ++i) {
+          EXPECT_EQ(got.components[i].cluster, want.components[i].cluster);
+          EXPECT_EQ(got.components[i].weight, want.components[i].weight);
+        }
+        EXPECT_EQ(got.residual_fraction, want.residual_fraction);
+        extracted[q] += got.components.size();
+      }
+    }
+  }
+  for (std::size_t q = 0; q < quantiles.size(); ++q) {
+    EXPECT_GT(extracted[q], 0u) << "quantile " << quantiles[q];
+  }
+}
+
 }  // namespace
 }  // namespace spooftrack::core
