@@ -163,19 +163,17 @@ struct StagedWrite {
 /// The shared Jacobi fixed-point loop behind Engine::run and
 /// Engine::run_warm. `current`/`current_from` is the starting routing state
 /// (all-invalid on a cold start, the baseline fixed point on a warm start)
-/// with path ids in `arena_ptr`, and `active_round0` selects which ASes
-/// recompute in round 0.
+/// with path ids in `arena`, which moves into the outcome, and
+/// `active_round0` selects which ASes recompute in round 0.
 RoutingOutcome propagate(const topology::AsGraph& graph_,
                          const RoutingPolicy& policy_,
                          const EngineOptions& options_,
                          const OriginSpec& origin, const SeedTable& seeds,
-                         std::shared_ptr<PathArena> arena_ptr,
-                         std::vector<Route> current,
+                         PathArena arena, std::vector<Route> current,
                          std::vector<AsId> current_from,
                          const std::vector<bool>& active_round0) {
   OBS_TIMER("engine.propagate_ns");
   OBS_COUNT("engine.propagations", 1);
-  PathArena& arena = *arena_ptr;
   const AsId origin_id = seeds.origin_id;
   const std::size_t n = graph_.size();
   const std::size_t nodes_before = arena.node_count();
@@ -382,7 +380,7 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
   outcome.best = std::move(current);
   outcome.next_hop = std::move(current_from);
   outcome.settled_round = std::move(settled);
-  outcome.paths = std::move(arena_ptr);
+  outcome.paths = std::move(arena);
   return outcome;
 }
 
@@ -396,33 +394,16 @@ Engine::Prepared Engine::prepare(const OriginSpec& origin,
 
 RoutingOutcome Engine::run(const OriginSpec& origin,
                            const Configuration& config) const {
-  return run(origin, config, prepare(origin, config));
+  return run(origin, prepare(origin, config));
 }
 
 RoutingOutcome Engine::run(const OriginSpec& origin,
-                           const Configuration& /*config*/,
                            const Prepared& seeds) const {
   OBS_COUNT("engine.cold_runs", 1);
   return propagate(graph_, policy_, options_, origin, *seeds.table_,
-                   std::make_shared<PathArena>(),
-                   std::vector<Route>(graph_.size()),
+                   PathArena{}, std::vector<Route>(graph_.size()),
                    std::vector<AsId>(graph_.size(), kInvalidAsId),
                    std::vector<bool>(graph_.size(), true));
-}
-
-RoutingOutcome Engine::run_warm(const OriginSpec& origin,
-                                const Configuration& config,
-                                const Configuration& baseline_config,
-                                const RoutingOutcome& baseline) const {
-  return run_warm(origin, config, baseline_config, RoutingOutcome(baseline));
-}
-
-RoutingOutcome Engine::run_warm(const OriginSpec& origin,
-                                const Configuration& config,
-                                const Configuration& baseline_config,
-                                RoutingOutcome&& baseline) const {
-  return run_warm(origin, config, prepare(origin, config), baseline_config,
-                  prepare(origin, baseline_config), std::move(baseline));
 }
 
 RoutingOutcome Engine::run_warm(const OriginSpec& origin,
@@ -436,7 +417,7 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
   const SeedTable& base_seeds = *baseline_seeds.table_;
 
   if (baseline.best.size() != graph_.size() ||
-      baseline.next_hop.size() != graph_.size() || !baseline.paths) {
+      baseline.next_hop.size() != graph_.size()) {
     throw std::invalid_argument(
         "warm-start baseline outcome does not match the topology");
   }
@@ -482,26 +463,17 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
     return outcome;
   }
 
-  // Arena ownership. A sole owner of a reasonably sized arena (the
-  // chained-campaign case) extends it in place with zero copies. Otherwise
-  // — the arena is still shared with other outcomes, or it outgrew
-  // arena_compact_nodes along a long warm chain — compact: re-intern only
-  // the paths the baseline routes still reference, rewriting their ids.
+  // The baseline's arena moves in and grows in place. Along a long warm
+  // chain it accumulates paths no route references any more; past
+  // arena_compact_nodes, re-intern only the live ones into a fresh arena.
   std::vector<Route> current = std::move(baseline.best);
-  std::shared_ptr<PathArena> arena;
-  if (baseline.paths->node_count() <= options_.arena_compact_nodes &&
-      baseline.paths.use_count() == 1) {
-    arena = std::const_pointer_cast<PathArena>(baseline.paths);
-    baseline.paths.reset();
-  } else {
+  PathArena arena = std::move(baseline.paths);
+  if (arena.node_count() > options_.arena_compact_nodes) {
     OBS_COUNT("engine.arena.compactions", 1);
-    auto fresh = std::make_shared<PathArena>();
-    std::vector<PathId> memo(baseline.paths->node_count() + 1,
-                             PathArena::kNoMigration);
+    PathArena fresh;
+    std::vector<PathId> memo(arena.node_count() + 1, PathArena::kNoMigration);
     for (Route& r : current) {
-      if (r.path != kEmptyPath) {
-        r.path = fresh->migrate(*baseline.paths, r.path, memo);
-      }
+      if (r.path != kEmptyPath) r.path = fresh.migrate(arena, r.path, memo);
     }
     arena = std::move(fresh);
   }
@@ -512,14 +484,8 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
 }
 
 std::vector<Engine::CandidateInfo> Engine::candidates(
-    AsId as_id, const OriginSpec& origin, const Configuration& config,
+    AsId as_id, const OriginSpec& origin, const Prepared& prepared,
     const RoutingOutcome& outcome) const {
-  return candidates(as_id, origin, config, prepare(origin, config), outcome);
-}
-
-std::vector<Engine::CandidateInfo> Engine::candidates(
-    AsId as_id, const OriginSpec& origin, const Configuration& /*config*/,
-    const Prepared& prepared, const RoutingOutcome& outcome) const {
   const SeedTable& seeds = *prepared.table_;
   std::vector<CandidateInfo> out;
   if (as_id == seeds.origin_id) return out;
@@ -556,7 +522,7 @@ std::vector<Engine::CandidateInfo> Engine::candidates(
       cand.sender_asn = graph_.asn_of(n.id);
       cand.rel_of_sender = n.rel;
       cand.ann = learned.ann;
-      cand.arena = outcome.paths.get();
+      cand.arena = &outcome.paths;
       cand.learned_path = learned.path;
       cand.path_includes_sender = false;
     }
@@ -584,7 +550,7 @@ bool routes_equal(const RoutingOutcome& a, const RoutingOutcome& b,
     return false;
   }
   if (!ra.valid()) return true;
-  return a.paths->equal(ra.path, *b.paths, rb.path);
+  return a.paths.equal(ra.path, b.paths, rb.path);
 }
 
 std::uint64_t outcome_checksum(const RoutingOutcome& outcome,
@@ -602,12 +568,8 @@ std::uint64_t outcome_checksum(const RoutingOutcome& outcome,
     mix(r.ann);
     mix(static_cast<std::uint64_t>(r.learned_from));
     mix(r.local_pref);
-    if (outcome.paths) {
-      mix(outcome.paths->length(r.path));
-      for (const topology::Asn asn : outcome.paths->view(r.path)) mix(asn);
-    } else {
-      mix(0);
-    }
+    mix(outcome.paths.length(r.path));
+    for (const topology::Asn asn : outcome.paths.view(r.path)) mix(asn);
     mix(outcome.next_hop[as] == kInvalidAsId
             ? ~0ULL
             : static_cast<std::uint64_t>(outcome.next_hop[as]));

@@ -9,13 +9,14 @@
 // cap turns pathological custom policies into a reported error instead of a
 // hang.
 //
-// AS-paths live in a hash-consed PathArena owned by the outcome (see
-// path_arena.hpp); routes are POD and the propagation loop never allocates
-// per route. Each round evaluates only its frontier — the ASes a changed
-// neighbor could export to — and its compute phase is read-only over the
-// previous round's state: every write, including all arena interning,
-// happens in the commit phase, in frontier order. One run is serial;
-// configurations run in parallel as separate runs (core::ChainStepper).
+// AS-paths live in a hash-consed PathArena that each outcome owns by value
+// (see path_arena.hpp); routes are POD and the propagation loop never
+// allocates per route. Each round evaluates only its frontier — the ASes a
+// changed neighbor could export to — and its compute phase is read-only
+// over the previous round's state: every write, including all arena
+// interning, happens in the commit phase, in frontier order. One run is
+// serial; configurations run in parallel as separate runs
+// (core::ChainStepper).
 //
 // The origin AS is modelled explicitly: it originates the prefix on the
 // configured peering links (with prepending / poisoning encoded in the seed
@@ -62,21 +63,20 @@ struct RoutingOutcome {
   /// outcome the rounds are counted from the warm start (0 = carried over
   /// unchanged from the baseline), not from an empty routing table.
   std::vector<std::uint32_t> settled_round;
-  /// Arena holding every Route::path above. Shared so warm starts can
-  /// extend a baseline's arena in place when they are its sole owner, and
-  /// so outcomes stay cheap to move around.
-  std::shared_ptr<const PathArena> paths;
+  /// Arena holding every Route::path above. The outcome owns it: a copy of
+  /// the outcome copies it, and a warm start that consumes the outcome
+  /// moves it in.
+  PathArena paths;
   std::uint32_t rounds = 0;
   bool converged = false;
 
   /// Materialised AS-path of `id`'s best route (empty when unrouted).
   std::vector<topology::Asn> path_of(topology::AsId id) const {
-    return paths ? paths->materialize(best[id].path)
-                 : std::vector<topology::Asn>{};
+    return paths.materialize(best[id].path);
   }
   /// AS-path length of `id`'s best route (0 when unrouted).
   std::uint32_t path_length(topology::AsId id) const noexcept {
-    return paths ? paths->length(best[id].path) : 0u;
+    return paths.length(best[id].path);
   }
 };
 
@@ -132,16 +132,18 @@ class Engine {
   RoutingOutcome run(const OriginSpec& origin,
                      const Configuration& config) const;
   /// As above, reusing a prepared seed table (skips validation entirely).
-  RoutingOutcome run(const OriginSpec& origin, const Configuration& config,
-                     const Prepared& seeds) const;
+  RoutingOutcome run(const OriginSpec& origin, const Prepared& seeds) const;
 
-  /// Warm-start incremental propagation: routes `config` starting from
-  /// `baseline`, the converged outcome of `baseline_config` under the same
-  /// origin, engine options and policy. Only ASes whose announcement
-  /// inputs changed (link providers that gained/lost/changed seeds, plus
-  /// their neighbors, which apply the no-export filter to routes learned
-  /// from them) are active in round 0; everything else is re-activated on
-  /// demand by the ordinary changed-neighbor tracking.
+  /// Warm-start incremental propagation: routes `config` (prepared as
+  /// `seeds`) starting from `baseline`, the converged outcome of
+  /// `baseline_config` (prepared as `baseline_seeds`) under the same
+  /// origin, engine options and policy. Campaign chains prepare each
+  /// configuration once and step through the chain without ever rebuilding
+  /// a table. Only ASes whose announcement inputs changed (link providers
+  /// that gained/lost/changed seeds, plus their neighbors, which apply the
+  /// no-export filter to routes learned from them) are active in round 0;
+  /// everything else is re-activated on demand by the ordinary
+  /// changed-neighbor tracking.
   ///
   /// Equivalence guarantee: `best` and `next_hop` (including announcement
   /// ids and full AS-paths inside each Route) are content-identical to a
@@ -152,29 +154,14 @@ class Engine {
   /// run (typically much smaller than the cold values) and therefore NOT
   /// comparable across cold and warm outcomes.
   ///
-  /// Throws std::invalid_argument when either configuration is malformed,
-  /// when the baseline outcome does not match this graph's size, or when
-  /// the baseline did not converge. Thread-safe like `run`. `baseline`
-  /// keeps its arena, so the warm run compacts the live paths into a fresh
-  /// one (counted by `engine.arena.compactions`).
-  RoutingOutcome run_warm(const OriginSpec& origin,
-                          const Configuration& config,
-                          const Configuration& baseline_config,
-                          const RoutingOutcome& baseline) const;
-
-  /// Overload consuming the baseline: when the baseline is the sole owner
-  /// of its arena (the chained-campaign case), its routing state AND arena
-  /// are moved into the warm run — no per-route copy, no arena rebuild. A
-  /// baseline whose arena another outcome still shares, or whose arena
-  /// outgrew `arena_compact_nodes`, is compacted instead.
-  RoutingOutcome run_warm(const OriginSpec& origin,
-                          const Configuration& config,
-                          const Configuration& baseline_config,
-                          RoutingOutcome&& baseline) const;
-
-  /// Fully-prepared warm start: both seed tables supplied by the caller.
-  /// Campaign chains prepare each configuration once and step through the
-  /// chain without ever rebuilding a table.
+  /// The warm run consumes `baseline`: its routing state and arena move
+  /// into the result. The arena is compacted (re-interning only live
+  /// paths, counted by `engine.arena.compactions`) only when it holds more
+  /// than `arena_compact_nodes` nodes. A caller that keeps its baseline
+  /// passes a copy.
+  ///
+  /// Throws std::invalid_argument when the baseline outcome does not match
+  /// this graph's size or did not converge. Thread-safe like `run`.
   RoutingOutcome run_warm(const OriginSpec& origin,
                           const Configuration& config, const Prepared& seeds,
                           const Configuration& baseline_config,
@@ -191,18 +178,12 @@ class Engine {
     std::uint32_t ann = kNoAnnouncement;
   };
 
-  /// Enumerates the candidate routes `as_id` could choose under `outcome`
-  /// (its neighbors' exported routes plus any direct origin announcement,
-  /// after import filtering).
+  /// Enumerates the candidate routes `as_id` could choose under `outcome`,
+  /// routed with the prepared configuration `seeds` (its neighbors'
+  /// exported routes plus any direct origin announcement, after import
+  /// filtering). The audit calls this per AS with one seed table.
   std::vector<CandidateInfo> candidates(topology::AsId as_id,
                                         const OriginSpec& origin,
-                                        const Configuration& config,
-                                        const RoutingOutcome& outcome) const;
-  /// As above with a prepared seed table — the audit calls this per AS and
-  /// must not re-validate the configuration every time.
-  std::vector<CandidateInfo> candidates(topology::AsId as_id,
-                                        const OriginSpec& origin,
-                                        const Configuration& config,
                                         const Prepared& seeds,
                                         const RoutingOutcome& outcome) const;
 

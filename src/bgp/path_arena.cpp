@@ -12,31 +12,14 @@ std::uint64_t intern_key(topology::Asn asn, PathId parent) noexcept {
 
 }  // namespace
 
-PathArena::PathArena() {
-  segments_[0] = std::make_unique<Node[]>(kBaseSegment);
-}
-
-PathArena::~PathArena() = default;
-
 PathId PathArena::append_node(topology::Asn asn, PathId parent) {
-  if (next_id_ == std::numeric_limits<PathId>::max()) {
+  // Ids stop one short of the maximum, which is migrate's kNoMigration.
+  if (nodes_.size() + 1 == std::numeric_limits<PathId>::max()) {
     throw std::length_error("PathArena: id space exhausted");
   }
-  const PathId id = next_id_;
-  const std::uint32_t seg = segment_of(id);
-  if (!segments_[seg]) {
-    segments_[seg] = std::make_unique<Node[]>(std::size_t{kBaseSegment}
-                                              << seg);
-  }
-  Node& n = segments_[seg][segment_offset(id, seg)];
-  n.asn = asn;
-  n.parent = parent;
-  n.length = length(parent) + 1;
-  n.bloom = bloom(parent) | bloom_bit(asn);
-  // Publish the id only after the node is fully written (readers on other
-  // threads see the id through a synchronising handoff, never before).
-  ++next_id_;
-  return id;
+  nodes_.push_back(
+      {asn, parent, length(parent) + 1, bloom(parent) | bloom_bit(asn)});
+  return static_cast<PathId>(nodes_.size());
 }
 
 PathId PathArena::prepend(topology::Asn asn, PathId tail) {

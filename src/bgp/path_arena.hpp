@@ -12,20 +12,14 @@
 //   * loop detection and materialisation are walks over shared nodes —
 //     no per-route allocation anywhere in the propagation loop.
 //
-// Storage and concurrency: nodes live in power-of-two growth segments
-// reached through a fixed-size spine, so appending NEVER moves or
-// invalidates existing nodes. The arena is single-writer / multi-reader:
-// one thread may intern new paths while any number of threads concurrently
-// read paths they were handed beforehand (reads touch only node slots
-// written before the handoff; the handoff itself must synchronise, e.g. a
-// thread join or task queue). The intern table is touched only by the
-// writer.
+// Storage: nodes live in one vector indexed by path id, and an arena is an
+// ordinary value. Copying one copies its nodes, moving one moves them, and
+// a default-constructed arena allocates nothing. Each RoutingOutcome owns
+// its arena (engine.hpp), so no arena is ever shared.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -35,19 +29,13 @@
 namespace spooftrack::bgp {
 
 /// Identifier of an interned AS-path. Valid within the arena that created
-/// it. Id 0 is the empty path.
+/// it (and its copies). Id 0 is the empty path, which has no node.
 using PathId = std::uint32_t;
 
 inline constexpr PathId kEmptyPath = 0;
 
 class PathArena {
  public:
-  PathArena();
-  ~PathArena();
-
-  PathArena(const PathArena&) = delete;
-  PathArena& operator=(const PathArena&) = delete;
-
   /// Interns [asn] + tail. Returns the existing id when that exact path
   /// was interned before (the hash-consing hit), else creates one node.
   PathId prepend(topology::Asn asn, PathId tail);
@@ -136,7 +124,7 @@ class PathArena {
   View view(PathId id) const noexcept { return {this, id}; }
 
   /// Interned nodes (== distinct non-empty paths ever seen).
-  std::size_t node_count() const noexcept { return next_id_ - 1; }
+  std::size_t node_count() const noexcept { return nodes_.size(); }
   /// prepend() calls answered from an existing node (the dedup hit-rate
   /// numerator; node_count() is the miss total).
   std::uint64_t hits() const noexcept { return hits_; }
@@ -156,30 +144,12 @@ class PathArena {
     std::uint64_t bloom = 0;  // OR of bloom_bit over this path's ASNs
   };
 
-  // Node storage: segment k holds kBaseSegment << k nodes; a fixed spine
-  // of 22 segments covers the whole 32-bit id space without ever moving a
-  // node (the single-writer / multi-reader guarantee depends on this).
-  static constexpr std::uint32_t kBaseSegmentBits = 10;
-  static constexpr std::uint32_t kBaseSegment = 1u << kBaseSegmentBits;
-  static constexpr std::size_t kMaxSegments = 22;
-
-  static std::uint32_t segment_of(PathId id) noexcept {
-    return std::bit_width((id >> kBaseSegmentBits) + 1u) - 1u;
-  }
-  static std::uint32_t segment_offset(PathId id, std::uint32_t seg) noexcept {
-    return id - ((kBaseSegment << seg) - kBaseSegment);
-  }
-
-  const Node& node(PathId id) const noexcept {
-    const std::uint32_t seg = segment_of(id);
-    return segments_[seg][segment_offset(id, seg)];
-  }
+  // Id k lives at nodes_[k - 1]; kEmptyPath has no node.
+  const Node& node(PathId id) const noexcept { return nodes_[id - 1]; }
 
   PathId append_node(topology::Asn asn, PathId parent);
 
-  std::array<std::unique_ptr<Node[]>, kMaxSegments> segments_;
-  // Slot 0 of segment 0 is the kEmptyPath sentinel; real ids start at 1.
-  PathId next_id_ = 1;
+  std::vector<Node> nodes_;
   std::uint64_t hits_ = 0;
   std::unordered_map<std::uint64_t, PathId> intern_;
 };

@@ -22,8 +22,8 @@ std::uint8_t canonical_pref(topology::Rel rel_of_sender) noexcept;
 
 /// The route an AS currently uses toward the experiment prefix.
 ///
-/// `path` identifies the AS-path exactly as received in the outcome's
-/// PathArena (see RoutingOutcome::paths): the path's head is the neighbor
+/// `path` identifies the AS-path exactly as received in the PathArena the
+/// outcome owns (RoutingOutcome::paths): the path's head is the neighbor
 /// the route was learned from and its back is the origin. Prepended and
 /// poisoned (sandwiched) ASNs inserted by the origin appear verbatim, so
 /// the arena length is the length BGP compares. The struct is POD — copies
@@ -41,9 +41,8 @@ struct Route {
   bool valid() const noexcept { return ann != kNoAnnouncement; }
 
   /// Memberwise equality. Hash-consing makes `path` comparison exact for
-  /// routes sharing one arena (every engine outcome and everything warm-
-  /// started from it); across unrelated arenas use PathArena::equal or
-  /// routes_equal on the outcomes.
+  /// routes of one outcome (or of an outcome and its copy); across
+  /// separate runs use PathArena::equal or routes_equal on the outcomes.
   friend bool operator==(const Route&, const Route&) = default;
 };
 

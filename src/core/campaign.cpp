@@ -139,7 +139,7 @@ const bgp::RoutingOutcome& ChainStepper::step() {
                                  *prev_prep_, std::move(outcome_));
     ++stats_.warm_runs;
   } else {
-    outcome_ = engine_->run(*origin_, config, prep);
+    outcome_ = engine_->run(*origin_, prep);
     ++stats_.cold_runs;
   }
   stats_.total_rounds += outcome_.rounds;

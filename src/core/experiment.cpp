@@ -546,7 +546,7 @@ void PeeringTestbed::run_pipeline(DeploymentResult& result,
       if (route.valid()) {
         distances[id] = std::min(
             distances[id],
-            collapsed_distance(outcome.paths->view(route.path), origin_.asn));
+            collapsed_distance(outcome.paths.view(route.path), origin_.asn));
       }
     }
 

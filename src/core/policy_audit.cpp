@@ -20,8 +20,7 @@ ComplianceStats audit_compliance(const bgp::Engine& engine,
     const bgp::Route& chosen = outcome.best[x];
     if (!chosen.valid()) continue;
 
-    const auto candidates =
-        engine.candidates(x, origin, config, seeds, outcome);
+    const auto candidates = engine.candidates(x, origin, seeds, outcome);
     if (candidates.empty()) continue;
     ++stats.audited;
 
@@ -43,7 +42,7 @@ ComplianceStats audit_compliance(const bgp::Engine& engine,
         shortest_in_class = std::min(shortest_in_class, cand.length);
       }
     }
-    if (outcome.paths->length(chosen.path) == shortest_in_class) {
+    if (outcome.paths.length(chosen.path) == shortest_in_class) {
       ++stats.both_criteria;
     }
   }

@@ -54,9 +54,9 @@ void FeedSimulator::collect_into(const bgp::RoutingOutcome& outcome,
     FeedEntry& entry = entries[count++];
     entry.peer = peer;
     entry.as_path.clear();
-    entry.as_path.reserve(outcome.paths->length(route.path) + 1);
+    entry.as_path.reserve(outcome.paths.length(route.path) + 1);
     entry.as_path.push_back(graph_.asn_of(peer));
-    for (const topology::Asn asn : outcome.paths->view(route.path)) {
+    for (const topology::Asn asn : outcome.paths.view(route.path)) {
       entry.as_path.push_back(asn);
     }
   }

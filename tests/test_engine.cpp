@@ -252,15 +252,16 @@ TEST_F(EngineTest, RejectsNonProviderLink) {
 TEST_F(EngineTest, CandidatesEnumerateAlternatives) {
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
+  const auto seeds = engine_.prepare(origin_, config);
   // d hears provider routes from both p1 and p2.
-  const auto cands = engine_.candidates(id(kD), origin_, config, outcome);
+  const auto cands = engine_.candidates(id(kD), origin_, seeds, outcome);
   ASSERT_EQ(cands.size(), 2u);
   for (const auto& cand : cands) {
     EXPECT_EQ(cand.rel_of_sender, topology::Rel::kProvider);
     EXPECT_EQ(cand.length, 2u);
   }
   // t1 hears: customer route from p1, peer route from t2.
-  const auto t1_cands = engine_.candidates(id(kT1), origin_, config, outcome);
+  const auto t1_cands = engine_.candidates(id(kT1), origin_, seeds, outcome);
   ASSERT_EQ(t1_cands.size(), 2u);
 }
 

@@ -214,8 +214,7 @@ void expect_stable_paths(const bgp::Engine& engine,
   const bgp::RoutingPolicy& policy = engine.policy();
   const bgp::Engine::Prepared seeds = engine.prepare(origin, config);
   for (topology::AsId as = 0; as < g.size(); ++as) {
-    const auto candidates =
-        engine.candidates(as, origin, config, seeds, outcome);
+    const auto candidates = engine.candidates(as, origin, seeds, outcome);
     const bgp::Route& route = outcome.best[as];
     if (candidates.empty()) {
       EXPECT_FALSE(route.valid())
@@ -275,8 +274,8 @@ TEST_P(EngineProperty, OutcomesAreStablePathsFixedPoints) {
     // One warm chain through the whole plan, each step started from the
     // previous step's warm outcome.
     warm = i == 0 ? engine.run(world.origin, configs[i])
-                  : engine.run_warm(world.origin, configs[i], configs[i - 1],
-                                    std::move(warm));
+                  : test::warm_run(engine, world.origin, configs[i],
+                                   configs[i - 1], std::move(warm));
     ASSERT_TRUE(warm.converged) << label;
     expect_stable_paths(engine, world.origin, configs[i], warm,
                         "warm " + label);

@@ -169,7 +169,7 @@ TEST_P(EngineSweep, DataPlaneAgreesWithControlPlane) {
     // Collapse the control-plane path (prepends repeat ASNs).
     std::vector<topology::Asn> control;
     control.push_back(world.topo.graph.asn_of(as));
-    for (topology::Asn hop : outcome.paths->view(outcome.best[as].path)) {
+    for (topology::Asn hop : outcome.paths.view(outcome.best[as].path)) {
       if (control.back() != hop) control.push_back(hop);
     }
     ASSERT_EQ(walk.size(), control.size()) << "AS " << control.front();

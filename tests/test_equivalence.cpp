@@ -14,6 +14,7 @@
 
 #include "bgp/engine.hpp"
 #include "bgp/policy.hpp"
+#include "helpers.hpp"
 #include "topology/synth.hpp"
 
 namespace spooftrack {
@@ -173,8 +174,8 @@ TEST(OutcomeChecksum, ScopesDiffer) {
 
   const bgp::Engine fast(topo.graph, policy);
   const auto a = fast.run(origin, configs[1]);
-  const auto warm = fast.run_warm(origin, configs[1], configs[0],
-                                  fast.run(origin, configs[0]));
+  const auto warm = test::warm_run(fast, origin, configs[1], configs[0],
+                                   fast.run(origin, configs[0]));
   EXPECT_EQ(bgp::outcome_checksum(a, bgp::ChecksumScope::kRoutes),
             bgp::outcome_checksum(warm, bgp::ChecksumScope::kRoutes));
   EXPECT_NE(bgp::outcome_checksum(a, bgp::ChecksumScope::kFull),

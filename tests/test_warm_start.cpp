@@ -16,6 +16,7 @@
 #include "bgp/policy.hpp"
 #include "core/campaign.hpp"
 #include "core/config_gen.hpp"
+#include "helpers.hpp"
 #include "obs/obs.hpp"
 #include "topology/synth.hpp"
 #include "util/rng.hpp"
@@ -134,6 +135,14 @@ std::size_t mismatch_count(const bgp::RoutingOutcome& a,
   return mismatches;
 }
 
+/// engine.arena.compactions counted so far in this process (0 when OBS is
+/// compiled out).
+std::uint64_t compactions() {
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const obs::MetricSnapshot* m = snap.find("engine.arena.compactions");
+  return m == nullptr ? std::uint64_t{0} : m->value;
+}
+
 TEST(WarmStart, TopologyIsLargeEnough) {
   ASSERT_GE(world().topo.graph.size(), 1000u);
 }
@@ -159,7 +168,8 @@ TEST(WarmStart, EquivalentToColdOverRandomizedPairs) {
   for (std::size_t i = 1; i < kConfigs; ++i) {
     const bgp::RoutingOutcome cold = w.engine.run(w.origin, configs[i]);
     const bgp::RoutingOutcome warm =
-        w.engine.run_warm(w.origin, configs[i], configs[i - 1], baseline);
+        test::warm_run(w.engine, w.origin, configs[i], configs[i - 1],
+                       baseline);
     ASSERT_TRUE(cold.converged);
     ASSERT_TRUE(warm.converged);
     EXPECT_EQ(mismatch_count(cold, warm), 0u)
@@ -184,7 +194,7 @@ TEST(WarmStart, ChainedWarmStartsStayOnTheFixedPoint) {
     const bgp::Configuration config = random_config(rng);
     const bgp::RoutingOutcome warm =
         i == 0 ? w.engine.run(w.origin, config)
-               : w.engine.run_warm(w.origin, config, prev_config, prev);
+               : test::warm_run(w.engine, w.origin, config, prev_config, prev);
     const bgp::RoutingOutcome cold = w.engine.run(w.origin, config);
     EXPECT_EQ(mismatch_count(cold, warm), 0u) << "chain step " << i;
     prev = warm;
@@ -200,11 +210,6 @@ TEST(WarmStart, CompactingEveryWarmStartStaysOnTheFixedPoint) {
   bgp::EngineOptions options;
   options.arena_compact_nodes = 1;
   const bgp::Engine compacting(w.topo.graph, w.policy, options);
-  const auto compactions = [] {
-    const obs::Snapshot snap = obs::Registry::global().snapshot();
-    const obs::MetricSnapshot* m = snap.find("engine.arena.compactions");
-    return m == nullptr ? std::uint64_t{0} : m->value;
-  };
   const std::uint64_t compactions_before = compactions();
 
   util::Rng rng{0xC0DE};
@@ -214,8 +219,8 @@ TEST(WarmStart, CompactingEveryWarmStartStaysOnTheFixedPoint) {
     const bgp::Configuration config = random_config(rng);
     bgp::RoutingOutcome warm =
         i == 0 ? compacting.run(w.origin, config)
-               : compacting.run_warm(w.origin, config, prev_config,
-                                     std::move(prev));
+               : test::warm_run(compacting, w.origin, config, prev_config,
+                                std::move(prev));
     ASSERT_TRUE(warm.converged) << "chain step " << i;
     EXPECT_EQ(bgp::outcome_checksum(warm, bgp::ChecksumScope::kRoutes),
               bgp::outcome_checksum(w.engine.run(w.origin, config),
@@ -231,6 +236,34 @@ TEST(WarmStart, CompactingEveryWarmStartStaysOnTheFixedPoint) {
 #endif
 }
 
+TEST(WarmStart, RunFromCopyLeavesOriginalUnchanged) {
+  // A warm start consumes its baseline; a caller that keeps its outcome
+  // hands in a copy. The copy owns its own arena, so the warm run extends
+  // it in place (no compaction) and the original reads as before.
+  const WarmWorld& w = world();
+  util::Rng rng{0xC0B1};
+  const bgp::Configuration a = random_config(rng);
+  const bgp::Configuration b = random_config(rng);
+  ASSERT_GT(core::seed_distance(a, b), 0u);
+  const bgp::RoutingOutcome original = w.engine.run(w.origin, a);
+  const std::uint64_t checksum =
+      bgp::outcome_checksum(original, bgp::ChecksumScope::kFull);
+  const std::size_t nodes = original.paths.node_count();
+  const std::uint64_t compactions_before = compactions();
+
+  const bgp::RoutingOutcome warm =
+      test::warm_run(w.engine, w.origin, b, a, original);
+  EXPECT_EQ(mismatch_count(w.engine.run(w.origin, b), warm), 0u);
+  EXPECT_EQ(bgp::outcome_checksum(original, bgp::ChecksumScope::kFull),
+            checksum);
+  EXPECT_EQ(original.paths.node_count(), nodes);
+#if SPOOFTRACK_OBS_ENABLED
+  EXPECT_EQ(compactions() - compactions_before, 0u);
+#else
+  (void)compactions_before;
+#endif
+}
+
 TEST(WarmStart, IdenticalSeedTableShortCircuits) {
   const WarmWorld& w = world();
   util::Rng rng{0xABBA};
@@ -240,7 +273,7 @@ TEST(WarmStart, IdenticalSeedTableShortCircuits) {
   bgp::Configuration relabeled = config;
   relabeled.label = "same announcements, different label";
   const bgp::RoutingOutcome warm =
-      w.engine.run_warm(w.origin, relabeled, config, cold);
+      test::warm_run(w.engine, w.origin, relabeled, config, cold);
   EXPECT_EQ(warm.rounds, 0u);
   EXPECT_TRUE(warm.converged);
   EXPECT_EQ(mismatch_count(cold, warm), 0u);
@@ -275,7 +308,7 @@ TEST(WarmStart, NoExportOnlyDeltaRipples) {
   steered.announcements[0].no_export_to.push_back(blocked);
   const bgp::RoutingOutcome cold = w.engine.run(w.origin, steered);
   const bgp::RoutingOutcome warm =
-      w.engine.run_warm(w.origin, steered, base, base_outcome);
+      test::warm_run(w.engine, w.origin, steered, base, base_outcome);
   EXPECT_EQ(mismatch_count(cold, warm), 0u);
   // The steering had an effect (otherwise the test is vacuous).
   EXPECT_GT(mismatch_count(base_outcome, cold), 0u);
@@ -290,12 +323,12 @@ TEST(WarmStart, RejectsBadBaselines) {
 
   bgp::RoutingOutcome unconverged = outcome;
   unconverged.converged = false;
-  EXPECT_THROW(w.engine.run_warm(w.origin, b, a, unconverged),
+  EXPECT_THROW(test::warm_run(w.engine, w.origin, b, a, unconverged),
                std::invalid_argument);
 
   bgp::RoutingOutcome wrong_size = outcome;
   wrong_size.best.pop_back();
-  EXPECT_THROW(w.engine.run_warm(w.origin, b, a, wrong_size),
+  EXPECT_THROW(test::warm_run(w.engine, w.origin, b, a, wrong_size),
                std::invalid_argument);
 }
 
@@ -338,9 +371,9 @@ TEST(OrderBySimilarity, ProducesAPermutation) {
 }
 
 /// Walks every chain of `campaign` to completion with ChainStepper and
-/// returns the outcomes in input order plus the summed chain stats. The
-/// copies share each step's arena, so every warm step after them compacts
-/// its baseline arena instead of extending it.
+/// returns the outcomes in input order plus the summed chain stats. Each
+/// copy owns a copy of its step's arena, so the chain's own arena keeps
+/// growing in place.
 std::vector<bgp::RoutingOutcome> step_campaign(
     const WarmWorld& w, const std::vector<bgp::Configuration>& plan,
     const core::CampaignPlan& campaign,
