@@ -66,7 +66,8 @@ struct MixtureResult {
 /// catchment-inference error can hide a real attacker, but innocent
 /// clusters rarely survive; a small positive value (e.g. 0.1) tolerates
 /// the worst ~10% of configurations at the cost of letting look-alike
-/// clusters absorb weight first.
+/// clusters absorb weight first. Throws std::invalid_argument when the
+/// volumes do not match the configurations or the quantile is NaN.
 MixtureResult attribute_mixture(
     const measure::CatchmentStore& matrix, const Clustering& clustering,
     const std::vector<std::vector<double>>& link_volume_per_config,

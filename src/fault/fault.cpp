@@ -82,11 +82,9 @@ double FaultInjector::draw(Site site, std::uint64_t a,
   // (seed, hash_combine(site, a, b)) — the same stateless salting the
   // MeasurementDriver uses, so a draw depends on nothing but its
   // identifiers. The top 53 bits give a uniform double in [0, 1).
-  const std::uint64_t h = util::hash_combine(
-      plan_.seed,
-      util::hash_combine(static_cast<std::uint64_t>(site),
-                         util::hash_combine(a, b)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return util::unit01(util::hash_combine(
+      plan_.seed, util::hash_combine(static_cast<std::uint64_t>(site),
+                                     util::hash_combine(a, b))));
 }
 
 bool FaultInjector::fires(Site site, std::uint64_t a,

@@ -10,9 +10,7 @@ ConvergenceModel::ConvergenceModel(const ConvergenceOptions& options)
     : options_(options) {}
 
 double ConvergenceModel::mrai_of(std::uint32_t as_id) const {
-  const double unit =
-      static_cast<double>(util::hash_combine(options_.seed, as_id) >> 11) *
-      0x1.0p-53;
+  const double unit = util::unit01(util::hash_combine(options_.seed, as_id));
   const double low = options_.mrai_seconds * (1.0 - options_.spread);
   const double high = options_.mrai_seconds * (1.0 + options_.spread);
   return low + (high - low) * unit;
@@ -30,13 +28,7 @@ std::vector<double> ConvergenceModel::per_as_seconds(
       // The update that flips this AS in round r lands a uniform fraction
       // into the pacing window (updates coalesce; full-window waits are
       // the worst case, not the norm).
-      const double fraction =
-          static_cast<double>(
-              util::hash_combine(util::hash_combine(options_.seed, as),
-                                 r) >>
-              11) *
-          0x1.0p-53;
-      total += window * fraction;
+      total += window * util::unit_hash(options_.seed, as, r);
     }
     seconds[as] = total;
   }

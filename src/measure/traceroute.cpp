@@ -10,9 +10,8 @@ namespace {
 /// Deterministic uniform [0,1) from a tuple of identifiers.
 double unit_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                  std::uint64_t d) {
-  const std::uint64_t h = util::hash_combine(util::hash_combine(a, b),
-                                             util::hash_combine(c, d));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return util::unit01(util::hash_combine(util::hash_combine(a, b),
+                                        util::hash_combine(c, d)));
 }
 
 }  // namespace

@@ -6,11 +6,6 @@
 namespace spooftrack::measure {
 
 namespace {
-double unit_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return static_cast<double>(
-             util::hash_combine(util::hash_combine(a, b), c) >> 11) *
-         0x1.0p-53;
-}
 
 /// Clamps nonsensical options into their valid ranges rather than letting
 /// them silently zero out coverage (rounds == 0 probed nothing at all).
@@ -42,7 +37,8 @@ VerfploeterProber::VerfploeterProber(const topology::AsGraph& graph,
     : graph_(graph), plan_(plan), options_(validated(options)) {}
 
 bool VerfploeterProber::responsive(topology::AsId id) const noexcept {
-  return unit_hash(options_.seed, 0xEC40, id) < options_.responsive_prob;
+  return util::unit_hash(options_.seed, 0xEC40, id) <
+         options_.responsive_prob;
 }
 
 std::uint16_t VerfploeterProber::session_id() const noexcept {
@@ -86,7 +82,8 @@ InferenceResult VerfploeterProber::probe(const bgp::RoutingOutcome& outcome,
     bool heard = false;
     for (std::uint32_t round = 0; round < options_.rounds && !heard;
          ++round) {
-      heard = unit_hash(options_.seed ^ salt, round * 0x9341 + 7, target) >=
+      heard = util::unit_hash(options_.seed ^ salt, round * 0x9341 + 7,
+                              target) >=
               options_.loss_prob;
     }
     if (!heard) continue;

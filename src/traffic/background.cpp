@@ -2,24 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace spooftrack::traffic {
-
-namespace {
-double unit_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return static_cast<double>(
-             util::hash_combine(util::hash_combine(a, b), c) >> 11) *
-         0x1.0p-53;
-}
-}  // namespace
 
 BackgroundTrafficModel::BackgroundTrafficModel(
     const topology::AsGraph& graph, const measure::AddressPlan& plan,
     const BackgroundOptions& options)
-    : graph_(graph), plan_(plan), options_(options) {}
+    : graph_(graph), plan_(plan), options_(options) {
+  // generate() casts floor(packets_per_as + u) to an integer count.
+  if (!(options_.packets_per_as >= 0.0)) {
+    throw std::invalid_argument(
+        "background packets_per_as must be a non-negative number");
+  }
+}
 
 bool BackgroundTrafficModel::active(topology::AsId id) const noexcept {
-  return unit_hash(options_.seed, 0xBA5E, id) < options_.active_fraction;
+  return util::unit_hash(options_.seed, 0xBA5E, id) <
+         options_.active_fraction;
 }
 
 std::size_t BackgroundTrafficModel::active_count() const noexcept {

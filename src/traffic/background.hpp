@@ -32,6 +32,7 @@ struct BackgroundOptions {
 
 class BackgroundTrafficModel {
  public:
+  /// Throws std::invalid_argument for a negative or NaN packets_per_as.
   BackgroundTrafficModel(const topology::AsGraph& graph,
                          const measure::AddressPlan& plan,
                          const BackgroundOptions& options);

@@ -53,7 +53,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
 }
 
 double Rng::uniform01() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  return unit01(next());
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

@@ -33,6 +33,17 @@ inline std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
   return mix64(a ^ (mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
+/// Uniform double in [0, 1) from the top 53 bits of `bits`.
+inline double unit01(std::uint64_t bits) noexcept {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/// Deterministic uniform double in [0, 1) from three identifiers.
+inline double unit_hash(std::uint64_t a, std::uint64_t b,
+                        std::uint64_t c) noexcept {
+  return unit01(hash_combine(hash_combine(a, b), c));
+}
+
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator so it can be
 /// used with <random> distributions, though the member helpers below cover
 /// every use in this library.

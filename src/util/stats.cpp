@@ -26,7 +26,7 @@ double percentile(std::vector<double> values, double q) noexcept {
 }
 
 std::size_t percentile_index(std::size_t n, double q) noexcept {
-  q = std::clamp(q, 0.0, 100.0);
+  q = std::isnan(q) ? 0.0 : std::clamp(q, 0.0, 100.0);
   const auto rank = static_cast<std::size_t>(
       std::ceil(q / 100.0 * static_cast<double>(n)));
   const std::size_t index = rank == 0 ? 0 : rank - 1;

@@ -13,11 +13,13 @@ namespace spooftrack::util {
 double mean(const std::vector<double>& values) noexcept;
 double mean_u32(const std::vector<std::uint32_t>& values) noexcept;
 
-/// Percentile by nearest-rank on a copy (q in [0, 100]); 0 for empty input.
+/// Percentile by nearest-rank on a copy; 0 for empty input. `q` is clamped
+/// to [0, 100], and a NaN `q` reads as 0 (the minimum).
 double percentile(std::vector<double> values, double q) noexcept;
 double percentile_u32(const std::vector<std::uint32_t>& values,
                       double q) noexcept;
-/// The position in sorted order `percentile` reads among n > 0 values.
+/// The position in sorted order `percentile` reads among n > 0 values
+/// (same reading of `q`).
 std::size_t percentile_index(std::size_t n, double q) noexcept;
 
 /// One (x, y) point of an empirical distribution function.

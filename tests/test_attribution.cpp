@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "oracles.hpp"
 
 namespace spooftrack::core {
@@ -167,6 +170,15 @@ TEST(AttributeMixture, MismatchThrows) {
   const auto clustering = make_clustering({0}, 1);
   const auto matrix = test::store_of({{0}});
   EXPECT_THROW(attribute_mixture(matrix, clustering, {}),
+               std::invalid_argument);
+}
+
+TEST(AttributeMixture, RejectsNanQuantile) {
+  const auto matrix = test::store_of({{0, 1}});
+  const auto clustering = make_clustering({0, 1}, 2);
+  const std::vector<std::vector<double>> volumes = {{0.5, 0.5}};
+  EXPECT_THROW(attribute_mixture(matrix, clustering, volumes, 0.02, 16,
+                                 std::nan("")),
                std::invalid_argument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "bgp/catchment.hpp"
 #include "helpers.hpp"
 
@@ -106,6 +109,20 @@ TEST_F(BackgroundTest, InactiveAsesProduceNothing) {
   options.active_fraction = 0.0;
   const BackgroundTrafficModel model(graph_, plan_, options);
   EXPECT_TRUE(model.generate(catchments(), 1).empty());
+}
+
+TEST_F(BackgroundTest, RejectsNegativeOrNanPacketRate) {
+  BackgroundOptions options;
+  for (const double bad : {-5.0, std::nan("")}) {
+    options.packets_per_as = bad;
+    EXPECT_THROW(BackgroundTrafficModel(graph_, plan_, options),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const double good : {0.0, 4.5}) {
+    options.packets_per_as = good;
+    EXPECT_NO_THROW(BackgroundTrafficModel(graph_, plan_, options)) << good;
+  }
 }
 
 TEST_F(BackgroundTest, SaltVariesVolumeDeterministically) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace spooftrack::util {
 namespace {
 
@@ -29,6 +31,7 @@ TEST(Stats, PercentileClampsQuantile) {
   std::vector<double> v{1, 2, 3};
   EXPECT_DOUBLE_EQ(percentile(v, -10), 1);
   EXPECT_DOUBLE_EQ(percentile(v, 500), 3);
+  EXPECT_DOUBLE_EQ(percentile(v, std::nan("")), 1);
   EXPECT_EQ(percentile({}, 50), 0.0);
 }
 
