@@ -69,15 +69,6 @@ struct RoutingOutcome {
   PathArena paths;
   std::uint32_t rounds = 0;
   bool converged = false;
-
-  /// Materialised AS-path of `id`'s best route (empty when unrouted).
-  std::vector<topology::Asn> path_of(topology::AsId id) const {
-    return paths.materialize(best[id].path);
-  }
-  /// AS-path length of `id`'s best route (0 when unrouted).
-  std::uint32_t path_length(topology::AsId id) const noexcept {
-    return paths.length(best[id].path);
-  }
 };
 
 /// Content equality of one AS's routing entry across two outcomes,

@@ -61,15 +61,6 @@ bool PathArena::equal(PathId a, const PathArena& other,
   return true;
 }
 
-std::vector<topology::Asn> PathArena::materialize(PathId id) const {
-  std::vector<topology::Asn> out;
-  out.reserve(length(id));
-  for (; id != kEmptyPath; id = node(id).parent) {
-    out.push_back(node(id).asn);
-  }
-  return out;
-}
-
 PathId PathArena::migrate(const PathArena& from, PathId id,
                           std::vector<PathId>& memo) {
   // Walk toward the origin until a migrated suffix (or the root), then

@@ -9,7 +9,7 @@
 //   * copy and equality are O(1) (hash-consing makes equal contents have
 //     equal ids within one arena);
 //   * prepend is O(1) amortised (one hash probe, at most one new node);
-//   * loop detection and materialisation are walks over shared nodes —
+//   * loop detection and path reads are walks over shared nodes —
 //     no per-route allocation anywhere in the propagation loop.
 //
 // Storage: nodes live in one vector indexed by path id, and an arena is an
@@ -78,9 +78,6 @@ class PathArena {
   /// Content equality across arenas. Within one arena prefer `a == b`,
   /// which hash-consing makes exact.
   bool equal(PathId a, const PathArena& other, PathId b) const noexcept;
-
-  /// The path as a front-to-back ASN vector (the legacy Route::as_path).
-  std::vector<topology::Asn> materialize(PathId id) const;
 
   /// Forward range over the path's ASNs, front (head) to back (origin).
   class View {

@@ -39,38 +39,6 @@ std::uint8_t RoutingPolicy::local_pref(
   return canonical_pref(rel_of_sender);
 }
 
-template <class PathRange>
-bool RoutingPolicy::accepts_path(topology::AsId receiver,
-                                 topology::Asn receiver_asn,
-                                 topology::Rel rel_of_sender,
-                                 topology::Asn relayed_sender_asn,
-                                 const PathRange& path) const {
-  const AsPolicyFlags& f = flags_[receiver];
-
-  // BGP loop prevention: the mechanism poisoning relies on. ASes that
-  // disabled it (interconnecting sites over the Internet) accept anyway.
-  // The sender cannot be the receiver, so scanning the learned path covers
-  // the whole candidate path.
-  if (!f.ignores_poison) {
-    for (topology::Asn asn : path) {
-      if (asn == receiver_asn) return false;
-    }
-  }
-
-  // Tier-1 route-leak filter: a customer announcing a path through another
-  // tier-1 looks like a leak; poisoned announcements trip this filter.
-  if (f.is_tier1 && rel_of_sender == topology::Rel::kCustomer) {
-    for (topology::Asn asn : path) {
-      if (asn != receiver_asn && tier1_asns_.contains(asn)) return false;
-    }
-    if (relayed_sender_asn != 0 &&
-        tier1_asns_.contains(relayed_sender_asn)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool RoutingPolicy::accepts(topology::AsId receiver,
                             topology::Asn receiver_asn,
                             topology::Rel rel_of_sender,
@@ -79,11 +47,15 @@ bool RoutingPolicy::accepts(topology::AsId receiver,
   // queries over the candidate's path, so the path's Bloom signature (one
   // load — it lives in the head node) answers the common negative case
   // without walking the path. Positives fall back to the exact walk, so
-  // outcomes are identical to accepts_path.
+  // verdicts are those of a plain walk over the whole path.
   const AsPolicyFlags& f = flags_[receiver];
   const PathArena& arena = *candidate.arena;
   const std::uint64_t path_bloom = arena.bloom(candidate.learned_path);
 
+  // BGP loop prevention: the mechanism poisoning relies on. ASes that
+  // disabled it (interconnecting sites over the Internet) accept anyway.
+  // The sender cannot be the receiver, so scanning the learned path covers
+  // the whole candidate path.
   if (!f.ignores_poison &&
       (path_bloom & PathArena::bloom_bit(receiver_asn)) != 0) {
     for (topology::Asn asn : arena.view(candidate.learned_path)) {
@@ -91,6 +63,8 @@ bool RoutingPolicy::accepts(topology::AsId receiver,
     }
   }
 
+  // Tier-1 route-leak filter: a customer announcing a path through another
+  // tier-1 looks like a leak; poisoned announcements trip this filter.
   if (f.is_tier1 && rel_of_sender == topology::Rel::kCustomer) {
     if ((path_bloom & tier1_bloom_) != 0) {
       for (topology::Asn asn : arena.view(candidate.learned_path)) {
@@ -103,14 +77,6 @@ bool RoutingPolicy::accepts(topology::AsId receiver,
     }
   }
   return true;
-}
-
-bool RoutingPolicy::accepts(
-    topology::AsId receiver, topology::Asn receiver_asn,
-    topology::Rel rel_of_sender,
-    std::span<const topology::Asn> path_with_sender) const {
-  return accepts_path(receiver, receiver_asn, rel_of_sender, topology::Asn{0},
-                      path_with_sender);
 }
 
 bool RoutingPolicy::exports(topology::Rel learned_from,

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -85,9 +84,6 @@ class RoutingPolicy {
     // (tier1_asns_ is keyed by ASN, which the caller controls via the
     // graph; flag-only overrides adjust filtering behaviour.)
   }
-  bool is_tier1_asn(topology::Asn asn) const noexcept {
-    return tier1_asns_.contains(asn);
-  }
 
   /// LocalPref `receiver` assigns a route learned from a neighbor related
   /// by `rel_of_sender`. Canonical Gao-Rexford unless the AS swaps
@@ -96,17 +92,11 @@ class RoutingPolicy {
                           topology::Rel rel_of_sender) const noexcept;
 
   /// Import filter: would `receiver` accept this candidate from a neighbor
-  /// related to it by `rel_of_sender`? Walks the candidate's arena path;
-  /// allocation-free.
+  /// related to it by `rel_of_sender`? Walks the candidate's arena path
+  /// only when its Bloom signature may hold a rejected ASN; allocation-free.
   bool accepts(topology::AsId receiver, topology::Asn receiver_asn,
                topology::Rel rel_of_sender,
                const CandidateRef& candidate) const;
-
-  /// Convenience overload for a materialised AS-path (used by tests); the
-  /// path must include the sender as its first element.
-  bool accepts(topology::AsId receiver, topology::Asn receiver_asn,
-               topology::Rel rel_of_sender,
-               std::span<const topology::Asn> path_with_sender) const;
 
   /// Export filter: Gao-Rexford — customer-learned routes go to everyone;
   /// peer- and provider-learned routes go only to customers.
@@ -124,12 +114,6 @@ class RoutingPolicy {
               const CandidateRef& a, const CandidateRef& b) const;
 
  private:
-  template <class PathRange>
-  bool accepts_path(topology::AsId receiver, topology::Asn receiver_asn,
-                    topology::Rel rel_of_sender,
-                    topology::Asn relayed_sender_asn,
-                    const PathRange& path) const;
-
   std::vector<AsPolicyFlags> flags_;
   std::unordered_set<topology::Asn> tier1_asns_;
   // OR of PathArena::bloom_bit over tier1_asns_: a path whose bloom misses

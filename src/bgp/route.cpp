@@ -11,23 +11,4 @@ std::uint8_t canonical_pref(topology::Rel rel_of_sender) noexcept {
   return kPrefProvider;
 }
 
-std::string to_string(const Route& route, const PathArena& arena) {
-  if (!route.valid()) return "<no route>";
-  std::string out = "[";
-  bool first = true;
-  for (topology::Asn asn : arena.view(route.path)) {
-    if (!first) out += ' ';
-    out += std::to_string(asn);
-    first = false;
-  }
-  out += "] learned from ";
-  out += topology::to_string(route.learned_from);
-  out += " lp=";
-  out += std::to_string(static_cast<unsigned>(route.local_pref));
-  out += " (ann ";
-  out += std::to_string(route.ann);
-  out += ")";
-  return out;
-}
-
 }  // namespace spooftrack::bgp

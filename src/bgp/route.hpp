@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "bgp/announcement.hpp"
 #include "bgp/path_arena.hpp"
@@ -45,8 +44,5 @@ struct Route {
   /// separate runs use PathArena::equal or routes_equal on the outcomes.
   friend bool operator==(const Route&, const Route&) = default;
 };
-
-/// Debug rendering of a route against the arena holding its path.
-std::string to_string(const Route& route, const PathArena& arena);
 
 }  // namespace spooftrack::bgp

@@ -176,12 +176,6 @@ class PeeringTestbed {
   const std::vector<topology::AsId>& probe_ases() const noexcept {
     return probes_;
   }
-  /// The testbed's fault source (disabled when the plan is all-zero).
-  /// Exposed so traffic-plane components (e.g. AmpPotHoneypot) can share
-  /// the same schedule: testbed.fault_injector() with a caller-chosen salt.
-  const fault::FaultInjector& fault_injector() const noexcept {
-    return injector_;
-  }
 
   /// Configuration generator bound to this testbed's origin.
   ConfigGenerator generator(GeneratorOptions options = {}) const {

@@ -117,18 +117,6 @@ void FaultInjector::check_crash(Site site, std::uint64_t ordinal) const {
   throw SimulatedCrash(site, ordinal);
 }
 
-std::string_view grade_name(Grade grade) noexcept {
-  switch (grade) {
-    case Grade::kGood:
-      return "good";
-    case Grade::kDegraded:
-      return "degraded";
-    case Grade::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 Grade grade_config(const ConfigQuality& quality,
                    const FaultPlan& plan) noexcept {
   if (quality.deploy_attempts > 1) return Grade::kDegraded;

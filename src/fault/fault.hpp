@@ -106,8 +106,6 @@ struct FaultPlan {
   /// fault-accounting mode, or a zero-rate crash plan would no longer be
   /// bit-identical to a fault-free run.)
   bool any() const noexcept;
-  /// Kill-point armed?
-  bool any_crash() const noexcept { return crash_at > 0; }
   bool any_feed() const noexcept {
     return feed_outage_prob > 0.0 || feed_stale_prob > 0.0;
   }
@@ -190,8 +188,6 @@ enum class Grade : std::uint8_t {
   kDegraded = 1,  // measured, but above a degradation threshold
   kFailed = 2,    // deployment abandoned; no measurement exists
 };
-
-std::string_view grade_name(Grade grade) noexcept;
 
 /// Per-configuration fault accounting, filled by the measurement driver
 /// (feed/trace counts) and the deploy loop (attempts), graded against the

@@ -41,8 +41,8 @@ struct ProbePathSet {
   /// Walks bgp::forwarding_path once per probe, rebuilding `set` in its
   /// existing buffers (the deploy recycles a small pool of path sets
   /// instead of allocating one per configuration). An unrouted probe stores
-  /// an empty path (its traceroute dies at the probe gateway, as with
-  /// TracerouteSim::run).
+  /// an empty path, along which TracerouteSim::run_on_path's trace dies at
+  /// the probe gateway.
   static void extract_into(const bgp::RoutingOutcome& outcome,
                            std::span<const topology::AsId> probes,
                            topology::AsId origin, ProbePathSet& set);

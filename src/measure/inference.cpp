@@ -21,13 +21,6 @@ CatchmentInference::CatchmentInference(const topology::AsGraph& graph,
                                        const bgp::OriginSpec& origin)
     : graph_(graph), origin_(origin) {}
 
-InferenceResult CatchmentInference::infer(
-    std::span<const FeedEntry> feeds,
-    std::span<const AsLevelPath> traces) const {
-  Scratch scratch;
-  return infer(feeds, traces, scratch);
-}
-
 InferenceResult CatchmentInference::infer(std::span<const FeedEntry> feeds,
                                           std::span<const AsLevelPath> traces,
                                           Scratch& scratch) const {

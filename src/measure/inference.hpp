@@ -52,13 +52,8 @@ class CatchmentInference {
   CatchmentInference(const topology::AsGraph& graph,
                      const bgp::OriginSpec& origin);
 
-  /// Infers catchments for one configuration from its measurements.
-  /// Allocating form: the tests' serial reference pipeline composes it
-  /// without the driver's scratch reuse.
-  InferenceResult infer(std::span<const FeedEntry> feeds,
-                        std::span<const AsLevelPath> traces) const;
-
-  /// As above, reusing `scratch` instead of allocating vote buffers.
+  /// Infers catchments for one configuration from its measurements,
+  /// reusing `scratch` instead of allocating vote buffers.
   InferenceResult infer(std::span<const FeedEntry> feeds,
                         std::span<const AsLevelPath> traces,
                         Scratch& scratch) const;

@@ -238,12 +238,12 @@ struct Bridged {
 
 /// Repairs one trace into `result`, rewriting it in place. Steps 1 and 2
 /// run hop by hop; steps 3 to 5 run as each hop's class arrives, so no
-/// per-trace buffer is needed. A null index skips its step (map_only).
+/// per-trace buffer is needed.
 template <typename Classify>
 void repair_one(const Traceroute& trace, topology::Asn probe_asn,
                 topology::Asn origin_asn,
-                const SeqIndex<TracerouteHop>* address_index,
-                const SeqIndex<topology::Asn>* feed_index,
+                const SeqIndex<TracerouteHop>& address_index,
+                const SeqIndex<topology::Asn>& feed_index,
                 const Classify& classify_hop, AsLevelPath& result,
                 Bridged& bridged) {
   result.probe = trace.probe;
@@ -268,10 +268,9 @@ void repair_one(const Traceroute& trace, topology::Asn probe_asn,
       return;
     }
     const auto asn = static_cast<topology::Asn>(hop_class);
-    if (unknown > 0 && any_known && path.back() != asn &&
-        feed_index != nullptr && unknown <= kWindow) {
+    if (unknown > 0 && any_known && path.back() != asn && unknown <= kWindow) {
       if (const auto* seen =
-              unique_interior(*feed_index, pack(path.back(), asn))) {
+              unique_interior(feed_index, pack(path.back(), asn))) {
         for (std::uint32_t k = 0; k < seen->len; ++k) append(seen->first[k]);
         ++bridged.feed_bridges;
       }
@@ -295,9 +294,8 @@ void repair_one(const Traceroute& trace, topology::Asn probe_asn,
     std::size_t j = i;
     while (j < hops.size() && !hops[j].responsive()) ++j;
     const Interior<TracerouteHop>* seen = nullptr;
-    if (address_index != nullptr && i > 0 && j < hops.size() &&
-        j - i <= kWindow) {
-      seen = unique_interior(*address_index,
+    if (i > 0 && j < hops.size() && j - i <= kWindow) {
+      seen = unique_interior(address_index,
                              pack(hops[i - 1].address->value(),
                                   hops[j].address->value()));
     }
@@ -324,25 +322,6 @@ PathRepair::PathRepair(const topology::AsGraph& graph, const Ip2AsMap& ip2as,
       origin_asn_(origin_asn),
       serial_(next_serial()) {}
 
-AsLevelPath PathRepair::map_only(const Traceroute& trace) const {
-  AsLevelPath result;
-  Bridged bridged;
-  repair_one(
-      trace, graph_.asn_of(trace.probe), origin_asn_, nullptr, nullptr,
-      [&](netcore::Ipv4Addr addr) { return classify(ixps_, ip2as_, addr); },
-      result, bridged);
-  return result;
-}
-
-std::vector<AsLevelPath> PathRepair::repair(
-    std::span<const Traceroute> traces,
-    std::span<const FeedEntry> feeds) const {
-  Scratch scratch;
-  std::vector<AsLevelPath> out;
-  repair(traces, feeds, scratch, out);
-  return out;
-}
-
 void PathRepair::repair(std::span<const Traceroute> traces,
                         std::span<const FeedEntry> feeds, Scratch& scratch,
                         std::vector<AsLevelPath>& out) const {
@@ -366,7 +345,7 @@ void PathRepair::repair(std::span<const Traceroute> traces,
   Bridged bridged;
   for (std::size_t t = 0; t < traces.size(); ++t) {
     repair_one(traces[t], graph_.asn_of(traces[t].probe), origin_asn_,
-               &s.address_index, &s.feed_index, memoized, out[t], bridged);
+               s.address_index, s.feed_index, memoized, out[t], bridged);
   }
   OBS_COUNT("measure.repair.substitutions", bridged.substitutions);
   OBS_COUNT("measure.repair.feed_bridges", bridged.feed_bridges);

@@ -77,23 +77,13 @@ class PathRepair {
 
   /// Repairs a batch of traceroutes measured under the same configuration,
   /// using the batch itself for step 2 and the feed snapshot for step 4.
-  /// Allocating form: the tests' repair checks call it without the
-  /// driver's scratch reuse.
-  std::vector<AsLevelPath> repair(
-      std::span<const Traceroute> traces,
-      std::span<const FeedEntry> feeds) const;
-
-  /// As above, reusing `scratch` for all intermediate state and writing the
-  /// repaired paths into `out`, resized to one path per trace; each path
-  /// is rewritten in place and keeps its capacity. This is the
-  /// allocation-free steady-state form the measurement driver uses.
+  /// Reuses `scratch` for all intermediate state and writes the repaired
+  /// paths into `out`, resized to one path per trace; each path is
+  /// rewritten in place and keeps its capacity, so the measurement
+  /// driver's steady state allocates nothing.
   void repair(std::span<const Traceroute> traces,
               std::span<const FeedEntry> feeds, Scratch& scratch,
               std::vector<AsLevelPath>& out) const;
-
-  /// Single-trace AS mapping without cross-trace substitution (steps 1, 3,
-  /// 5 only); exposed for tests and diagnostics.
-  AsLevelPath map_only(const Traceroute& trace) const;
 
  private:
   const topology::AsGraph& graph_;

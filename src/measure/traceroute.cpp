@@ -33,15 +33,6 @@ bool TracerouteSim::as_silent(topology::AsId id) const noexcept {
   return id < silent_.size() && silent_[id] != 0;
 }
 
-Traceroute TracerouteSim::run(const bgp::RoutingOutcome& outcome,
-                              topology::AsId probe, topology::AsId origin,
-                              std::uint64_t salt) const {
-  Traceroute trace;
-  const auto path = bgp::forwarding_path(outcome, probe, origin);
-  run_on_path(path, probe, origin, salt, trace);
-  return trace;
-}
-
 void TracerouteSim::run_on_path(std::span<const topology::AsId> path,
                                 topology::AsId probe, topology::AsId origin,
                                 std::uint64_t salt, Traceroute& trace) const {

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "bgp/engine.hpp"
 #include "fault/fault.hpp"
 #include "measure/address_plan.hpp"
 #include "measure/ixp_table.hpp"
@@ -58,22 +57,14 @@ class TracerouteSim {
   TracerouteSim(const topology::AsGraph& graph, const AddressPlan& plan,
                 const IxpTable& ixps, const TracerouteOptions& options);
 
-  /// Runs one traceroute from `probe` under `outcome`. `salt` varies
-  /// transient effects between measurement rounds while keeping the
-  /// simulation deterministic; persistent effects (silent ASes, border
-  /// numbering) depend only on the seed. Thread-safe. The deploy measures
-  /// through run_on_path; this form walks the outcome itself, so the tests'
-  /// serial reference pipeline checks the driver's ProbePathSet extraction
-  /// instead of sharing it.
-  Traceroute run(const bgp::RoutingOutcome& outcome, topology::AsId probe,
-                 topology::AsId origin, std::uint64_t salt) const;
-
-  /// Runs one traceroute along a precomputed forwarding path (the result of
-  /// bgp::forwarding_path(outcome, probe, origin)), writing hops into
-  /// `trace` (previous contents are discarded; hop storage is reused).
-  /// Callers measuring many rounds per configuration walk the routing
-  /// outcome once and replay the path here; equivalent to run() for the
-  /// same (path, salt). Thread-safe.
+  /// Runs one traceroute from `probe` along a precomputed forwarding path
+  /// (the result of bgp::forwarding_path(outcome, probe, origin)), writing
+  /// hops into `trace` (previous contents are discarded; hop storage is
+  /// reused). `salt` varies transient effects between measurement rounds
+  /// while keeping the simulation deterministic; persistent effects (silent
+  /// ASes, border numbering) depend only on the seed. Callers measuring
+  /// many rounds per configuration walk the routing outcome once and replay
+  /// the path here. Thread-safe.
   void run_on_path(std::span<const topology::AsId> path, topology::AsId probe,
                    topology::AsId origin, std::uint64_t salt,
                    Traceroute& trace) const;

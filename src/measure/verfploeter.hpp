@@ -65,10 +65,6 @@ class VerfploeterProber {
   /// This session's ICMP identifier (derived from the seed).
   std::uint16_t session_id() const noexcept;
 
-  /// Number of probe packets the last accounting would send per round
-  /// (one per AS target); exposed for campaign planning.
-  std::size_t probes_per_round() const noexcept { return graph_.size(); }
-
  private:
   const topology::AsGraph& graph_;
   const AddressPlan& plan_;

@@ -80,11 +80,6 @@ std::string read_file(const std::string& path) {
   return bytes;
 }
 
-bool path_exists(const std::string& path) noexcept {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 void ensure_directory(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     fail("cannot create directory", dir);

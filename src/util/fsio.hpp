@@ -22,9 +22,6 @@ void atomic_write_file(const std::string& path, std::string_view bytes);
 /// file cannot be opened or read.
 std::string read_file(const std::string& path);
 
-/// Whether `path` exists (any file type).
-bool path_exists(const std::string& path) noexcept;
-
 /// Creates `dir` (one level) if it does not exist. Throws on failure.
 void ensure_directory(const std::string& dir);
 

@@ -12,15 +12,6 @@
 
 namespace spooftrack::util {
 
-namespace {
-
-/// Upper bound on worker counts accepted from the environment; anything
-/// larger is treated as a configuration error (and would only oversubscribe
-/// the scheduler anyway).
-constexpr long kMaxEnvWorkers = 1 << 16;
-
-}  // namespace
-
 std::optional<std::size_t> env_worker_override() noexcept {
   if (const char* env = std::getenv("SPOOFTRACK_THREADS")) {
     // Accept only a clean positive integer: the whole string must parse and
@@ -30,7 +21,7 @@ std::optional<std::size_t> env_worker_override() noexcept {
     errno = 0;
     const long parsed = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && errno != ERANGE && parsed >= 1 &&
-        parsed <= kMaxEnvWorkers) {
+        static_cast<std::size_t>(parsed) <= kMaxWorkers) {
       return static_cast<std::size_t>(parsed);
     }
   }

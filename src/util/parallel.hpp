@@ -19,9 +19,14 @@
 
 namespace spooftrack::util {
 
+/// Upper bound on an explicit worker count, from SPOOFTRACK_THREADS or the
+/// CLI's --workers; anything larger is a configuration error (and would
+/// only oversubscribe the scheduler anyway).
+inline constexpr std::size_t kMaxWorkers = std::size_t{1} << 16;
+
 /// Number of workers parallel_for will use (>= 1); honours the environment
 /// variable SPOOFTRACK_THREADS when it holds a clean positive integer
-/// (no trailing garbage, in range), else falls back to
+/// (no trailing garbage, at most kMaxWorkers), else falls back to
 /// hardware_concurrency.
 std::size_t default_worker_count() noexcept;
 

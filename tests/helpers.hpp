@@ -1,7 +1,12 @@
 // Shared fixtures for spooftrack tests: a small hand-built topology with
 // known catchment behaviour, convenience factories, a one-call warm start,
-// an FNV-1a digest for pinned outputs, and a guard for the
+// one-call forms of production entry points (path_of, accepts, trace,
+// repair, infer), an FNV-1a digest for pinned outputs, and a guard for the
 // SPOOFTRACK_THREADS variable.
+//
+// The one-call forms only wrap: each builds the arguments a production
+// entry point takes (an interned path, a fresh scratch) and calls it, so
+// the tests check the code the deploy runs.
 //
 //     t1 ===peer=== t2            (tier-1 clique)
 //     |- p1, c                    (t1's customers)
@@ -13,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +26,12 @@
 #include "bgp/announcement.hpp"
 #include "bgp/catchment.hpp"
 #include "bgp/engine.hpp"
+#include "bgp/path_arena.hpp"
 #include "bgp/policy.hpp"
+#include "measure/feed.hpp"
+#include "measure/inference.hpp"
+#include "measure/repair.hpp"
+#include "measure/traceroute.hpp"
 #include "topology/as_graph.hpp"
 
 namespace spooftrack::test {
@@ -95,6 +106,69 @@ inline bgp::RoutingOutcome warm_run(const bgp::Engine& engine,
                          baseline_config,
                          engine.prepare(origin, baseline_config),
                          std::move(baseline));
+}
+
+/// Path `id` of `arena`, front (head) to back (origin).
+inline std::vector<topology::Asn> path_of(const bgp::PathArena& arena,
+                                          bgp::PathId id) {
+  std::vector<topology::Asn> path;
+  for (topology::Asn asn : arena.view(id)) path.push_back(asn);
+  return path;
+}
+
+/// AS-path of `id`'s best route in `outcome` (empty when unrouted).
+inline std::vector<topology::Asn> path_of(const bgp::RoutingOutcome& outcome,
+                                          topology::AsId id) {
+  return path_of(outcome.paths, outcome.best[id].path);
+}
+
+/// RoutingPolicy::accepts for a written-out path whose front is the sender,
+/// as an origin seed carries it (path_includes_sender).
+inline bool accepts(const bgp::RoutingPolicy& policy,
+                    topology::AsId receiver, topology::Asn receiver_asn,
+                    topology::Rel rel_of_sender,
+                    std::span<const topology::Asn> path_with_sender) {
+  bgp::PathArena arena;
+  bgp::CandidateRef candidate;
+  candidate.sender_asn = path_with_sender.empty() ? 0 : path_with_sender[0];
+  candidate.rel_of_sender = rel_of_sender;
+  candidate.arena = &arena;
+  candidate.learned_path = arena.intern(path_with_sender);
+  candidate.path_includes_sender = true;
+  return policy.accepts(receiver, receiver_asn, rel_of_sender, candidate);
+}
+
+/// One traceroute from `probe` under `outcome`: walks the forwarding path
+/// itself, so a test comparing against the measurement driver does not
+/// share its ProbePathSet extraction.
+inline measure::Traceroute trace(const measure::TracerouteSim& sim,
+                                 const bgp::RoutingOutcome& outcome,
+                                 topology::AsId probe, topology::AsId origin,
+                                 std::uint64_t salt) {
+  measure::Traceroute trace;
+  sim.run_on_path(bgp::forwarding_path(outcome, probe, origin), probe, origin,
+                  salt, trace);
+  return trace;
+}
+
+/// PathRepair::repair of one batch on a fresh scratch.
+inline std::vector<measure::AsLevelPath> repair(
+    const measure::PathRepair& repairer,
+    std::span<const measure::Traceroute> traces,
+    std::span<const measure::FeedEntry> feeds) {
+  measure::PathRepair::Scratch scratch;
+  std::vector<measure::AsLevelPath> out;
+  repairer.repair(traces, feeds, scratch, out);
+  return out;
+}
+
+/// CatchmentInference::infer on a fresh scratch.
+inline measure::InferenceResult infer(
+    const measure::CatchmentInference& inference,
+    std::span<const measure::FeedEntry> feeds,
+    std::span<const measure::AsLevelPath> traces) {
+  measure::CatchmentInference::Scratch scratch;
+  return inference.infer(feeds, traces, scratch);
 }
 
 /// The map routing AS i to links[i] (bgp::kNoCatchment: no route).

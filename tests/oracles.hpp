@@ -1,5 +1,5 @@
-// Independent reference implementations for the analysis kernels and the
-// §IV-b traceroute repair.
+// Independent reference implementations for the analysis kernels, the
+// §IV-b traceroute repair and the BGP import filter.
 //
 // The production cluster refinement runs on encoded CatchmentStore bytes
 // (or rows decoded from the bit-sliced planes), and the production greedy
@@ -25,6 +25,12 @@
 // every cluster's residuals for its weight; core::attribute_mixture takes
 // the same order statistic with a running minimum or nth_element.
 //
+// legacy_accepts is the import filter (§III-A(c): loop prevention and the
+// tier-1 route-leak filter) as a plain walk over the candidate's whole
+// path, against a tier-1 ASN set built from topology::tier1_set;
+// bgp::RoutingPolicy::accepts walks a path only when its Bloom signature
+// may hold a rejected ASN.
+//
 // The tests require the production code to match every oracle bit for bit.
 #pragma once
 
@@ -41,6 +47,8 @@
 #include <vector>
 
 #include "bgp/catchment.hpp"
+#include "bgp/path_arena.hpp"
+#include "bgp/policy.hpp"
 #include "core/attribution.hpp"
 #include "core/cluster_slots.hpp"
 #include "core/scheduler.hpp"
@@ -332,6 +340,36 @@ inline std::vector<topology::AsId> legacy_feed_peers(
   std::vector<topology::AsId> peers(chosen.begin(), chosen.end());
   std::sort(peers.begin(), peers.end());
   return peers;
+}
+
+/// Would `receiver` import `candidate` from a neighbor related to it by
+/// `rel_of_sender`? Loop prevention rejects a path holding the receiver's
+/// ASN unless the receiver ignores poison; a tier-1 receiver rejects a
+/// customer route whose path (or relaying sender) holds another tier-1.
+/// `policy` supplies only the receiver's flags; `tier1_asns` is the ASN
+/// set of topology::tier1_set.
+inline bool legacy_accepts(const bgp::RoutingPolicy& policy,
+                           const std::unordered_set<topology::Asn>& tier1_asns,
+                           topology::AsId receiver, topology::Asn receiver_asn,
+                           topology::Rel rel_of_sender,
+                           const bgp::CandidateRef& candidate) {
+  const bgp::AsPolicyFlags& flags = policy.flags(receiver);
+  const auto path = candidate.arena->view(candidate.learned_path);
+  if (!flags.ignores_poison) {
+    for (topology::Asn asn : path) {
+      if (asn == receiver_asn) return false;
+    }
+  }
+  if (flags.is_tier1 && rel_of_sender == topology::Rel::kCustomer) {
+    for (topology::Asn asn : path) {
+      if (asn != receiver_asn && tier1_asns.contains(asn)) return false;
+    }
+    if (!candidate.path_includes_sender &&
+        tier1_asns.contains(candidate.sender_asn)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace legacy_repair_detail {

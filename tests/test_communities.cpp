@@ -88,7 +88,8 @@ TEST_F(CommunityTest, NoExportLeavesPathUnpolluted) {
   config.announcements.push_back({0, 0, {}, {}});
   config.announcements.push_back({1, 0, {}, {kT2}});
   const auto outcome = engine_.run(origin_, config);
-  EXPECT_EQ(outcome.path_of(id(kP2)), (std::vector<topology::Asn>{kOrigin}));
+  EXPECT_EQ(test::path_of(outcome, id(kP2)),
+            (std::vector<topology::Asn>{kOrigin}));
 }
 
 TEST_F(CommunityTest, OnlySeedDescendedRoutesAreWithheld) {
@@ -111,7 +112,7 @@ TEST_F(CommunityTest, SeedBestRouteIsWithheldFromBlockedReceivers) {
   config.announcements.push_back({1, 0, {}, {}});
   const auto outcome = engine_.run(origin_, config);
 
-  EXPECT_EQ(outcome.path_of(id(kP1)),
+  EXPECT_EQ(test::path_of(outcome, id(kP1)),
             (std::vector<topology::Asn>{kOrigin}));  // p1 keeps its seed
   EXPECT_FALSE(outcome.best[id(kA)].valid());
   EXPECT_EQ(catchment_of(outcome, config, kA), bgp::kNoCatchment);

@@ -78,7 +78,8 @@ TEST_F(EngineTest, ProvidersPreferDirectCustomerRoute) {
   const auto outcome = engine_.run(origin_, config);
   const bgp::Route& p1_route = route_of(outcome, kP1);
   EXPECT_EQ(p1_route.learned_from, topology::Rel::kCustomer);
-  EXPECT_EQ(outcome.path_of(id(kP1)), (std::vector<topology::Asn>{kOrigin}));
+  EXPECT_EQ(test::path_of(outcome, id(kP1)),
+            (std::vector<topology::Asn>{kOrigin}));
 }
 
 TEST_F(EngineTest, WithdrawingALinkMovesItsCatchment) {
@@ -92,7 +93,7 @@ TEST_F(EngineTest, WithdrawingALinkMovesItsCatchment) {
         << "AS " << asn << " not on link 1";
   }
   // a's path climbs out of p1 via t1 and t2.
-  EXPECT_EQ(outcome.path_of(id(kA)),
+  EXPECT_EQ(test::path_of(outcome, id(kA)),
             (std::vector<topology::Asn>{kP1, kT1, kT2, kP2, kOrigin}));
 }
 
@@ -107,7 +108,8 @@ TEST_F(EngineTest, LocalPrefBeatsPathLength) {
   const bgp::Route& t1_route = route_of(outcome, kT1);
   EXPECT_EQ(t1_route.learned_from, topology::Rel::kCustomer);
   EXPECT_EQ(catchment_of(outcome, config, kT1), 0u);
-  EXPECT_EQ(outcome.path_length(id(kT1)), 6u);  // p1 + origin x5
+  EXPECT_EQ(outcome.paths.length(outcome.best[id(kT1)].path),
+            6u);  // p1 + origin x5
 }
 
 TEST_F(EngineTest, PrependSteersEqualPrefSources) {
@@ -130,7 +132,7 @@ TEST_F(EngineTest, PrependLengthensSeedPath) {
   config.announcements.push_back({0, 4, {}});
   config.announcements.push_back({1, 0, {}, {}});
   const auto outcome = engine_.run(origin_, config);
-  EXPECT_EQ(outcome.path_of(id(kP1)),
+  EXPECT_EQ(test::path_of(outcome, id(kP1)),
             (std::vector<topology::Asn>{kOrigin, kOrigin, kOrigin, kOrigin,
                                         kOrigin}));
 }
@@ -155,7 +157,7 @@ TEST_F(EngineTest, PoisoningMovesThePoisonedAs) {
   // b still reaches link 1 directly through p2.
   EXPECT_EQ(catchment_of(outcome, config, kB), 1u);
   // The poison sandwich is visible in p2's seed path.
-  EXPECT_EQ(outcome.path_of(id(kP2)),
+  EXPECT_EQ(test::path_of(outcome, id(kP2)),
             (std::vector<topology::Asn>{kOrigin, kT2, kOrigin}));
 }
 

@@ -240,7 +240,7 @@ void expect_stable_paths(const bgp::Engine& engine,
     EXPECT_TRUE(route.valid() && outcome.next_hop[as] == best->sender &&
                 route.ann == best->ann &&
                 route.local_pref == best->local_pref &&
-                outcome.path_length(as) == best->length)
+                outcome.paths.length(outcome.best[as].path) == best->length)
         << what << ": AS " << asn
         << " does not hold its most preferred candidate, the route from AS "
         << g.asn_of(best->sender);

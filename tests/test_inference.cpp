@@ -55,7 +55,7 @@ TEST_F(InferenceTest, FeedVotesCoverIntermediateAses) {
   FeedEntry feed;
   feed.peer = id(test::kC);
   feed.as_path = {test::kC, test::kT1, test::kP1, test::kOrigin};
-  const auto result = inference_.infer(std::vector<FeedEntry>{feed}, {});
+  const auto result = test::infer(inference_, std::vector<FeedEntry>{feed}, {});
   // c, t1 and p1 are all observed and assigned to link 0.
   for (topology::Asn asn : {test::kC, test::kT1, test::kP1}) {
     EXPECT_EQ(result.catchments[id(asn)], 0u) << asn;
@@ -75,8 +75,9 @@ TEST_F(InferenceTest, BgpVotesOutrankTraceroutes) {
   trace.path = {test::kC, test::kT2, test::kP2, test::kOrigin};
   trace.complete = true;
 
-  const auto result = inference_.infer(
-      std::vector<FeedEntry>{feed}, std::vector<AsLevelPath>{trace, trace});
+  const auto result =
+      test::infer(inference_, std::vector<FeedEntry>{feed},
+                  std::vector<AsLevelPath>{trace, trace});
   EXPECT_EQ(result.catchments[id(test::kC)], 0u);
   // The conflict is recorded in the multi-catchment statistic.
   EXPECT_GT(result.multi_catchment_fraction, 0.0);
@@ -90,8 +91,8 @@ TEST_F(InferenceTest, MajorityWithinTypeWins) {
   AsLevelPath via_p2 = via_p1;
   via_p2.path = {test::kC, test::kT2, test::kP2, test::kOrigin};
 
-  const auto result = inference_.infer(
-      {}, std::vector<AsLevelPath>{via_p2, via_p1, via_p2});
+  const auto result = test::infer(
+      inference_, {}, std::vector<AsLevelPath>{via_p2, via_p1, via_p2});
   EXPECT_EQ(result.catchments[id(test::kC)], 1u);
 }
 
@@ -101,7 +102,7 @@ TEST_F(InferenceTest, IncompleteTraceroutesIgnored) {
   incomplete.path = {test::kC, test::kT1};
   incomplete.complete = false;
   const auto result =
-      inference_.infer({}, std::vector<AsLevelPath>{incomplete});
+      test::infer(inference_, {}, std::vector<AsLevelPath>{incomplete});
   EXPECT_EQ(result.covered_count, 0u);
 }
 
@@ -117,7 +118,7 @@ TEST_F(InferenceTest, MultiCatchmentFractionCounts) {
   via_p2.complete = true;
 
   const auto result =
-      inference_.infer({}, std::vector<AsLevelPath>{via_p1, via_p2});
+      test::infer(inference_, {}, std::vector<AsLevelPath>{via_p1, via_p2});
   // Observed: c, t1, p1, t2, p2 = 5; only c conflicts.
   EXPECT_EQ(result.covered_count, 5u);
   EXPECT_NEAR(result.multi_catchment_fraction, 0.2, 1e-9);

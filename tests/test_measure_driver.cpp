@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "helpers.hpp"
 #include "oracles.hpp"
 #include "util/rng.hpp"
 
@@ -77,14 +78,15 @@ class MeasureDriverTest : public ::testing::Test {
       traces.reserve(testbed_.probe_ases().size() * kRounds);
       for (topology::AsId probe : testbed_.probe_ases()) {
         for (std::uint32_t round = 0; round < kRounds; ++round) {
-          traces.push_back(tracer_.run(outcome, probe, testbed_.origin_id(),
+          traces.push_back(test::trace(tracer_, outcome, probe,
+                                       testbed_.origin_id(),
                                        util::hash_combine(i, round)));
         }
       }
       const auto paths =
           test::legacy_repair(testbed_.graph(), ip2as_, ixps_,
                               core::kPeeringAsn, traces, feed_entries);
-      results[i] = inference_.infer(feed_entries, paths);
+      results[i] = test::infer(inference_, feed_entries, paths);
     }
     return results;
   }

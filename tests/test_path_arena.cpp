@@ -7,6 +7,8 @@
 
 #include <vector>
 
+#include "helpers.hpp"
+
 namespace spooftrack::bgp {
 namespace {
 
@@ -15,7 +17,7 @@ TEST(PathArena, DefaultConstructedIsEmpty) {
   EXPECT_EQ(arena.node_count(), 0u);
   EXPECT_EQ(arena.length(kEmptyPath), 0u);
   EXPECT_EQ(arena.hits(), 0u);
-  EXPECT_TRUE(arena.materialize(kEmptyPath).empty());
+  EXPECT_TRUE(test::path_of(arena, kEmptyPath).empty());
 }
 
 TEST(PathArena, CopyIsIndependent) {
@@ -32,13 +34,13 @@ TEST(PathArena, CopyIsIndependent) {
   const PathId fresh = copy.intern(std::vector<topology::Asn>{5, 6});
   EXPECT_EQ(copy.node_count(), nodes + 3);
   EXPECT_EQ(original.node_count(), nodes);
-  EXPECT_EQ(copy.materialize(extended),
+  EXPECT_EQ(test::path_of(copy, extended),
             (std::vector<topology::Asn>{7, 10, 100, 47065}));
   EXPECT_EQ(copy.length(fresh), 2u);
 
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_EQ(original.materialize(ids[i]), paths[i]) << i;
-    EXPECT_EQ(copy.materialize(ids[i]), paths[i]) << i;
+    EXPECT_EQ(test::path_of(original, ids[i]), paths[i]) << i;
+    EXPECT_EQ(test::path_of(copy, ids[i]), paths[i]) << i;
     EXPECT_TRUE(original.equal(ids[i], copy, ids[i])) << i;
     EXPECT_TRUE(copy.equal(ids[i], original, ids[i])) << i;
   }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "helpers.hpp"
+#include "oracles.hpp"
+#include "topology/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace spooftrack::bgp {
 namespace {
@@ -57,10 +61,10 @@ TEST_F(PolicyTest, ExportRulesAreValleyFree) {
 
 TEST_F(PolicyTest, LoopPreventionRejectsOwnAsn) {
   const std::vector<topology::Asn> path{test::kP1, test::kT1, 47065};
-  EXPECT_FALSE(policy_.accepts(id(test::kT1), test::kT1,
-                               topology::Rel::kCustomer, std::span(path)));
-  EXPECT_TRUE(policy_.accepts(id(test::kT2), test::kT2, topology::Rel::kPeer,
-                              std::span(path)));
+  EXPECT_FALSE(test::accepts(policy_, id(test::kT1), test::kT1,
+                             topology::Rel::kCustomer, std::span(path)));
+  EXPECT_TRUE(test::accepts(policy_, id(test::kT2), test::kT2,
+                            topology::Rel::kPeer, std::span(path)));
 }
 
 TEST_F(PolicyTest, IgnorePoisonFlagDisablesLoopPrevention) {
@@ -68,23 +72,23 @@ TEST_F(PolicyTest, IgnorePoisonFlagDisablesLoopPrevention) {
   flags.ignores_poison = true;
   policy_.override_flags(id(test::kT1), flags);
   const std::vector<topology::Asn> path{test::kP1, test::kT1, 47065};
-  EXPECT_TRUE(policy_.accepts(id(test::kT1), test::kT1,
-                              topology::Rel::kCustomer, std::span(path)));
+  EXPECT_TRUE(test::accepts(policy_, id(test::kT1), test::kT1,
+                            topology::Rel::kCustomer, std::span(path)));
 }
 
 TEST_F(PolicyTest, Tier1FilterDropsPoisonedCustomerRoutes) {
   // t2 (tier-1) hears a customer route whose path contains t1 (tier-1).
   const std::vector<topology::Asn> path{test::kP2, 47065, test::kT1, 47065};
-  EXPECT_FALSE(policy_.accepts(id(test::kT2), test::kT2,
-                               topology::Rel::kCustomer, std::span(path)));
+  EXPECT_FALSE(test::accepts(policy_, id(test::kT2), test::kT2,
+                             topology::Rel::kCustomer, std::span(path)));
   // The same path from a peer is fine (only customer announcements are
   // suspicious).
-  EXPECT_TRUE(policy_.accepts(id(test::kT2), test::kT2, topology::Rel::kPeer,
-                              std::span(path)));
+  EXPECT_TRUE(test::accepts(policy_, id(test::kT2), test::kT2,
+                            topology::Rel::kPeer, std::span(path)));
   // Non-tier-1 receivers do not filter (receiver must not be in the path,
   // or loop prevention fires first).
-  EXPECT_TRUE(policy_.accepts(id(test::kB), test::kB,
-                              topology::Rel::kCustomer, std::span(path)));
+  EXPECT_TRUE(test::accepts(policy_, id(test::kB), test::kB,
+                            topology::Rel::kCustomer, std::span(path)));
 }
 
 TEST_F(PolicyTest, Tier1FilterCanBeDisabledGlobally) {
@@ -92,8 +96,8 @@ TEST_F(PolicyTest, Tier1FilterCanBeDisabledGlobally) {
   config.tier1_filters_poisoned = false;
   RoutingPolicy lenient(graph_, config);
   const std::vector<topology::Asn> path{test::kP2, 47065, test::kT1, 47065};
-  EXPECT_TRUE(lenient.accepts(id(test::kT2), test::kT2,
-                              topology::Rel::kCustomer, std::span(path)));
+  EXPECT_TRUE(test::accepts(lenient, id(test::kT2), test::kT2,
+                            topology::Rel::kCustomer, std::span(path)));
 }
 
 TEST_F(PolicyTest, CandidateRefAcceptChecksRelayedSender) {
@@ -113,6 +117,57 @@ TEST_F(PolicyTest, CandidateRefAcceptChecksRelayedSender) {
   cand.sender_asn = test::kP2;
   EXPECT_TRUE(policy_.accepts(id(test::kT2), test::kT2,
                               topology::Rel::kCustomer, cand));
+}
+
+TEST_F(PolicyTest, AcceptsMatchesPlainPathWalk) {
+  // RoutingPolicy::accepts answers most candidates from Bloom signatures;
+  // the oracle walks every path. Random candidates over the diagram's ASNs
+  // (repeats model prepending and poisoning) must get the same verdict.
+  std::unordered_set<topology::Asn> tier1_asns;
+  for (topology::AsId t : topology::tier1_set(graph_)) {
+    tier1_asns.insert(graph_.asn_of(t));
+  }
+  constexpr topology::Rel kRels[] = {topology::Rel::kCustomer,
+                                     topology::Rel::kPeer,
+                                     topology::Rel::kProvider};
+  const std::uint64_t n = graph_.size();
+  util::Rng rng{2019};
+  PathArena arena;
+  constexpr std::size_t kDraws = 20000;
+  std::size_t accepted = 0;
+  for (std::size_t draw = 0; draw < kDraws; ++draw) {
+    const auto receiver = static_cast<topology::AsId>(rng.next_below(n));
+    AsPolicyFlags flags = policy_.flags(receiver);
+    flags.ignores_poison = rng.chance(0.3);
+    policy_.override_flags(receiver, flags);
+
+    std::vector<topology::Asn> path(1 + rng.next_below(6));
+    for (topology::Asn& asn : path) {
+      asn = graph_.asn_of(static_cast<topology::AsId>(rng.next_below(n)));
+    }
+    CandidateRef cand;
+    cand.rel_of_sender = kRels[rng.next_below(3)];
+    cand.path_includes_sender = rng.chance(0.5);
+    // A relayed sender is any other AS; a seed's sender heads its path.
+    cand.sender_asn =
+        cand.path_includes_sender
+            ? path.front()
+            : graph_.asn_of(static_cast<topology::AsId>(
+                  (receiver + 1 + rng.next_below(n - 1)) % n));
+    cand.arena = &arena;
+    cand.learned_path = arena.intern(path);
+
+    const topology::Asn receiver_asn = graph_.asn_of(receiver);
+    const bool verdict =
+        policy_.accepts(receiver, receiver_asn, cand.rel_of_sender, cand);
+    ASSERT_EQ(verdict,
+              test::legacy_accepts(policy_, tier1_asns, receiver,
+                                   receiver_asn, cand.rel_of_sender, cand))
+        << "draw " << draw;
+    accepted += verdict;
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(kDraws - accepted, 1000u);
 }
 
 TEST_F(PolicyTest, BetterPrefersLocalPrefThenLength) {

@@ -77,7 +77,8 @@ TEST_F(PolicyAuditTest, ShortestViolatorFailsSecondCriterion) {
   // d followed its IGP-like score; whether that picked the long path is
   // seed-dependent, so assert consistency instead: compliance failed iff d
   // kept the longer route.
-  const bool kept_long = outcome.path_length(id(test::kD)) > 2;
+  const bool kept_long =
+      outcome.paths.length(outcome.best[id(test::kD)].path) > 2;
   if (kept_long) {
     EXPECT_LT(stats.both_fraction(), 1.0);
     EXPECT_EQ(stats.both_criteria + 1, stats.audited);

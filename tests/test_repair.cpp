@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 
 #include "helpers.hpp"
 
@@ -46,7 +47,7 @@ TEST_F(RepairTest, CleanTraceMapsDirectly) {
   const auto t = trace_of(
       test::kC, {router(test::kC), router(test::kT1), router(test::kP1),
                  AddressPlan::experiment_target()});
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_TRUE(path.complete);
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kC, test::kT1,
                                                    test::kP1, test::kOrigin}));
@@ -56,7 +57,7 @@ TEST_F(RepairTest, ConsecutiveSameAsHopsCollapse) {
   const auto t = trace_of(
       test::kC, {router(test::kC), router(test::kT1, 0), router(test::kT1, 1),
                  router(test::kP1), AddressPlan::experiment_target()});
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kC, test::kT1,
                                                    test::kP1, test::kOrigin}));
 }
@@ -66,7 +67,7 @@ TEST_F(RepairTest, UnresponsiveGapWithSameAsSidesBridged) {
       test::kC, {router(test::kC), router(test::kT1, 0), std::nullopt,
                  router(test::kT1, 1), router(test::kP1),
                  AddressPlan::experiment_target()});
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_TRUE(path.complete);
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kC, test::kT1,
                                                    test::kP1, test::kOrigin}));
@@ -82,7 +83,7 @@ TEST_F(RepairTest, Step2SubstitutesFromOtherTraces) {
       test::kC, {router(test::kC), std::nullopt, std::nullopt,
                  AddressPlan::experiment_target()});
   const std::vector<Traceroute> batch = {complete, gappy};
-  const auto repaired = repair_.repair(batch, {});
+  const auto repaired = test::repair(repair_, batch, {});
   ASSERT_EQ(repaired.size(), 2u);
   EXPECT_EQ(repaired[1].path, repaired[0].path);
   EXPECT_TRUE(repaired[1].complete);
@@ -100,7 +101,7 @@ TEST_F(RepairTest, Step2RefusesConflictingInteriors) {
       test::kC,
       {router(test::kC), std::nullopt, AddressPlan::experiment_target()});
   const std::vector<Traceroute> batch = {via_t1, via_t2, gappy};
-  const auto repaired = repair_.repair(batch, {});
+  const auto repaired = test::repair(repair_, batch, {});
   // The gap cannot be bridged by step 2; sides differ (kC vs origin), and
   // no feeds were given, so the unknown hop is dropped.
   EXPECT_EQ(repaired[2].path,
@@ -118,7 +119,7 @@ TEST_F(RepairTest, Step4FillsAsGapsFromFeeds) {
                  AddressPlan::experiment_target()});
   const std::vector<Traceroute> batch = {gappy};
   const std::vector<FeedEntry> feeds = {feed};
-  const auto repaired = repair_.repair(batch, feeds);
+  const auto repaired = test::repair(repair_, batch, feeds);
   EXPECT_EQ(repaired[0].path,
             (std::vector<topology::Asn>{test::kC, test::kT1, test::kP1,
                                         test::kOrigin}));
@@ -140,7 +141,8 @@ TEST_F(RepairTest, OriginSandwichNeverRecordedAsFeedInterior) {
   const auto gappy = trace_of(
       test::kC, {router(test::kC), std::nullopt, router(test::kT2),
                  AddressPlan::experiment_target()});
-  const auto repaired = repair_.repair(std::vector<Traceroute>{gappy}, feeds);
+  const auto repaired =
+      test::repair(repair_, std::vector<Traceroute>{gappy}, feeds);
   ASSERT_EQ(repaired.size(), 1u);
   EXPECT_EQ(repaired[0].path,
             (std::vector<topology::Asn>{test::kC, test::kT2, test::kOrigin}));
@@ -162,7 +164,8 @@ TEST_F(RepairTest, FeedInteriorsBeforeTheOriginStillBridge) {
   const auto gappy = trace_of(
       test::kC, {router(test::kC), std::nullopt,
                  AddressPlan::experiment_target()});
-  const auto repaired = repair_.repair(std::vector<Traceroute>{gappy}, feeds);
+  const auto repaired =
+      test::repair(repair_, std::vector<Traceroute>{gappy}, feeds);
   ASSERT_EQ(repaired.size(), 1u);
   EXPECT_TRUE(repaired[0].complete);
   EXPECT_EQ(repaired[0].path,
@@ -182,11 +185,11 @@ TEST_F(RepairTest, ScratchReuseAcrossBatchesMatchesFreshScratch) {
   PathRepair::Scratch scratch;
   std::vector<AsLevelPath> out;
   repair_.repair(batch_a, {}, scratch, out);
-  EXPECT_EQ(out, repair_.repair(batch_a, {}));
+  EXPECT_EQ(out, test::repair(repair_, batch_a, {}));
   // Batch B must not see batch A's index: the gap has no donor now, so
   // the interior hops are dropped instead of inherited from batch A.
   repair_.repair(batch_b, {}, scratch, out);
-  EXPECT_EQ(out, repair_.repair(batch_b, {}));
+  EXPECT_EQ(out, test::repair(repair_, batch_b, {}));
   EXPECT_EQ(out[0].path,
             (std::vector<topology::Asn>{test::kC, test::kOrigin}));
 }
@@ -195,7 +198,7 @@ TEST_F(RepairTest, UnknownHopsDroppedWhenUnresolvable) {
   const auto t = trace_of(
       test::kC, {router(test::kC), std::nullopt, router(test::kP1),
                  AddressPlan::experiment_target()});
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kC, test::kP1,
                                                    test::kOrigin}));
 }
@@ -207,7 +210,7 @@ TEST_F(RepairTest, IxpHopsAreDropped) {
       test::kC, {router(test::kC), all_ixp.member_address(0, id(test::kT1)),
                  router(test::kT1), router(test::kP1),
                  AddressPlan::experiment_target()});
-  const auto path = repair.map_only(t);
+  const auto path = test::repair(repair, std::span(&t, 1), {})[0];
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kC, test::kT1,
                                                    test::kP1, test::kOrigin}));
 }
@@ -215,7 +218,7 @@ TEST_F(RepairTest, IxpHopsAreDropped) {
 TEST_F(RepairTest, IncompleteTraceFlagged) {
   const auto t = trace_of(test::kC, {router(test::kC), router(test::kT1)},
                           false);
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_FALSE(path.complete);
   EXPECT_EQ(path.path.back(), test::kT1);
 }
@@ -226,7 +229,7 @@ TEST_F(RepairTest, ProbeAsAlwaysAnchorsThePath) {
   const auto t = trace_of(
       test::kC, {std::nullopt, router(test::kP1),
                  AddressPlan::experiment_target()});
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   ASSERT_FALSE(path.path.empty());
   EXPECT_EQ(path.path.front(), test::kC);
 }
@@ -234,7 +237,7 @@ TEST_F(RepairTest, ProbeAsAlwaysAnchorsThePath) {
 TEST_F(RepairTest, EmptyTraceYieldsProbeOnly) {
   Traceroute t;
   t.probe = id(test::kA);
-  const auto path = repair_.map_only(t);
+  const auto path = test::repair(repair_, std::span(&t, 1), {})[0];
   EXPECT_EQ(path.path, (std::vector<topology::Asn>{test::kA}));
   EXPECT_FALSE(path.complete);
 }
@@ -277,7 +280,7 @@ TEST(RepairScratch, ReusedAcrossRepairersAtOneAddress) {
     ixps.emplace(graph, mapped ? 1u : 0u, 1.0, 5);
     repair.emplace(graph, *ip2as, *ixps, test::kOrigin);
     repair->repair(batch, {}, scratch, out);
-    EXPECT_EQ(out, repair->repair(batch, {})) << "mapped " << mapped;
+    EXPECT_EQ(out, test::repair(*repair, batch, {})) << "mapped " << mapped;
     paths.push_back(out[0].path);
   }
   EXPECT_EQ(paths[0], (std::vector<topology::Asn>{test::kC, test::kT1,

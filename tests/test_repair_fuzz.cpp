@@ -11,6 +11,7 @@
 
 #include "bgp/catchment.hpp"
 #include "core/experiment.hpp"
+#include "helpers.hpp"
 #include "measure/feed.hpp"
 #include "measure/repair.hpp"
 #include "measure/traceroute.hpp"
@@ -50,7 +51,7 @@ struct NoisyBatch {
       if (probe == testbed.origin_id()) continue;
       for (std::uint64_t round = 0; round < 2; ++round) {
         traces.push_back(
-            tracer.run(outcome, probe, testbed.origin_id(), round));
+            test::trace(tracer, outcome, probe, testbed.origin_id(), round));
       }
     }
 
@@ -113,7 +114,7 @@ TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {
   const auto& feeds = batch.feeds;
   const PathRepair& repair = batch.repair;
 
-  const auto repaired = repair.repair(traces, feeds);
+  const auto repaired = test::repair(repair, traces, feeds);
   ASSERT_EQ(repaired.size(), traces.size());
 
   // Bit-equivalence with the pre-optimization pipeline on the same batch.
@@ -226,7 +227,7 @@ TEST(RepairFuzzExtra, AdversarialHandCraftedTraces) {
   add({plan.router_address(1, 0), std::nullopt, std::nullopt,
        plan.router_address(1, 1)});  // gap bridged by same AS
 
-  const auto repaired = repair.repair(traces, {});
+  const auto repaired = test::repair(repair, traces, {});
   ASSERT_EQ(repaired.size(), traces.size());
   for (const auto& path : repaired) {
     ASSERT_FALSE(path.path.empty());
@@ -285,7 +286,7 @@ TEST(RepairWindowBoundary, ExactWindowSubstitutesOnePastNever) {
     const std::vector<Traceroute> batch = {
         make(left, right, gap, base, true),    // donor
         make(left, right, gap, base, false)};  // same-width gap
-    const auto repaired = repair.repair(batch, {});
+    const auto repaired = test::repair(repair, batch, {});
     ASSERT_EQ(repaired.size(), 2u);
     if (gap == kW) {
       EXPECT_TRUE(contains_mid(repaired[1])) << "trial " << trial;
@@ -301,7 +302,7 @@ TEST(RepairWindowBoundary, ExactWindowSubstitutesOnePastNever) {
     const std::vector<Traceroute> uneven = {
         make(left, right, kW, base, true),
         make(left, right, kW + 1, base, false)};
-    const auto mismatched = repair.repair(uneven, {});
+    const auto mismatched = test::repair(repair, uneven, {});
     EXPECT_FALSE(contains_mid(mismatched[1])) << "trial " << trial;
   }
 }

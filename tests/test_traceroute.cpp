@@ -40,7 +40,8 @@ TEST_F(TracerouteTest, CleanTraceReachesTarget) {
   const TracerouteSim sim(graph_, plan_, ixps_, quiet_options());
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
-  const auto trace = sim.run(outcome, id(test::kC), id(test::kOrigin), 0);
+  const auto trace =
+      test::trace(sim, outcome, id(test::kC), id(test::kOrigin), 0);
   EXPECT_TRUE(trace.reached);
   ASSERT_FALSE(trace.hops.empty());
   // Final hop answers from the experiment target.
@@ -54,7 +55,8 @@ TEST_F(TracerouteTest, HopAddressesMapToOnPathAses) {
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
   // c -> t1 -> p1 -> origin.
-  const auto trace = sim.run(outcome, id(test::kC), id(test::kOrigin), 0);
+  const auto trace =
+      test::trace(sim, outcome, id(test::kC), id(test::kOrigin), 0);
   std::vector<topology::AsId> on_path = {id(test::kC), id(test::kT1),
                                          id(test::kP1)};
   for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
@@ -77,7 +79,8 @@ TEST_F(TracerouteTest, NoRouteTraceDiesInProbeAs) {
   // Manually invalidate the probe's route to emulate loss of reachability.
   outcome.best[id(test::kB)] = bgp::Route{};
   outcome.next_hop[id(test::kB)] = topology::kInvalidAsId;
-  const auto trace = sim.run(outcome, id(test::kB), id(test::kOrigin), 0);
+  const auto trace =
+      test::trace(sim, outcome, id(test::kB), id(test::kOrigin), 0);
   EXPECT_FALSE(trace.reached);
   EXPECT_EQ(trace.hops.size(), 1u);  // only the probe's own gateway
 }
@@ -92,7 +95,8 @@ TEST_F(TracerouteTest, ForeignBorderNumbering) {
   // b -> p2 -> t2 -> t1 -> p1 -> origin; the t2--t1 peering is on an IXP
   // (edge_fraction = 1), so that ingress shows an IXP address; other
   // borders show the previous AS's space.
-  const auto trace = sim.run(outcome, id(test::kB), id(test::kOrigin), 0);
+  const auto trace =
+      test::trace(sim, outcome, id(test::kB), id(test::kOrigin), 0);
   ASSERT_TRUE(trace.reached);
   bool saw_foreign = false;
   bool saw_ixp = false;
@@ -118,7 +122,8 @@ TEST_F(TracerouteTest, SilentAsNeverResponds) {
   const TracerouteSim sim(graph_, plan_, ixps_, options);
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
-  const auto trace = sim.run(outcome, id(test::kC), id(test::kOrigin), 0);
+  const auto trace =
+      test::trace(sim, outcome, id(test::kC), id(test::kOrigin), 0);
   // All intermediate hops unresponsive; only the destination target (which
   // is not an AS hop) may answer.
   for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
@@ -132,8 +137,10 @@ TEST_F(TracerouteTest, TransientLossVariesWithSalt) {
   const TracerouteSim sim(graph_, plan_, ixps_, options);
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
-  const auto t1 = sim.run(outcome, id(test::kC), id(test::kOrigin), 1);
-  const auto t2 = sim.run(outcome, id(test::kC), id(test::kOrigin), 2);
+  const auto t1 =
+      test::trace(sim, outcome, id(test::kC), id(test::kOrigin), 1);
+  const auto t2 =
+      test::trace(sim, outcome, id(test::kC), id(test::kOrigin), 2);
   // Same path, same hop count.
   EXPECT_EQ(t1.hops.size(), t2.hops.size());
   // Loss pattern should differ between salts (probabilistically certain
@@ -151,8 +158,10 @@ TEST_F(TracerouteTest, DeterministicForSameSalt) {
   const TracerouteSim sim(graph_, plan_, ixps_, options);
   const auto config = test::announce_all(2);
   const auto outcome = engine_.run(origin_, config);
-  const auto t1 = sim.run(outcome, id(test::kA), id(test::kOrigin), 7);
-  const auto t2 = sim.run(outcome, id(test::kA), id(test::kOrigin), 7);
+  const auto t1 =
+      test::trace(sim, outcome, id(test::kA), id(test::kOrigin), 7);
+  const auto t2 =
+      test::trace(sim, outcome, id(test::kA), id(test::kOrigin), 7);
   ASSERT_EQ(t1.hops.size(), t2.hops.size());
   for (std::size_t i = 0; i < t1.hops.size(); ++i) {
     EXPECT_EQ(t1.hops[i].address, t2.hops[i].address);

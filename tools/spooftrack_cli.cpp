@@ -180,7 +180,8 @@ core::TestbedConfig testbed_config(const util::FlagSet& flags) {
   // the resolved default, but a *conflicting* SPOOFTRACK_THREADS is a
   // configuration error, not a silent tie-break — scripted runs should not
   // discover at bench-diff time which of the two was honoured.
-  const std::uint64_t workers = uint_flag(flags, "workers");
+  const std::uint64_t workers =
+      uint_flag(flags, "workers", 0, util::kMaxWorkers);
   if (workers > 0) {
     if (const auto env = util::env_worker_override(); env && *env != workers) {
       throw std::invalid_argument(
