@@ -1,5 +1,6 @@
 // Independent reference implementations for the analysis kernels, the
-// §IV-b traceroute repair and the BGP import filter.
+// §IV-b traceroute repair, the BGP import filter and the candidate routes
+// each AS chooses from.
 //
 // The production cluster refinement runs on encoded CatchmentStore bytes
 // (or rows decoded from the bit-sliced planes), and the production greedy
@@ -31,12 +32,20 @@
 // bgp::RoutingPolicy::accepts walks a path only when its Bloom signature
 // may hold a rejected ASN.
 //
+// legacy_candidates lists the routes an AS can choose (the input of the
+// stable-paths certificate and of the Figure 9 audit) from the
+// configuration and the outcome, with the export, no-export and import
+// rules written out here; bgp::Engine builds the same list from its seed
+// table and the precomputed no-export bitmaps, with one walker for
+// propagation and Engine::candidates.
+//
 // The tests require the production code to match every oracle bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -46,7 +55,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bgp/announcement.hpp"
 #include "bgp/catchment.hpp"
+#include "bgp/engine.hpp"
 #include "bgp/path_arena.hpp"
 #include "bgp/policy.hpp"
 #include "core/attribution.hpp"
@@ -370,6 +381,78 @@ inline bool legacy_accepts(const bgp::RoutingPolicy& policy,
     }
   }
   return true;
+}
+
+/// The routes `as` can choose under `outcome`, one per exporting neighbor
+/// in neighbor order, listed from `config` and the outcome alone (no
+/// engine seed table). The origin offers the announcement whose link
+/// provider is `as`, with its bgp::seed_path. Another neighbor offers its
+/// valid best route when it learned that route from a customer or is
+/// `as`'s provider (Gao-Rexford), unless the neighbor is a link provider,
+/// the route carries the neighbor's own announcement and `as` is on that
+/// announcement's no-export list. legacy_accepts filters what is left;
+/// lengths count the path's ASNs one by one.
+inline std::vector<bgp::Engine::CandidateInfo> legacy_candidates(
+    const topology::AsGraph& graph, const bgp::RoutingPolicy& policy,
+    const std::unordered_set<topology::Asn>& tier1_asns,
+    const bgp::OriginSpec& origin, const bgp::Configuration& config,
+    const bgp::RoutingOutcome& outcome, topology::AsId as) {
+  const topology::Asn asn = graph.asn_of(as);
+  std::vector<bgp::Engine::CandidateInfo> out;
+  if (asn == origin.asn) return out;
+  // The announcement sent over the peering link whose provider is `provider`.
+  const auto announcement_to = [&](topology::Asn provider) {
+    for (std::uint32_t ann = 0; ann < config.announcements.size(); ++ann) {
+      if (origin.links[config.announcements[ann].link].provider == provider) {
+        return ann;
+      }
+    }
+    return bgp::kNoAnnouncement;
+  };
+  bgp::PathArena seed_arena;
+  for (const topology::Neighbor& nb : graph.neighbors(as)) {
+    bgp::CandidateRef cand;
+    cand.sender = nb.id;
+    cand.sender_asn = graph.asn_of(nb.id);
+    cand.rel_of_sender = nb.rel;
+    if (cand.sender_asn == origin.asn) {
+      cand.ann = announcement_to(asn);
+      if (cand.ann == bgp::kNoAnnouncement) continue;
+      cand.arena = &seed_arena;
+      cand.learned_path = seed_arena.intern(
+          bgp::seed_path(origin.asn, config.announcements[cand.ann]));
+      cand.path_includes_sender = true;
+    } else {
+      const bgp::Route& learned = outcome.best[nb.id];
+      if (!learned.valid()) continue;
+      if (learned.learned_from != topology::Rel::kCustomer &&
+          nb.rel != topology::Rel::kProvider) {
+        continue;
+      }
+      if (learned.ann == announcement_to(cand.sender_asn)) {
+        const auto& blocked = config.announcements[learned.ann].no_export_to;
+        if (std::find(blocked.begin(), blocked.end(), asn) != blocked.end()) {
+          continue;
+        }
+      }
+      cand.ann = learned.ann;
+      cand.arena = &outcome.paths;
+      cand.learned_path = learned.path;
+      cand.path_includes_sender = false;
+    }
+    if (!legacy_accepts(policy, tier1_asns, as, asn, nb.rel, cand)) continue;
+    bgp::Engine::CandidateInfo info;
+    info.sender = nb.id;
+    info.rel_of_sender = nb.rel;
+    info.local_pref = policy.local_pref(as, nb.rel);
+    const auto path = cand.arena->view(cand.learned_path);
+    info.length = static_cast<std::uint32_t>(
+        std::distance(path.begin(), path.end()) +
+        (cand.path_includes_sender ? 0 : 1));
+    info.ann = cand.ann;
+    out.push_back(info);
+  }
+  return out;
 }
 
 namespace legacy_repair_detail {

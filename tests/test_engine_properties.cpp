@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "bgp/catchment.hpp"
@@ -13,6 +14,7 @@
 #include "core/config_gen.hpp"
 #include "core/experiment.hpp"
 #include "helpers.hpp"
+#include "oracles.hpp"
 #include "topology/metrics.hpp"
 #include "topology/synth.hpp"
 
@@ -198,13 +200,30 @@ TEST_P(EngineProperty, PoisoningMovesOrKeepsButNeverStrands) {
   EXPECT_EQ(map.routed_count(), world.topo.graph.size() - 1);
 }
 
+/// Sender, relationship, LocalPref, length and announcement: the fields
+/// of a candidate that the audit and the certificate read.
+using CandidateFields =
+    std::tuple<topology::AsId, int, int, std::uint32_t, std::uint32_t>;
+
+std::vector<CandidateFields> fields_of(
+    const std::vector<bgp::Engine::CandidateInfo>& candidates) {
+  std::vector<CandidateFields> out;
+  for (const auto& c : candidates) {
+    out.emplace_back(c.sender, static_cast<int>(c.rel_of_sender),
+                     c.local_pref, c.length, c.ann);
+  }
+  return out;
+}
+
 /// Stable-paths certificate: `outcome` is a fixed point of the routing
 /// policy when every AS holds the preference maximum over the routes its
-/// neighbors export to it (Engine::candidates), and an AS is unrouted
-/// exactly when it has no candidate. The maximum is taken here from the
-/// keys policy.hpp documents — LocalPref; then path length and tiebreak
-/// score, in the order that AS uses; then the lowest sender ASN — not by
-/// the engine's selection loop.
+/// neighbors export to it, and an AS is unrouted exactly when it has no
+/// candidate. The candidates come from test::legacy_candidates, not from
+/// the engine, and Engine::candidates (the Figure 9 audit's input) must
+/// list the same ones in the same order. The maximum is taken here from
+/// the keys policy.hpp documents — LocalPref; then path length and
+/// tiebreak score, in the order that AS uses; then the lowest sender ASN —
+/// not by the engine's selection loop.
 void expect_stable_paths(const bgp::Engine& engine,
                          const bgp::OriginSpec& origin,
                          const bgp::Configuration& config,
@@ -212,9 +231,18 @@ void expect_stable_paths(const bgp::Engine& engine,
                          const std::string& what) {
   const topology::AsGraph& g = engine.graph();
   const bgp::RoutingPolicy& policy = engine.policy();
+  std::unordered_set<topology::Asn> tier1_asns;
+  for (const topology::AsId t : topology::tier1_set(g)) {
+    tier1_asns.insert(g.asn_of(t));
+  }
   const bgp::Engine::Prepared seeds = engine.prepare(origin, config);
   for (topology::AsId as = 0; as < g.size(); ++as) {
-    const auto candidates = engine.candidates(as, origin, seeds, outcome);
+    const auto candidates = test::legacy_candidates(
+        g, policy, tier1_asns, origin, config, outcome, as);
+    EXPECT_EQ(fields_of(engine.candidates(as, origin, seeds, outcome)),
+              fields_of(candidates))
+        << what << ": Engine::candidates of AS " << g.asn_of(as)
+        << " differ from the oracle's";
     const bgp::Route& route = outcome.best[as];
     if (candidates.empty()) {
       EXPECT_FALSE(route.valid())
