@@ -144,6 +144,57 @@ bool export_filter_equal(AsId p, const SeedTable& a, const Configuration& ca,
          a.seed_of[p].ann == b.seed_of[p].ann && ea == eb;
 }
 
+/// Calls `visit(cand)`, in neighbor order, for each route AS `x` can
+/// choose: the origin's seed over x's peering link (`seed_path` in
+/// `seed_arena`), and each neighbor's valid route in `best` (paths in
+/// `arena`) that passes the Gao-Rexford export rule, the no-export bitmap
+/// and x's import filter. Each candidate carries x's LocalPref. Propagation
+/// and Engine::candidates (the Figure 9 audit) both list candidates here.
+template <typename Visit>
+void for_each_candidate(const topology::AsGraph& graph,
+                        const RoutingPolicy& policy, const SeedTable& seeds,
+                        const std::vector<Route>& best, const PathArena& arena,
+                        const PathArena& seed_arena, PathId seed_path, AsId x,
+                        Visit&& visit) {
+  const topology::Asn x_asn = graph.asn_of(x);
+  for (const topology::Neighbor& nb : graph.neighbors(x)) {
+    CandidateRef cand;
+    if (nb.id == seeds.origin_id) {
+      if (!seeds.has_seed[x]) continue;
+      // Direct announcement from the origin over this peering link.
+      cand.ann = seeds.seed_of[x].ann;
+      cand.arena = &seed_arena;
+      cand.learned_path = seed_path;
+      cand.path_includes_sender = true;
+    } else {
+      const Route& learned = best[nb.id];
+      if (!learned.valid()) continue;
+      // Valley-free export rule at the sender: from the sender's
+      // perspective, x is reverse(nb.rel).
+      if (!policy.exports(learned.learned_from, topology::reverse(nb.rel))) {
+        continue;
+      }
+      // BGP-community export control: a link provider whose best route
+      // is its own seed withholds it from no-export targets (one bit
+      // test against the precomputed bitmap).
+      const auto& blocked = seeds.no_export_block[nb.id];
+      if (!blocked.empty() && seeds.seed_of[nb.id].ann == learned.ann &&
+          blocked[x]) {
+        continue;
+      }
+      cand.ann = learned.ann;
+      cand.arena = &arena;
+      cand.learned_path = learned.path;
+      cand.path_includes_sender = false;
+    }
+    cand.sender = nb.id;
+    cand.sender_asn = graph.asn_of(nb.id);
+    cand.rel_of_sender = nb.rel;
+    cand.local_pref = policy.local_pref(x, nb.rel);
+    if (policy.accepts(x, x_asn, nb.rel, cand)) visit(cand);
+  }
+}
+
 /// A route change produced by the compute phase, before interning. The
 /// winner's path is NOT interned here — it is described as (sender_asn,
 /// parent) and interned by the commit phase, which keeps the compute phase
@@ -168,8 +219,8 @@ struct StagedWrite {
 RoutingOutcome propagate(const topology::AsGraph& graph_,
                          const RoutingPolicy& policy_,
                          const EngineOptions& options_,
-                         const OriginSpec& origin, const SeedTable& seeds,
-                         PathArena arena, std::vector<Route> current,
+                         const SeedTable& seeds, PathArena arena,
+                         std::vector<Route> current,
                          std::vector<AsId> current_from,
                          const std::vector<bool>& active_round0) {
   OBS_TIMER("engine.propagate_ns");
@@ -222,53 +273,14 @@ RoutingOutcome propagate(const topology::AsGraph& graph_,
     const topology::Asn x_asn = graph_.asn_of(x);
     CandidateRef best_ref;
     bool have_best = false;
-
-    for (const topology::Neighbor& nb : graph_.neighbors(x)) {
-      CandidateRef cand;
-      if (nb.id == origin_id) {
-        if (!seeds.has_seed[x]) continue;
-        // Direct announcement from the origin over this peering link.
-        const Seed& seed = seeds.seed_of[x];
-        cand.sender = origin_id;
-        cand.sender_asn = origin.asn;
-        cand.rel_of_sender = nb.rel;  // origin is our customer
-        cand.ann = seed.ann;
-        cand.arena = &arena;
-        cand.learned_path = seed_path_of[x];
-        cand.path_includes_sender = true;
-      } else {
-        const Route& learned = current[nb.id];
-        if (!learned.valid()) continue;
-        // Valley-free export rule at the sender: from the sender's
-        // perspective, x is reverse(nb.rel).
-        if (!policy_.exports(learned.learned_from,
-                             topology::reverse(nb.rel))) {
-          continue;
-        }
-        // BGP-community export control: a link provider whose best route
-        // is its own seed withholds it from no-export targets (one bit
-        // test against the precomputed bitmap).
-        const auto& blocked = seeds.no_export_block[nb.id];
-        if (!blocked.empty() && seeds.seed_of[nb.id].ann == learned.ann &&
-            blocked[x]) {
-          continue;
-        }
-        cand.sender = nb.id;
-        cand.sender_asn = graph_.asn_of(nb.id);
-        cand.rel_of_sender = nb.rel;
-        cand.ann = learned.ann;
-        cand.arena = &arena;
-        cand.learned_path = learned.path;
-        cand.path_includes_sender = false;
-      }
-      cand.local_pref = policy_.local_pref(x, cand.rel_of_sender);
-
-      if (!policy_.accepts(x, x_asn, cand.rel_of_sender, cand)) continue;
-      if (!have_best || policy_.better(x, x_asn, cand, best_ref)) {
-        best_ref = cand;
-        have_best = true;
-      }
-    }
+    for_each_candidate(graph_, policy_, seeds, current, arena, arena,
+                       seed_path_of[x], x, [&](const CandidateRef& cand) {
+                         if (!have_best ||
+                             policy_.better(x, x_asn, cand, best_ref)) {
+                           best_ref = cand;
+                           have_best = true;
+                         }
+                       });
 
     // Compare the winner with the previous round's route WITHOUT interning
     // its path: hash-consing makes "current path == [sender] + learned
@@ -397,16 +409,16 @@ RoutingOutcome Engine::run(const OriginSpec& origin,
   return run(origin, prepare(origin, config));
 }
 
-RoutingOutcome Engine::run(const OriginSpec& origin,
+RoutingOutcome Engine::run(const OriginSpec& /*origin*/,
                            const Prepared& seeds) const {
   OBS_COUNT("engine.cold_runs", 1);
-  return propagate(graph_, policy_, options_, origin, *seeds.table_,
+  return propagate(graph_, policy_, options_, *seeds.table_,
                    PathArena{}, std::vector<Route>(graph_.size()),
                    std::vector<AsId>(graph_.size(), kInvalidAsId),
                    std::vector<bool>(graph_.size(), true));
 }
 
-RoutingOutcome Engine::run_warm(const OriginSpec& origin,
+RoutingOutcome Engine::run_warm(const OriginSpec& /*origin*/,
                                 const Configuration& config,
                                 const Prepared& seeds_prep,
                                 const Configuration& baseline_config,
@@ -478,13 +490,12 @@ RoutingOutcome Engine::run_warm(const OriginSpec& origin,
     arena = std::move(fresh);
   }
 
-  return propagate(graph_, policy_, options_, origin, seeds,
-                   std::move(arena), std::move(current),
-                   std::move(baseline.next_hop), active);
+  return propagate(graph_, policy_, options_, seeds, std::move(arena),
+                   std::move(current), std::move(baseline.next_hop), active);
 }
 
 std::vector<Engine::CandidateInfo> Engine::candidates(
-    AsId as_id, const OriginSpec& origin, const Prepared& prepared,
+    AsId as_id, const OriginSpec& /*origin*/, const Prepared& prepared,
     const RoutingOutcome& outcome) const {
   const SeedTable& seeds = *prepared.table_;
   std::vector<CandidateInfo> out;
@@ -494,49 +505,16 @@ std::vector<Engine::CandidateInfo> Engine::candidates(
   // this AS may hear into a throwaway arena (CandidateRef carries its own
   // arena pointer, so mixing it with outcome-arena candidates is fine).
   PathArena seed_arena;
-  const topology::Asn x_asn = graph_.asn_of(as_id);
-  for (const topology::Neighbor& n : graph_.neighbors(as_id)) {
-    CandidateRef cand;
-    if (n.id == seeds.origin_id) {
-      if (!seeds.has_seed[as_id]) continue;
-      const Seed& seed = seeds.seed_of[as_id];
-      cand.sender = seeds.origin_id;
-      cand.sender_asn = origin.asn;
-      cand.rel_of_sender = n.rel;
-      cand.ann = seed.ann;
-      cand.arena = &seed_arena;
-      cand.learned_path = seed_arena.intern(seed.path);
-      cand.path_includes_sender = true;
-    } else {
-      const Route& learned = outcome.best[n.id];
-      if (!learned.valid()) continue;
-      if (!policy_.exports(learned.learned_from, topology::reverse(n.rel))) {
-        continue;
-      }
-      const auto& blocked = seeds.no_export_block[n.id];
-      if (!blocked.empty() && seeds.seed_of[n.id].ann == learned.ann &&
-          blocked[as_id]) {
-        continue;
-      }
-      cand.sender = n.id;
-      cand.sender_asn = graph_.asn_of(n.id);
-      cand.rel_of_sender = n.rel;
-      cand.ann = learned.ann;
-      cand.arena = &outcome.paths;
-      cand.learned_path = learned.path;
-      cand.path_includes_sender = false;
-    }
-    cand.local_pref = policy_.local_pref(as_id, cand.rel_of_sender);
-    if (!policy_.accepts(as_id, x_asn, cand.rel_of_sender, cand)) continue;
-
-    CandidateInfo info;
-    info.sender = cand.sender;
-    info.rel_of_sender = cand.rel_of_sender;
-    info.local_pref = cand.local_pref;
-    info.length = cand.length();
-    info.ann = cand.ann;
-    out.push_back(info);
-  }
+  const PathId seed_path = seeds.has_seed[as_id]
+                               ? seed_arena.intern(seeds.seed_of[as_id].path)
+                               : kEmptyPath;
+  for_each_candidate(graph_, policy_, seeds, outcome.best, outcome.paths,
+                     seed_arena, seed_path, as_id,
+                     [&](const CandidateRef& cand) {
+                       out.push_back({cand.sender, cand.rel_of_sender,
+                                      cand.local_pref, cand.length(),
+                                      cand.ann});
+                     });
   return out;
 }
 

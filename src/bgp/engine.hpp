@@ -172,7 +172,9 @@ class Engine {
   /// Enumerates the candidate routes `as_id` could choose under `outcome`,
   /// routed with the prepared configuration `seeds` (its neighbors'
   /// exported routes plus any direct origin announcement, after import
-  /// filtering). The audit calls this per AS with one seed table.
+  /// filtering), in neighbor order, from the walker whose list the
+  /// propagation loop takes the maximum of. The audit calls this per AS
+  /// with one seed table.
   std::vector<CandidateInfo> candidates(topology::AsId as_id,
                                         const OriginSpec& origin,
                                         const Prepared& seeds,
