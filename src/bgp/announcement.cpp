@@ -1,6 +1,5 @@
 #include "bgp/announcement.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -15,14 +14,6 @@ const AnnouncementSpec* Configuration::spec_for(LinkId link) const noexcept {
     if (spec.link == link) return &spec;
   }
   return nullptr;
-}
-
-std::vector<LinkId> Configuration::active_links() const {
-  std::vector<LinkId> links;
-  links.reserve(announcements.size());
-  for (const auto& spec : announcements) links.push_back(spec.link);
-  std::sort(links.begin(), links.end());
-  return links;
 }
 
 const PeeringLink* OriginSpec::link_by_provider(

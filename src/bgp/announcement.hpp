@@ -65,7 +65,6 @@ struct Configuration {
   friend bool operator==(const Configuration&, const Configuration&) = default;
 
   const AnnouncementSpec* spec_for(LinkId link) const noexcept;
-  std::vector<LinkId> active_links() const;
 };
 
 inline constexpr std::uint32_t kNoAnnouncement =

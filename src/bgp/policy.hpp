@@ -78,11 +78,11 @@ class RoutingPolicy {
 
   /// Replaces one AS's flags — used by tests and what-if analyses
   /// (e.g. "would poisoning work if AS X obeyed loop prevention?").
+  /// `is_tier1` only switches that AS's own route-leak filter on or off:
+  /// the filter still matches paths against the ASNs topology::tier1_set
+  /// found when the policy was built.
   void override_flags(topology::AsId id, AsPolicyFlags flags) {
     flags_[id] = flags;
-    // Keep the tier-1 ASN set consistent with the flag.
-    // (tier1_asns_ is keyed by ASN, which the caller controls via the
-    // graph; flag-only overrides adjust filtering behaviour.)
   }
 
   /// LocalPref `receiver` assigns a route learned from a neighbor related

@@ -302,6 +302,23 @@ DeploymentArtifact load_artifact(std::istream& stream) {
     throw shape_error("compliance entry count", artifact.compliance.size(),
                       configs);
   }
+  // Consumers index per-link tables and bit masks by announcement link.
+  if (artifact.link_count > bgp::kMaxCatchmentLinks) {
+    throw std::runtime_error("inconsistent artifact: link count " +
+                             std::to_string(artifact.link_count) +
+                             " exceeds " +
+                             std::to_string(bgp::kMaxCatchmentLinks));
+  }
+  for (const auto& config : artifact.configs) {
+    for (const auto& spec : config.announcements) {
+      if (spec.link >= artifact.link_count) {
+        throw std::runtime_error("inconsistent artifact: announcement link " +
+                                 std::to_string(spec.link) +
+                                 " is not below the link count " +
+                                 std::to_string(artifact.link_count));
+      }
+    }
+  }
   return artifact;
 }
 

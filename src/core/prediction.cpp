@@ -17,13 +17,14 @@ ConfigDescriptor ConfigDescriptor::from(const bgp::Configuration& config) {
 
 CatchmentPredictor::CatchmentPredictor(std::size_t source_count,
                                        std::size_t link_count)
-    : links_(link_count),
-      wins_(source_count * link_count * link_count, 0),
-      strong_wins_(source_count * link_count * link_count, 0),
-      seen_(source_count, 0) {
+    : links_(link_count) {
+  // Checked before sizing: each win table holds sources x links^2 entries.
   if (link_count > 16) {
     throw std::invalid_argument("predictor supports at most 16 links");
   }
+  wins_.assign(source_count * link_count * link_count, 0);
+  strong_wins_.assign(wins_.size(), 0);
+  seen_.assign(source_count, 0);
 }
 
 void CatchmentPredictor::observe_source(const ConfigDescriptor& config,

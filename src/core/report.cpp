@@ -11,6 +11,13 @@
 
 namespace spooftrack::core {
 
+namespace {
+
+/// How many of the largest clusters the heavy-tail table itemizes.
+constexpr std::size_t kTailItems = 10;
+
+}  // namespace
+
 void write_report(const DeploymentArtifact& artifact, std::ostream& out,
                   const ReportOptions& options) {
   const auto clustering = cluster_sources(artifact.matrix);
@@ -74,7 +81,7 @@ void write_report(const DeploymentArtifact& artifact, std::ostream& out,
               });
     out << "| cluster | ASes |\n|---|---|\n";
     for (std::size_t i = 0;
-         i < options.tail_items && i < order.size() &&
+         i < kTailItems && i < order.size() &&
          sizes[order[i]] > options.tail_threshold;
          ++i) {
       out << "| " << order[i] << " | " << sizes[order[i]] << " |\n";

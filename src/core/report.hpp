@@ -15,8 +15,6 @@ namespace spooftrack::core {
 struct ReportOptions {
   /// Clusters larger than this land in the "requires attention" tail.
   std::uint32_t tail_threshold = 5;
-  /// How many of the largest clusters to itemize.
-  std::size_t tail_items = 10;
   /// Steps of greedy schedule to include as a runbook.
   std::size_t runbook_steps = 10;
 };

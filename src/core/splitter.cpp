@@ -10,6 +10,11 @@ namespace spooftrack::core {
 
 namespace {
 
+/// Only clusters with at least this many routed members are split.
+constexpr std::uint32_t kMinClusterSize = 4;
+/// With verification on, heuristic candidates simulated per kept proposal.
+constexpr std::size_t kCandidateFactor = 3;
+
 bgp::Configuration all_links_config(const bgp::OriginSpec& origin,
                                     const std::string& label) {
   bgp::Configuration config;
@@ -62,7 +67,7 @@ std::vector<SplitProposal> propose_splits(
   for (std::uint32_t cluster = 0; cluster < clustering.cluster_count;
        ++cluster) {
     const auto& members = members_by_cluster[cluster];
-    if (members.size() < options.min_cluster_size) continue;
+    if (members.size() < kMinClusterSize) continue;
 
     // Count, per on-path AS, how many members traverse it; track the link
     // each member ingresses on (cluster members share it under the
@@ -84,7 +89,7 @@ std::vector<SplitProposal> propose_splits(
         ++crossings[asn];
       }
     }
-    if (routed_members < options.min_cluster_size ||
+    if (routed_members < kMinClusterSize ||
         cluster_link == bgp::kNoCatchment) {
       continue;
     }
@@ -114,10 +119,8 @@ std::vector<SplitProposal> propose_splits(
     // With verification on, keep extra heuristic candidates per cluster so
     // the simulator has alternatives when the top pick fails to split.
     const std::size_t local_cap =
-        options.verify_with_engine
-            ? options.per_cluster *
-                  std::max<std::size_t>(options.candidate_factor, 1)
-            : options.per_cluster;
+        options.verify_with_engine ? options.per_cluster * kCandidateFactor
+                                   : options.per_cluster;
     if (local.size() > local_cap) {
       local.resize(local_cap);
     }
@@ -144,9 +147,7 @@ std::vector<SplitProposal> propose_splits(
   // keep only those whose deployment actually partitions their cluster,
   // re-scoring by the realised split (Gini impurity of the new buckets).
   const std::size_t budget =
-      std::min(proposals.size(),
-               options.max_proposals *
-                   std::max<std::size_t>(options.candidate_factor, 1));
+      std::min(proposals.size(), options.max_proposals * kCandidateFactor);
   std::vector<SplitProposal> verified;
   for (std::size_t i = 0; i < budget; ++i) {
     SplitProposal proposal = proposals[i];

@@ -38,8 +38,6 @@ struct SplitProposal {
 };
 
 struct SplitterOptions {
-  /// Only clusters with at least this many members are considered.
-  std::uint32_t min_cluster_size = 4;
   /// Proposals kept per cluster (the best-balanced ones).
   std::size_t per_cluster = 2;
   /// Total cap across clusters.
@@ -51,8 +49,6 @@ struct SplitterOptions {
   /// and only those that split their cluster survive, ranked by the
   /// realised split quality.
   bool verify_with_engine = true;
-  /// Heuristic candidates simulated per kept proposal.
-  std::size_t candidate_factor = 3;
   /// Realise proposals with no-export communities instead of poisoning
   /// (severs the provider-target edge; often splits more diversely and is
   /// immune to loop-prevention exemptions and tier-1 filters).

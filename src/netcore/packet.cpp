@@ -208,18 +208,6 @@ std::optional<UdpDatagramView> Datagram::parse_udp() const noexcept {
                    udp->length - kUdpHeaderBytes)};
 }
 
-std::optional<UdpHeader> Datagram::udp() const noexcept {
-  const auto view = parse_udp();
-  if (!view) return std::nullopt;
-  return view->udp;
-}
-
-std::span<const std::uint8_t> Datagram::payload() const noexcept {
-  const auto view = parse_udp();
-  if (!view) return {};
-  return view->payload;
-}
-
 bool Datagram::forward_hop() noexcept {
   if (bytes().size() < kIpv4HeaderBytes) return false;
   std::uint8_t* header = data();

@@ -62,8 +62,8 @@ struct UdpDatagramView {
 
 /// A fully formed IPv4 datagram. Datagrams of up to kInlineBytes (every
 /// amplification query: SSDP's is the largest at 118 bytes) live inside
-/// the object; only larger ones allocate. The spans bytes(), payload() and
-/// ip_payload() return point into the object: they end when it is
+/// the object; only larger ones allocate. The spans bytes(), ip_payload()
+/// and parse_udp()'s payload point into the object: they end when it is
 /// destroyed or moved from.
 class Datagram {
  public:
@@ -94,10 +94,6 @@ class Datagram {
   /// same bytes; nullopt when the IPv4 header is invalid, the protocol is
   /// not UDP or the UDP header is truncated.
   std::optional<UdpDatagramView> parse_udp() const noexcept;
-  /// Parses the UDP header; nullopt when not UDP or truncated.
-  std::optional<UdpHeader> udp() const noexcept;
-  /// UDP payload view (empty when not a valid UDP datagram).
-  std::span<const std::uint8_t> payload() const noexcept;
 
   /// Raw IPv4 payload view (everything after the header, any protocol;
   /// empty when the IPv4 header is invalid).

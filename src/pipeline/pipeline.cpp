@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/parallel.hpp"
@@ -82,10 +83,10 @@ class Scheduler {
       if (claim.kind == Kind::kNone) return;
       ++running_;
       lock.unlock();
-      execute(claim, worker_index);
+      std::exception_ptr error = execute(claim, worker_index);
       lock.lock();
       --running_;
-      settle(claim);
+      settle(claim, std::move(error));
       cv_.notify_all();
     }
   }
@@ -140,7 +141,8 @@ class Scheduler {
     return {};
   }
 
-  void execute(const Claim& claim, std::size_t worker_index) {
+  /// Runs one task outside the scheduler lock; returns what it threw.
+  std::exception_ptr execute(const Claim& claim, std::size_t worker_index) {
     try {
       switch (claim.kind) {
         case Kind::kProduce:
@@ -168,19 +170,17 @@ class Scheduler {
           break;
       }
     } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (!pending_error_) pending_error_ = std::current_exception();
+      return std::current_exception();
     }
+    return nullptr;
   }
 
-  /// State transition after a task returned, under the scheduler lock.
-  void settle(const Claim& claim) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (pending_error_ && !first_error_) {
-        first_error_ = pending_error_;
-        aborted_ = true;
-      }
+  /// State transition after a task returned, under the scheduler lock. The
+  /// first error settled aborts the run: nothing new is claimed after it.
+  void settle(const Claim& claim, std::exception_ptr error) {
+    if (error && !first_error_) {
+      first_error_ = std::move(error);
+      aborted_ = true;
     }
     switch (claim.kind) {
       case Kind::kProduce: {
@@ -226,11 +226,6 @@ class Scheduler {
   bool committing_ = false;
   std::size_t running_ = 0;
   bool aborted_ = false;
-
-  // A throwing task records its exception here first (outside the
-  // scheduler lock), then settle() promotes it to first_error_ and aborts.
-  std::mutex error_mutex_;
-  std::exception_ptr pending_error_;
   std::exception_ptr first_error_;
 };
 

@@ -45,11 +45,6 @@ netcore::UdpTemplate query_template(const SpoofedFlow& flow) {
 
 }  // namespace
 
-netcore::Datagram SpoofedTrafficGenerator::make_packet(
-    const SpoofedFlow& flow, std::uint16_t src_port) const {
-  return query_template(flow).make(src_port);
-}
-
 std::vector<ArrivedPacket> SpoofedTrafficGenerator::deliver(
     const std::vector<SpoofedFlow>& flows,
     const bgp::CatchmentMap& catchments, double duration,

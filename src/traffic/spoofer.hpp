@@ -45,22 +45,19 @@ class SpoofedTrafficGenerator {
       const std::vector<double>& volume, netcore::Ipv4Addr victim,
       AmpProtocol protocol, double total_pps) const;
 
-  /// One spoofed query datagram for a flow.
-  netcore::Datagram make_packet(const SpoofedFlow& flow,
-                                std::uint16_t src_port) const;
-
   /// Simulates `duration` seconds of the flows arriving at the origin:
   /// each flow's packets ingress on the link of its source AS's catchment.
   /// Flows whose source AS has no catchment are dropped (no route). A flow
   /// sends floor(rate * duration + u) packets (u uniform in [0, 1)), at
   /// most `max_packets`, each with a uniform timestamp and then a uniform
   /// source port; arrivals come back sorted by timestamp. Each datagram
-  /// equals make_packet(flow, port) byte for byte: it is copied from one
-  /// template per flow, and only the drawn (timestamp, flow, port) keys are
-  /// sorted. Throws std::invalid_argument, before any draw, on a negative
-  /// or non-finite `duration`, a negative or NaN `max_packets`, or a routed
-  /// flow whose rate is negative or NaN or whose packet count could reach
-  /// 2^64.
+  /// is the flow's query from the victim to the experiment target, byte
+  /// for byte what Datagram::make_udp builds for the drawn port: it is
+  /// copied from one template per flow, and only the drawn (timestamp,
+  /// flow, port) keys are sorted. Throws std::invalid_argument, before any
+  /// draw, on a negative or non-finite `duration`, a negative or NaN
+  /// `max_packets`, or a routed flow whose rate is negative or NaN or whose
+  /// packet count could reach 2^64.
   std::vector<ArrivedPacket> deliver(const std::vector<SpoofedFlow>& flows,
                                      const bgp::CatchmentMap& catchments,
                                      double duration,

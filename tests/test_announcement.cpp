@@ -39,7 +39,6 @@ TEST(Announcement, ConfigurationQueries) {
   EXPECT_FALSE(config.announces(1));
   ASSERT_NE(config.spec_for(0), nullptr);
   EXPECT_EQ(config.spec_for(0)->prepend, 4u);
-  EXPECT_EQ(config.active_links(), (std::vector<LinkId>{0, 2}));
 }
 
 TEST(Announcement, OriginLinkLookup) {

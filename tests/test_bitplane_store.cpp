@@ -82,6 +82,13 @@ measure::CatchmentStore full_range_store(std::size_t configs,
 /// core::cluster_sources take. Each SimdLevels test runs at both.
 enum class ReadLevel : std::uint8_t { kScalar, kWide };
 
+const char* level_name(ReadLevel level) {
+  return level == ReadLevel::kWide ? "wide" : "scalar";
+}
+
+// Labels the level in the ctest name instead of its byte.
+void PrintTo(ReadLevel level, std::ostream* os) { *os << level_name(level); }
+
 class SimdLevels : public ::testing::TestWithParam<ReadLevel> {
  protected:
   /// Row `config` of `planes` as cell bytes, read at this test's level.
@@ -114,9 +121,7 @@ INSTANTIATE_TEST_SUITE_P(BitplaneStore, SimdLevels,
                          ::testing::Values(ReadLevel::kScalar,
                                            ReadLevel::kWide),
                          [](const auto& info) {
-                           return std::string(info.param == ReadLevel::kWide
-                                                  ? "wide"
-                                                  : "scalar");
+                           return std::string(level_name(info.param));
                          });
 
 // --- Construction, round trip, plane layout -------------------------------

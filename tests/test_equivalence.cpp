@@ -127,6 +127,11 @@ constexpr GoldenTopo kGoldens[] = {
       0xd5422efd570f5626ULL}},
 };
 
+// Without this, gtest prints a GoldenTopo as its bytes, name pointer
+// included, which moves with every run under ASLR, so the discovered ctest
+// names would too.
+void PrintTo(const GoldenTopo& golden, std::ostream* os) { *os << golden.name; }
+
 class GoldenChecksum : public ::testing::TestWithParam<GoldenTopo> {};
 
 TEST_P(GoldenChecksum, ArenaEngineReproducesPreArenaOutcomes) {

@@ -131,14 +131,14 @@ TEST(ArtifactIo, EmptyArtifactRoundTrips) {
 }
 
 /// Saves `artifact` — well-formed bytes, matching checksum — and requires
-/// that loading rejects it for naming `part` as disagreeing in shape.
-void expect_shape_rejected(const DeploymentArtifact& artifact,
-                           const std::string& part) {
+/// that loading rejects it with a message naming `part`.
+void expect_inconsistent(const DeploymentArtifact& artifact,
+                         const std::string& part) {
   std::stringstream buffer;
   save_artifact(artifact, buffer);
   try {
     load_artifact(buffer);
-    ADD_FAILURE() << "loaded an artifact whose " << part << " disagrees";
+    ADD_FAILURE() << "loaded an artifact it should reject for " << part;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
         << e.what();
@@ -148,25 +148,34 @@ void expect_shape_rejected(const DeploymentArtifact& artifact,
 TEST(ArtifactIo, RejectsMatrixRowsNotMatchingConfigs) {
   auto artifact = sample_artifact();
   artifact.matrix.assign(3, artifact.sources.size());
-  expect_shape_rejected(artifact, "matrix row count");
+  expect_inconsistent(artifact, "matrix row count");
 }
 
 TEST(ArtifactIo, RejectsMatrixColumnsNotMatchingSources) {
   auto artifact = sample_artifact();
   artifact.matrix.assign(artifact.configs.size(), 4);
-  expect_shape_rejected(artifact, "matrix column count");
+  expect_inconsistent(artifact, "matrix column count");
 }
 
 TEST(ArtifactIo, RejectsDistancesNotMatchingSources) {
   auto artifact = sample_artifact();
   artifact.source_distance.resize(2);
-  expect_shape_rejected(artifact, "source distance count");
+  expect_inconsistent(artifact, "source distance count");
 }
 
 TEST(ArtifactIo, RejectsComplianceNotMatchingConfigs) {
   auto artifact = sample_artifact();
   artifact.compliance.resize(1);
-  expect_shape_rejected(artifact, "compliance entry count");
+  expect_inconsistent(artifact, "compliance entry count");
+}
+
+TEST(ArtifactIo, RejectsLinksOutOfRange) {
+  auto artifact = sample_artifact();
+  artifact.link_count = bgp::kMaxCatchmentLinks + 1;
+  expect_inconsistent(artifact, "link count 63 exceeds 62");
+  artifact = sample_artifact();
+  artifact.configs[1].announcements[0].link = 3;  // link_count is 3
+  expect_inconsistent(artifact, "announcement link 3");
 }
 
 TEST(ArtifactIo, MakeArtifactFromDeployment) {

@@ -30,17 +30,19 @@ TEST(Datagram, BuildsValidUdpPacket) {
   EXPECT_EQ(ip->protocol, kProtoUdp);
   EXPECT_EQ(ip->total_length, d.bytes().size());
 
-  const auto udp = d.udp();
+  const auto udp = d.parse_udp();
   ASSERT_TRUE(udp.has_value());
-  EXPECT_EQ(udp->source_port, 1234);
-  EXPECT_EQ(udp->destination_port, 53);
-  EXPECT_EQ(udp->length, kUdpHeaderBytes + payload.size());
+  EXPECT_EQ(udp->udp.source_port, 1234);
+  EXPECT_EQ(udp->udp.destination_port, 53);
+  EXPECT_EQ(udp->udp.length, kUdpHeaderBytes + payload.size());
 }
 
 TEST(Datagram, PayloadRoundTrips) {
   const auto payload = payload_bytes();
   const auto d = Datagram::make_udp(kSrc, kDst, 1, 2, payload);
-  const auto view = d.payload();
+  const auto udp = d.parse_udp();
+  ASSERT_TRUE(udp.has_value());
+  const auto view = udp->payload;
   ASSERT_EQ(view.size(), payload.size());
   EXPECT_TRUE(std::equal(view.begin(), view.end(), payload.begin()));
 }
@@ -87,9 +89,10 @@ TEST(Datagram, ForwardHopDecrementsTtlAndKeepsChecksumValid) {
 
 TEST(Datagram, EmptyPayloadSupported) {
   const auto d = Datagram::make_udp(kSrc, kDst, 9, 9, {});
-  ASSERT_TRUE(d.udp().has_value());
-  EXPECT_EQ(d.udp()->length, kUdpHeaderBytes);
-  EXPECT_TRUE(d.payload().empty());
+  const auto udp = d.parse_udp();
+  ASSERT_TRUE(udp.has_value());
+  EXPECT_EQ(udp->udp.length, kUdpHeaderBytes);
+  EXPECT_TRUE(udp->payload.empty());
   const auto udp_bytes =
       std::span<const std::uint8_t>(d.bytes()).subspan(kIpv4HeaderBytes);
   EXPECT_TRUE(UdpHeader::verify(udp_bytes, kSrc, kDst));
@@ -124,7 +127,9 @@ TEST(UdpTemplate, MatchesMakeUdpOnEveryPortAndProtocol) {
           Datagram::make_udp(victim, target, p, protocol.udp_port, payload);
       ASSERT_TRUE(std::ranges::equal(made.bytes(), full.bytes()))
           << protocol.name << " port " << port;
-      if (made.udp()->checksum == 0xFFFF) zero_sum_ports.push_back(port);
+      if (made.parse_udp()->udp.checksum == 0xFFFF) {
+        zero_sum_ports.push_back(port);
+      }
     }
     ASSERT_EQ(zero_sum_ports.size(), 1u) << protocol.name;
     const Datagram folded =

@@ -104,6 +104,12 @@ const FuzzParam kNoiseGrid[] = {{1, 0.00, 0.00, 0.0, 0.00},
                                 {4, 0.30, 0.10, 0.80, 0.25},
                                 {5, 0.50, 0.20, 1.00, 0.50}};
 
+// Names each noise level by its seed in the ctest name instead of the
+// bytes gtest would print.
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  *os << "seed" << param.seed;
+}
+
 class RepairFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(RepairFuzz, StructuralGuaranteesUnderNoise) {

@@ -31,18 +31,21 @@ TEST(Spoofer, PacketsCarrySpoofedSource) {
   flow.source_as = 0;
   flow.victim = kVictim;
   flow.protocol = AmpProtocol::kNtpMonlist;
-  const auto packet = gen.make_packet(flow, 4444);
+  flow.packets_per_second = 10.0;
+  const auto arrivals = gen.deliver({flow}, test::catchment_map({0}), 1.0);
+  ASSERT_FALSE(arrivals.empty());
+  const auto& packet = arrivals.front().datagram;
   const auto ip = packet.ip();
   ASSERT_TRUE(ip.has_value());
   // The source address is the victim — that is the spoof.
   EXPECT_EQ(ip->source, kVictim);
   EXPECT_EQ(ip->destination, measure::AddressPlan::experiment_target());
-  const auto udp = packet.udp();
+  const auto udp = packet.parse_udp();
   ASSERT_TRUE(udp.has_value());
-  EXPECT_EQ(udp->destination_port, info(AmpProtocol::kNtpMonlist).udp_port);
-  EXPECT_EQ(udp->source_port, 4444);
-  EXPECT_EQ(packet.payload().size(),
-            info(AmpProtocol::kNtpMonlist).request_bytes);
+  EXPECT_EQ(udp->udp.destination_port,
+            info(AmpProtocol::kNtpMonlist).udp_port);
+  EXPECT_GE(udp->udp.source_port, 1024);
+  EXPECT_EQ(udp->payload.size(), info(AmpProtocol::kNtpMonlist).request_bytes);
 }
 
 TEST(Spoofer, DeliveryFollowsCatchments) {
@@ -175,21 +178,18 @@ TEST(Spoofer, DeliverMatchesMakePacket) {
           [&](const SpoofedFlow& f) { return f.source_as == a.true_source; });
       ASSERT_NE(flow, flows.end());
       EXPECT_EQ(a.link, mixed_catchments()[a.true_source]);
-      const auto udp = a.datagram.udp();
+      const auto udp = a.datagram.parse_udp();
       ASSERT_TRUE(udp.has_value());
-      EXPECT_GE(udp->source_port, 1024);
-      EXPECT_LT(udp->source_port, 1024 + 60000);
-      const auto expected = gen.make_packet(*flow, udp->source_port);
-      ASSERT_TRUE(std::ranges::equal(a.datagram.bytes(), expected.bytes()))
-          << protocol.name << " port " << udp->source_port;
-      // make_packet copies the flow's template: both equal a datagram
-      // built field by field.
+      const std::uint16_t port = udp->udp.source_port;
+      EXPECT_GE(port, 1024);
+      EXPECT_LT(port, 1024 + 60000);
+      // deliver copies the flow's template: each datagram equals one built
+      // field by field.
       const auto reference = netcore::Datagram::make_udp(
-          kVictim, measure::AddressPlan::experiment_target(),
-          udp->source_port, protocol.udp_port,
-          make_query_payload(protocol.protocol));
-      ASSERT_TRUE(std::ranges::equal(expected.bytes(), reference.bytes()))
-          << protocol.name << " port " << udp->source_port;
+          flow->victim, measure::AddressPlan::experiment_target(), port,
+          protocol.udp_port, make_query_payload(protocol.protocol));
+      ASSERT_TRUE(std::ranges::equal(a.datagram.bytes(), reference.bytes()))
+          << protocol.name << " port " << port;
     }
   }
 }
